@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .engine import (
     DEFAULT_MAX_ITER,
@@ -24,7 +25,7 @@ from .engine import (
     banach_iterate,
     direct_iterate,
 )
-from .instance import Instance, InstanceFormatError, load_instance, save_instance
+from .instance import Instance, InstanceFormatError, checked_tolerance, load_instance, save_instance
 from .metric import EUCLIDEAN, EXPLICIT_MATRIX
 from .oracle import GeneratorConfig, brute_force_solve, generate_instance
 from .report import (
@@ -53,12 +54,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag(check):
+    """An argparse ``type`` that reports ``check``'s ValueError under the flag's name."""
+
+    def parse(text):
+        try:
+            return check(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return parse
+
+
+def _max_iter(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(f"max_iter must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = _Parser(add_help=False)
     shared.add_argument("--format", choices=("text", "json"), default="text")
-    shared.add_argument("--tol", type=float, default=None, help="convergence tolerance (default 1e-9)")
-    shared.add_argument("--max-iter", type=int, default=None, help="iteration budget (default 10000)")
-    shared.add_argument("--eps-prox", type=float, default=None, help="override the instance proximity tolerance")
+    shared.add_argument("--tol", type=_flag(partial(checked_tolerance, "tol")), default=None, help="convergence tolerance (default 1e-9)")
+    shared.add_argument("--max-iter", type=_flag(_max_iter), default=None, help="iteration budget (default 10000)")
+    shared.add_argument("--eps-prox", type=_flag(partial(checked_tolerance, "eps_prox")), default=None, help="override the instance proximity tolerance")
 
     parser = _Parser(prog="bestprox", description="Best proximity point solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,7 +243,7 @@ def cmd_oracle(args) -> int:
         "instance": args.instance,
         "min_value": sol.min_value,
         "argmin_indices": list(sol.argmin_indices),
-        "argmin_points": [list(p) if isinstance(p, tuple) else p for p in sol.argmin_points],
+        "argmin_points": sol.argmin_points.tolist(),
         "pair_distance": sol.pair_distance,
         "is_best_proximity": sol.is_best_proximity,
         "exit_code": EXIT_OK,
@@ -287,13 +306,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except InstanceFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except StartNotInA0 as err:
+    except (_UsageError, InstanceFormatError, StartNotInA0) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

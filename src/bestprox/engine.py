@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PairGeometry, SetPair
-from .metric import distance, pairwise_distances
+from .metric import as_point, distance, paired_distances, pairwise_distances
 
 CONTRACTION = "contraction"
 NOT_CONTRACTION = "not-contraction"
@@ -143,7 +143,7 @@ class ContractionCertificate:
 @dataclass(frozen=True)
 class IterationTrace:
     indices: tuple[int, ...]
-    points: tuple
+    points: np.ndarray  # rows of A (coordinates or table indices), one per index
     step_gaps: tuple[float, ...]
     residuals: tuple[float, ...]
     a_priori_bounds: tuple[float, ...]
@@ -154,7 +154,7 @@ class IterationTrace:
 @dataclass(frozen=True)
 class BestProximityResult:
     index: int
-    point: object
+    point: object  # the row A[index]
     residual: float
     iterations: int
     trace: IterationTrace
@@ -184,11 +184,10 @@ def defining_defect(induced: InducedMap) -> float:
     """max over A0 of | d(S(x), T(x)) - d(A,B) |, the induced-map residual."""
     geom = induced.geometry
     sp = geom.pair
-    worst = 0.0
-    for i, j in induced.table.items():
-        d = distance(sp.metric, sp.a[j], sp.b[induced.t_map.image[i]])
-        worst = max(worst, abs(d - geom.pair_distance))
-    return worst
+    partners = sp.a[list(induced.table.values())]
+    images = sp.b[[induced.t_map.image[i] for i in induced.table]]
+    d = paired_distances(sp.metric, partners, images)
+    return float(np.abs(d - geom.pair_distance).max(initial=0.0))
 
 
 def _max_ratio(sp: SetPair, mapping: dict[int, int]):
@@ -201,8 +200,8 @@ def _max_ratio(sp: SetPair, mapping: dict[int, int]):
     n = len(keys)
     if n < 2:
         return 0.0, None, 0
-    src = [sp.a[i] for i in keys]
-    dst = [sp.a[mapping[i]] for i in keys]
+    src = sp.a[keys]
+    dst = sp.a[[mapping[i] for i in keys]]
     den = pairwise_distances(sp.metric, src, src)
     num = pairwise_distances(sp.metric, dst, dst)
     iu = np.triu_indices(n, k=1)
@@ -233,21 +232,22 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
         for i in range(len(sp.a))
         if geom.partners_in_a(induced.t_map.image[i])
     }
-    alpha, witness, pairs = 0.0, None, 0
     idxs = sorted(partnered)
-    for pos, i in enumerate(idxs):
-        if len(partnered[i]) > 1:
-            return ContractionCertificate(
-                math.inf, (i, i), pairs, NOT_CONTRACTION, scope="full"
-            )
-        for j in idxs[pos + 1 :]:
-            den = distance(sp.metric, sp.a[i], sp.a[j])
-            for u in partnered[i]:
-                for v in partnered[j]:
-                    ratio = distance(sp.metric, sp.a[u], sp.a[v]) / den
-                    pairs += 1
-                    if ratio > alpha:
-                        alpha, witness = ratio, (i, j)
+    sizes = np.array([len(partnered[i]) for i in idxs])
+    multi = np.flatnonzero(sizes > 1)
+    if len(multi):
+        # The pairwise scan in lexicographic order stops at the first point
+        # with several partners, having counted one ratio per partner of each
+        # later point for every earlier point.
+        k = int(multi[0])
+        tail = np.cumsum(sizes[::-1])[::-1]
+        pairs = int(tail[1 : k + 1].sum())
+        return ContractionCertificate(
+            math.inf, (idxs[k], idxs[k]), pairs, NOT_CONTRACTION, scope="full"
+        )
+    alpha, witness, pairs = _max_ratio(sp, {i: partnered[i][0] for i in idxs})
+    if not alpha > 0.0:
+        witness = None  # no ratio beats the scan's initial 0.0
     verdict = CONTRACTION if alpha < 1.0 else NOT_CONTRACTION
     return ContractionCertificate(alpha, witness, pairs, verdict, scope="full")
 
@@ -260,13 +260,13 @@ def _resolve_start(geom: PairGeometry, x0) -> int:
             raise ValueError(f"start index {x0} outside A (size {len(sp.a)})")
         idx = x0
     else:
-        probe = tuple(float(c) for c in x0)
-        try:
-            idx = sp.a.index(probe)
-        except ValueError:
-            raise ValueError(f"start point {probe!r} is not a point of A") from None
+        probe = np.asarray(x0, dtype=float)
+        hits = np.flatnonzero((sp.a == probe).all(axis=1)) if probe.shape == sp.a.shape[1:2] else ()
+        if not len(hits):
+            raise ValueError(f"start point {as_point(probe)!r} is not a point of A")
+        idx = int(hits[0])
     if idx not in set(geom.a0):
-        raise StartNotInA0(sp.a[idx])
+        raise StartNotInA0(as_point(sp.a[idx]))
     return idx
 
 
@@ -293,35 +293,38 @@ def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     sp = geom.pair
+    # Walk the orbit to its fixed point, first repeat, failing step or budget,
+    # then measure every step gap in one kernel call and cut the walk at the
+    # first gap that already guarantees d(x_k, z) <= tol.  This stops exactly
+    # where a step-by-step test of the gap would have stopped.
     indices = [start_idx]
-    gaps: list[float] = []
     visited = {start_idx}
-    cur = start_idx
-    reason = None
-    threshold = None
-    if alpha_hat < 1.0:
-        threshold = tol * (1.0 - alpha_hat) / max(alpha_hat, tol)
+    reason, failure = MAX_ITERATIONS, None
     for _ in range(max_iter):
+        cur = indices[-1]
         try:
             nxt = step(cur)
         except (HypothesisViolation, NonUniquePartner) as err:
-            err.partial_indices = tuple(indices)
-            raise
-        indices.append(nxt)
-        gaps.append(distance(sp.metric, sp.a[cur], sp.a[nxt]))
-        if nxt == cur:
-            reason = CONVERGED
+            failure = err
             break
-        if threshold is not None and gaps[-1] <= threshold:
+        indices.append(nxt)
+        if nxt == cur:
             reason = CONVERGED
             break
         if nxt in visited:
             reason = CYCLE_DETECTED
             break
         visited.add(nxt)
-        cur = nxt
-    if reason is None:
-        reason = MAX_ITERATIONS
+    gaps = paired_distances(sp.metric, sp.a[indices[:-1]], sp.a[indices[1:]]).tolist()
+    if alpha_hat < 1.0:
+        threshold = tol * (1.0 - alpha_hat) / max(alpha_hat, tol)
+        first = next((k for k, gap in enumerate(gaps) if gap <= threshold), None)
+        if first is not None:
+            del indices[first + 2 :], gaps[first + 1 :]
+            reason, failure = CONVERGED, None
+    if failure is not None:
+        failure.partial_indices = tuple(indices)
+        raise failure
     trace = _build_trace(geom, t_map, indices, gaps, alpha_hat, reason)
     if reason == MAX_ITERATIONS:
         raise MaxIterationsExceeded(trace)
@@ -338,19 +341,17 @@ def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
 
 def _build_trace(geom, t_map, indices, gaps, alpha_hat, reason) -> IterationTrace:
     sp = geom.pair
-    residuals = tuple(
-        abs(distance(sp.metric, sp.a[i], sp.b[t_map.image[i]]) - geom.pair_distance)
-        for i in indices
-    )
+    images = sp.b[[t_map.image[i] for i in indices]]
+    residuals = np.abs(paired_distances(sp.metric, sp.a[indices], images) - geom.pair_distance)
     bounds: tuple[float, ...] = ()
     if alpha_hat < 1.0 and gaps:
         scale = gaps[0] / (1.0 - alpha_hat)
         bounds = tuple(scale * alpha_hat**k for k in range(len(indices)))
     return IterationTrace(
         indices=tuple(indices),
-        points=tuple(sp.a[i] for i in indices),
+        points=sp.a[indices],
         step_gaps=tuple(gaps),
-        residuals=residuals,
+        residuals=tuple(residuals.tolist()),
         a_priori_bounds=bounds,
         alpha_hat=alpha_hat,
         stop_reason=reason,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import EUCLIDEAN, Metric, check_point, distance, pairwise_distances
+from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, pairwise_distances, table_indices
 
 # Row block size for the product scans; keeps memory bounded on 1e4-point sets.
 _CHUNK = 1024
@@ -40,54 +40,60 @@ def default_eps_prox(metric: Metric) -> float:
     return DEFAULT_EPS_EUCLIDEAN if metric.kind == EUCLIDEAN else DEFAULT_EPS_MATRIX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetPair:
     """The nonempty finite sets A and B over one metric.
 
-    Construction validates every point and rejects duplicates within either
-    set (silent dedup would change |A0| behind the user's back).
+    ``a`` and ``b`` are stored as read-only arrays: ``(n, d)`` float64
+    coordinates in euclidean spaces, ``(n,)`` int64 table indices in matrix
+    spaces.  Construction checks shape, finiteness and index range on the
+    whole array, and rejects duplicates within either set (silent dedup would
+    change |A0| behind the user's back).
     """
 
     metric: Metric
-    a: tuple
-    b: tuple
+    a: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self) -> None:
-        a = tuple(_freeze(p) for p in self.a)
-        b = tuple(_freeze(p) for p in self.b)
+        a = _point_array(self.metric, self.a, "A")
+        b = _point_array(self.metric, self.b, "B")
+        if a.shape[1:] != b.shape[1:]:
+            raise ValueError(f"points of mixed dimensions: {sorted([a.shape[1], b.shape[1]])}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if not a or not b:
-            raise ValueError("A and B must be nonempty")
-        for p in a:
-            check_point(self.metric, p)
-        for p in b:
-            check_point(self.metric, p)
-        if self.metric.kind == EUCLIDEAN:
-            dims = {len(p) for p in a} | {len(p) for p in b}
-            if len(dims) != 1:
-                raise ValueError(f"points of mixed dimensions: {sorted(dims)}")
         _reject_duplicates(self.metric, a, "A")
         _reject_duplicates(self.metric, b, "B")
 
 
-def _freeze(p):
-    return tuple(float(c) for c in p) if isinstance(p, (list, tuple)) else p
-
-
-def _reject_duplicates(metric: Metric, pts: tuple, side: str) -> None:
+def _point_array(metric: Metric, pts, side: str) -> np.ndarray:
+    if len(pts) == 0:
+        raise ValueError("A and B must be nonempty")
     if metric.kind == EUCLIDEAN:
-        seen: dict = {}
-        for i, p in enumerate(pts):
-            if p in seen:
-                raise DuplicatePointError(side, seen[p], i)
-            seen[p] = i
+        try:
+            arr = np.array(pts, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"points of {side} must be coordinate vectors of one dimension") from None
+        if arr.ndim != 2 or not arr.shape[1]:
+            raise ValueError(f"points of {side} must be coordinate vectors of dimension >= 1")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if len(bad):
+            raise ValueError(f"non-finite coordinate in {side}[{bad[0]}]")
     else:
-        seen = {}
-        for i, p in enumerate(pts):
-            if p in seen:
-                raise DuplicatePointError(side, seen[p], i)
-            seen[p] = i
+        arr = table_indices(metric, pts)
+        if arr.ndim != 1:
+            raise ValueError(f"matrix-space points of {side} must be integer indices")
+    arr.flags.writeable = False
+    return arr
+
+
+def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:
+    seen: dict = {}
+    for i, key in enumerate(map(tuple, pts.reshape(len(pts), -1).tolist())):
+        if key in seen:
+            raise DuplicatePointError(side, seen[key], i)
+        seen[key] = i
+    if metric.kind == EXPLICIT_MATRIX:
         d = pairwise_distances(metric, pts, pts)
         np.fill_diagonal(d, np.inf)
         hits = np.argwhere(d == 0.0)
@@ -115,12 +121,12 @@ class PairGeometry:
     eps_prox: float = 0.0
 
     @property
-    def a0_points(self) -> tuple:
-        return tuple(self.pair.a[i] for i in self.a0)
+    def a0_points(self) -> np.ndarray:
+        return self.pair.a[list(self.a0)]
 
     @property
-    def b0_points(self) -> tuple:
-        return tuple(self.pair.b[j] for j in self.b0)
+    def b0_points(self) -> np.ndarray:
+        return self.pair.b[list(self.b0)]
 
     def partners_in_a(self, b_index: int) -> tuple[int, ...]:
         """Indices in A of the proximal partners of B[b_index]."""
@@ -181,9 +187,9 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
 
 def point_to_set_distance(metric: Metric, x, pts) -> float:
     """Exact minimum of d(x, s) over the nonempty finite set ``pts``."""
-    if not pts:
+    if len(pts) == 0:
         raise ValueError("point-to-set distance over an empty set")
-    return min(distance(metric, x, s) for s in pts)
+    return float(pairwise_distances(metric, [x], pts).min())
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ load/save round-trips are idempotent byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .engine import DEFAULT_TOL, ProximityMap
 from .geometry import SetPair, default_eps_prox
@@ -48,10 +51,19 @@ class Instance:
     ) -> "Instance":
         out = self
         if eps_prox is not None:
-            out = replace(out, eps_prox=float(eps_prox))
+            out = replace(out, eps_prox=checked_tolerance("eps_prox", eps_prox))
         if tol is not None:
-            out = replace(out, tol=float(tol))
+            out = replace(out, tol=checked_tolerance("tol", tol))
         return out
+
+
+def checked_tolerance(name: str, value) -> float:
+    """``value`` as a float: ``tol`` must be finite and > 0, ``eps_prox`` finite and >= 0."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0 or (value == 0 and name == "tol"):
+        bound = "> 0" if name == "tol" else ">= 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+    return value
 
 
 def make_instance(
@@ -65,16 +77,11 @@ def make_instance(
     alpha_declared: float | None = None,
 ) -> Instance:
     """Assemble and validate an instance from in-memory pieces."""
-    pair = SetPair(metric, tuple(a), tuple(b))
+    pair = SetPair(metric, a, b)
     t_map = ProximityMap(tuple(t_image))
     t_map.validate(pair)
-    if eps_prox is None:
-        eps_prox = default_eps_prox(metric)
-    if eps_prox < 0:
-        raise ValueError("eps_prox must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    return Instance(pair, t_map, float(eps_prox), float(tol), alpha_declared)
+    eps_prox = checked_tolerance("eps_prox", default_eps_prox(metric) if eps_prox is None else eps_prox)
+    return Instance(pair, t_map, eps_prox, checked_tolerance("tol", tol), alpha_declared)
 
 
 def _fail(field: str, problem: str) -> InstanceFormatError:
@@ -94,7 +101,7 @@ def _parse_metric(payload) -> Metric:
         if not isinstance(matrix, list) or not matrix:
             raise _fail("metric.matrix", "required nonempty array of rows")
         try:
-            return Metric(EXPLICIT_MATRIX, tuple(tuple(row) for row in matrix))
+            return Metric(EXPLICIT_MATRIX, matrix)
         except (TypeError, ValueError) as err:
             raise _fail("metric.matrix", str(err)) from None
     raise _fail("metric.kind", f"must be {EUCLIDEAN!r} or {EXPLICIT_MATRIX!r}, got {kind!r}")
@@ -103,20 +110,24 @@ def _parse_metric(payload) -> Metric:
 def _parse_points(metric: Metric, payload, field: str):
     if not isinstance(payload, list) or not payload:
         raise _fail(field, "must be a nonempty array of points")
-    pts = []
-    for pos, item in enumerate(payload):
-        if metric.kind == EUCLIDEAN:
-            if not isinstance(item, list) or not item:
-                raise _fail(f"{field}[{pos}]", "euclidean point must be a coordinate array")
-            try:
-                pts.append(tuple(float(c) for c in item))
-            except (TypeError, ValueError):
-                raise _fail(f"{field}[{pos}]", f"non-numeric coordinate in {item!r}") from None
-        else:
+    if metric.kind != EUCLIDEAN:
+        for pos, item in enumerate(payload):
             if isinstance(item, bool) or not isinstance(item, int):
                 raise _fail(f"{field}[{pos}]", f"matrix-space point must be an index, got {item!r}")
-            pts.append(item)
-    return tuple(pts)
+        return payload
+    try:
+        return np.array(payload, dtype=float)
+    except (TypeError, ValueError):
+        dim = len(payload[0]) if isinstance(payload[0], list) else 0
+        pos = next(pos for pos, item in enumerate(payload) if not _is_point(item, dim))
+        raise _fail(f"{field}[{pos}]", f"not a numeric point of dimension {dim}: {payload[pos]!r}") from None
+
+
+def _is_point(item, dim: int) -> bool:
+    try:
+        return isinstance(item, list) and np.array(item, dtype=float).shape == (dim,)
+    except (TypeError, ValueError):
+        return False
 
 
 def parse_instance(payload) -> Instance:
@@ -141,7 +152,7 @@ def parse_instance(payload) -> Instance:
     eps_prox = tolerances.get("eps_prox")
     tol = tolerances.get("tol", DEFAULT_TOL)
     for name, value in (("eps_prox", eps_prox), ("tol", tol)):
-        if value is not None and not isinstance(value, (int, float)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise _fail(f"tolerances.{name}", f"must be a number, got {value!r}")
 
     alpha = payload.get("alpha")
@@ -157,7 +168,7 @@ def parse_instance(payload) -> Instance:
             b,
             t_raw,
             eps_prox=eps_prox,
-            tol=float(tol),
+            tol=tol,
             alpha_declared=alpha,
         )
     except (TypeError, ValueError) as err:
@@ -183,11 +194,11 @@ def instance_payload(inst: Instance) -> dict:
     """The canonical JSON-able form of an instance."""
     metric: dict = {"kind": inst.metric.kind}
     if inst.metric.kind == EXPLICIT_MATRIX:
-        metric["matrix"] = [list(row) for row in inst.metric.matrix]
+        metric["matrix"] = inst.metric.matrix.tolist()
     payload = {
         "metric": metric,
-        "A": [list(p) if isinstance(p, tuple) else p for p in inst.pair.a],
-        "B": [list(p) if isinstance(p, tuple) else p for p in inst.pair.b],
+        "A": inst.pair.a.tolist(),
+        "B": inst.pair.b.tolist(),
         "T": list(inst.t_map.image),
         "tolerances": {"eps_prox": inst.eps_prox, "tol": inst.tol},
     }

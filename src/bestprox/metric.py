@@ -7,9 +7,11 @@ Two space kinds are supported:
 * ``explicit-matrix`` -- points are integer indices into a user-supplied
   symmetric distance table.
 
-Additional coordinate metrics (l1, l-infinity) would slot in behind
-:func:`distance` / :func:`pairwise_distances`; only these two kinds are needed
-at desk scale.
+Every distance in the package comes from one kernel: :func:`pairwise_distances`
+(the cross table d(p_i, q_j)) and :func:`paired_distances` (d(p_i, q_i) row by
+row) share the single euclidean formula of :func:`_norm`, and :func:`distance`
+is the one-pair case of the paired form.  A value is therefore bitwise the
+same whichever form computed it, in any dimension.
 
 Everything here is immutable after construction and every function is pure,
 so concurrent read-only use is safe.
@@ -17,7 +19,6 @@ so concurrent read-only use is safe.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,18 +42,18 @@ EXHAUSTIVE_LIMIT = 200
 TRIANGLE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """A metric over coordinate vectors or an explicit finite table.
 
     ``matrix`` must be present exactly when ``kind`` is ``explicit-matrix``;
-    it is stored as a tuple of tuples so the object stays hashable and
-    immutable.  Construction checks only structural shape; run
+    it is stored as a read-only ``(n, n)`` float64 array with finite entries.
+    Construction checks only shape and finiteness; run
     :func:`validate_metric` to check the metric axioms themselves.
     """
 
     kind: str
-    matrix: tuple[tuple[float, ...], ...] | None = None
+    matrix: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (EUCLIDEAN, EXPLICIT_MATRIX):
@@ -63,10 +64,14 @@ class Metric:
             return
         if self.matrix is None:
             raise ValueError("explicit-matrix metric requires a matrix")
-        rows = tuple(tuple(float(v) for v in row) for row in self.matrix)
-        if not rows or any(len(row) != len(rows) for row in rows):
+        table = np.array(self.matrix, dtype=float)
+        if table.ndim != 2 or not table.size or table.shape[0] != table.shape[1]:
             raise ValueError("distance matrix must be square and nonempty")
-        object.__setattr__(self, "matrix", rows)
+        bad = np.argwhere(~np.isfinite(table))
+        if len(bad):
+            raise ValueError(f"non-finite distance at position {tuple(bad[0].tolist())}")
+        table.flags.writeable = False
+        object.__setattr__(self, "matrix", table)
 
     @property
     def size(self) -> int:
@@ -84,60 +89,65 @@ def euclidean_metric() -> Metric:
 
 
 def matrix_metric(matrix: Sequence[Sequence[float]]) -> Metric:
-    return Metric(EXPLICIT_MATRIX, tuple(tuple(float(v) for v in row) for row in matrix))
+    return Metric(EXPLICIT_MATRIX, matrix)
 
 
-def check_point(metric: Metric, p) -> None:
-    """Raise ValueError if ``p`` is not a valid point of ``metric``'s space."""
-    if metric.kind == EUCLIDEAN:
-        if isinstance(p, (int, bool)) or not isinstance(p, (tuple, list)):
-            raise ValueError(f"euclidean point must be a coordinate vector, got {p!r}")
-        if len(p) < 1:
-            raise ValueError("euclidean point needs dimension >= 1")
-        for c in p:
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coordinate in point {p!r}")
-    else:
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise ValueError(f"matrix-space point must be an integer index, got {p!r}")
-        if not 0 <= p < metric.size:
-            raise ValueError(f"point index {p} out of range for {metric.size}-point space")
+def as_point(p) -> Point:
+    """A point as a plain Python value: a tuple of floats or an int index."""
+    value = np.asarray(p).tolist()
+    return tuple(value) if isinstance(value, list) else value
 
 
-def distance(metric: Metric, p, q) -> float:
-    """Evaluate d(p, q).
+def _norm(diff: np.ndarray) -> np.ndarray:
+    """The one euclidean formula: 2-norm of ``diff`` along its last axis.
 
-    The euclidean path accumulates squared differences left-to-right, which is
-    bitwise identical to the vectorized path in :func:`pairwise_distances` for
-    desk-scale dimensions.
+    ``diff`` is a scratch array and is squared in place, so a table holds one
+    difference-sized array at a time instead of two.
     """
-    if metric.kind == EUCLIDEAN:
-        if len(p) != len(q):
-            raise ValueError(f"dimension mismatch: {len(p)} vs {len(q)}")
-        s = 0.0
-        for a, b in zip(p, q):
-            d = a - b
-            s += d * d
-        return math.sqrt(s)
-    n = metric.size
-    if not (0 <= p < n and 0 <= q < n):
-        raise ValueError(f"index out of range for {n}-point space: ({p}, {q})")
-    return metric.matrix[p][q]
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(diff.sum(axis=-1))
+
+
+def _coordinates(ps, qs) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(ps, dtype=float)
+    b = np.asarray(qs, dtype=float)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: point arrays of shapes {a.shape} and {b.shape}")
+    return a, b
+
+
+def table_indices(metric: Metric, ps) -> np.ndarray:
+    """``ps`` as an int64 array of positions in ``metric``'s table, range-checked."""
+    idx = np.asarray(ps)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"matrix-space points must be integer indices, got {idx.dtype}")
+    bad = idx[(idx < 0) | (idx >= metric.size)]
+    if len(bad):
+        raise ValueError(f"index {bad[0]} out of range for {metric.size}-point space")
+    return idx.astype(np.int64)
 
 
 def pairwise_distances(metric: Metric, ps: Sequence, qs: Sequence) -> np.ndarray:
-    """Dense |ps| x |qs| distance table, exactly matching :func:`distance`."""
+    """Dense |ps| x |qs| table of d(p_i, q_j)."""
     if metric.kind == EUCLIDEAN:
-        a = np.asarray(ps, dtype=float)
-        b = np.asarray(qs, dtype=float)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-            raise ValueError("coordinate arrays must share one dimension")
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
-    table = np.asarray(metric.matrix, dtype=float)
-    ia = np.asarray(ps, dtype=int)
-    ib = np.asarray(qs, dtype=int)
-    return table[np.ix_(ia, ib)]
+        a, b = _coordinates(ps, qs)
+        return _norm(a[:, None, :] - b[None, :, :])
+    return metric.matrix[np.ix_(table_indices(metric, ps), table_indices(metric, qs))]
+
+
+def paired_distances(metric: Metric, ps: Sequence, qs: Sequence) -> np.ndarray:
+    """d(p_i, q_i) for each i; bitwise equal to the matching cross-table entry."""
+    if len(ps) != len(qs):
+        raise ValueError(f"paired distances need equal counts, got {len(ps)} and {len(qs)}")
+    if metric.kind == EUCLIDEAN:
+        a, b = _coordinates(ps, qs)
+        return _norm(a - b)
+    return metric.matrix[table_indices(metric, ps), table_indices(metric, qs)]
+
+
+def distance(metric: Metric, p, q) -> float:
+    """d(p, q) for two single points."""
+    return float(paired_distances(metric, [p], [q])[0])
 
 
 @dataclass(frozen=True)
@@ -200,53 +210,33 @@ def validate_metric(
     if metric.kind == EXPLICIT_MATRIX and metric.size <= EXHAUSTIVE_LIMIT:
         return _validate_matrix_exhaustive(metric)
     if metric.kind == EXPLICIT_MATRIX:
-        pool = list(range(metric.size))
+        pool = np.arange(metric.size)
         return _validate_sampled(metric, pool, sample_budget, seed, exact=True)
-    rng = random.Random(seed)
-    if points:
-        pool = [tuple(float(c) for c in p) for p in points]
+    if points is not None and len(points):
+        pool = np.asarray(points, dtype=float)
     else:
-        pool = [
-            tuple(rng.uniform(-100.0, 100.0) for _ in range(dimension))
-            for _ in range(max(3, min(sample_budget, 64)))
-        ]
+        rng = random.Random(seed)
+        count = max(3, min(sample_budget, 64))
+        draws = [rng.uniform(-100.0, 100.0) for _ in range(count * dimension)]
+        pool = np.array(draws).reshape(count, dimension)
     return _validate_sampled(metric, pool, sample_budget, seed, exact=False)
 
 
+def _first(mask: np.ndarray) -> tuple | None:
+    """Position of the first True entry of ``mask`` in row-major order, or None."""
+    hits = np.argwhere(mask)
+    return tuple(hits[0].tolist()) if len(hits) else None
+
+
+def _axiom(name: str, witness: tuple | None, detail) -> AxiomCheck:
+    if witness is None:
+        return AxiomCheck(name, True)
+    return AxiomCheck(name, False, witness, detail(*witness))
+
+
 def _validate_matrix_exhaustive(metric: Metric) -> MetricValidation:
-    m = np.asarray(metric.matrix, dtype=float)
+    m = metric.matrix
     n = len(m)
-
-    sym_w = None
-    bad = np.argwhere(m != m.T)
-    if len(bad):
-        i, j = (int(v) for v in bad[0])
-        sym_w = (min(i, j), max(i, j))
-    symmetry = AxiomCheck(
-        "symmetry",
-        sym_w is None,
-        sym_w,
-        "" if sym_w is None else f"d{sym_w} = {m[sym_w]} but d{sym_w[::-1]} = {m[sym_w[::-1]]}",
-    )
-
-    diag = np.flatnonzero(np.diagonal(m) != 0.0)
-    ident_w = (int(diag[0]),) if len(diag) else None
-    identity = AxiomCheck(
-        "identity",
-        ident_w is None,
-        ident_w,
-        "" if ident_w is None else f"d({ident_w[0]},{ident_w[0]}) = {m[ident_w[0], ident_w[0]]} != 0",
-    )
-
-    neg = np.argwhere(m < 0.0)
-    neg_w = tuple(int(v) for v in neg[0]) if len(neg) else None
-    nonneg = AxiomCheck(
-        "nonnegativity",
-        neg_w is None,
-        neg_w,
-        "" if neg_w is None else f"d{neg_w} = {m[neg_w]} < 0",
-    )
-
     tri_w = None
     off = ~np.eye(n, dtype=bool)
     for i in range(n):
@@ -256,55 +246,64 @@ def _validate_matrix_exhaustive(metric: Metric) -> MetricValidation:
         viol[i, :] = False
         viol[:, i] = False
         viol &= off.T
-        hits = np.argwhere(viol)
-        if len(hits):
-            j, k = (int(v) for v in hits[0])
-            tri_w = (i, j, k)
+        hit = _first(viol)
+        if hit is not None:
+            tri_w = (i, *hit)
             break
-    triangle = AxiomCheck(
-        "triangle",
-        tri_w is None,
-        tri_w,
-        ""
-        if tri_w is None
-        else (
-            f"d({tri_w[0]},{tri_w[1]}) = {m[tri_w[0], tri_w[1]]} > "
-            f"{m[tri_w[0], tri_w[2]]} + {m[tri_w[2], tri_w[1]]} via {tri_w[2]}"
-        ),
-    )
-
+    sym_w = _first(m != m.T)
     return MetricValidation(
-        checks=(symmetry, identity, nonneg, triangle),
+        checks=(
+            _axiom(
+                "symmetry",
+                None if sym_w is None else tuple(sorted(sym_w)),
+                lambda i, j: f"d{(i, j)} = {m[i, j]} but d{(j, i)} = {m[j, i]}",
+            ),
+            _axiom("identity", _first(np.diagonal(m) != 0.0), lambda i: f"d({i},{i}) = {m[i, i]} != 0"),
+            _axiom("nonnegativity", _first(m < 0.0), lambda i, j: f"d{(i, j)} = {m[i, j]} < 0"),
+            _axiom(
+                "triangle",
+                tri_w,
+                lambda i, j, k: f"d({i},{j}) = {m[i, j]} > {m[i, k]} + {m[k, j]} via {k}",
+            ),
+        ),
         exhaustive=True,
         samples=n * n * n,
     )
 
 
 def _validate_sampled(
-    metric: Metric, pool: list, budget: int, seed: int, exact: bool
+    metric: Metric, pool: np.ndarray, budget: int, seed: int, exact: bool
 ) -> MetricValidation:
+    # Triples are drawn in the order a sample-by-sample scan draws them, so a
+    # seed names the same triples; they are then evaluated in one batch and
+    # each witness is the first violating sample.
     rng = random.Random(seed)
+    positions = range(len(pool))
+    drawn = np.array([rng.choice(positions) for _ in range(3 * budget)]).reshape(budget, 3)
+    p, q, r = pool[drawn[:, 0]], pool[drawn[:, 1]], pool[drawn[:, 2]]
+    dpq, dqp, dpp, dpr, dqr = (
+        paired_distances(metric, x, y) for x, y in ((p, q), (q, p), (p, p), (p, r), (q, r))
+    )
     slack = 0.0 if exact else TRIANGLE_SLACK
-    sym_w = ident_w = neg_w = tri_w = None
-    sym_d = ident_d = neg_d = tri_d = ""
-    for _ in range(budget):
-        p, q, r = (rng.choice(pool) for _ in range(3))
-        dpq, dqp = distance(metric, p, q), distance(metric, q, p)
-        if sym_w is None and dpq != dqp:
-            sym_w, sym_d = (p, q), f"d(p,q) = {dpq} but d(q,p) = {dqp}"
-        if ident_w is None and distance(metric, p, p) != 0.0:
-            ident_w, ident_d = (p,), f"d(p,p) = {distance(metric, p, p)} != 0"
-        if neg_w is None and dpq < 0.0:
-            neg_w, neg_d = (p, q), f"d(p,q) = {dpq} < 0"
-        dpr, dqr = distance(metric, p, r), distance(metric, q, r)
-        if tri_w is None and dpr > dpq + dqr + slack:
-            tri_w, tri_d = (p, r, q), f"d(p,r) = {dpr} > {dpq} + {dqr} via q"
+
+    def first(name, violated, points, detail):
+        hit = _first(violated)
+        if hit is None:
+            return AxiomCheck(name, True)
+        s = hit[0]
+        return AxiomCheck(name, False, tuple(as_point(x[s]) for x in points), detail(s))
+
     return MetricValidation(
         checks=(
-            AxiomCheck("symmetry", sym_w is None, sym_w, sym_d),
-            AxiomCheck("identity", ident_w is None, ident_w, ident_d),
-            AxiomCheck("nonnegativity", neg_w is None, neg_w, neg_d),
-            AxiomCheck("triangle", tri_w is None, tri_w, tri_d),
+            first("symmetry", dpq != dqp, (p, q), lambda s: f"d(p,q) = {dpq[s]} but d(q,p) = {dqp[s]}"),
+            first("identity", dpp != 0.0, (p,), lambda s: f"d(p,p) = {dpp[s]} != 0"),
+            first("nonnegativity", dpq < 0.0, (p, q), lambda s: f"d(p,q) = {dpq[s]} < 0"),
+            first(
+                "triangle",
+                dpr > dpq + dqr + slack,
+                (p, r, q),
+                lambda s: f"d(p,r) = {dpr[s]} > {dpq[s]} + {dqr[s]} via q",
+            ),
         ),
         exhaustive=False,
         samples=budget,

@@ -25,10 +25,12 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import ProximityMap
 from .geometry import SetPair, pair_distance
 from .instance import Instance, make_instance
-from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, distance
+from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, paired_distances
 
 # Floor for the orbit cut-off; raised when alpha or the gap would push ladder
 # spacing under the float-exact partner radius (see _orbit_threshold).
@@ -47,21 +49,21 @@ class BruteForceSolution:
 
     min_value: float
     argmin_indices: tuple[int, ...]
-    argmin_points: tuple
+    argmin_points: np.ndarray  # the rows of A at argmin_indices
     pair_distance: float
     is_best_proximity: bool
 
 
 def brute_force_solve(sp: SetPair, t_map: ProximityMap, eps_prox: float = 0.0) -> BruteForceSolution:
     t_map.validate(sp)
-    values = [distance(sp.metric, sp.a[i], sp.b[t_map.image[i]]) for i in range(len(sp.a))]
-    best = min(values)
-    argmin = tuple(i for i, v in enumerate(values) if v == best)
+    values = paired_distances(sp.metric, sp.a, sp.b[list(t_map.image)])
+    best = float(values.min())
+    argmin = np.flatnonzero(values == best)
     dist = pair_distance(sp)
     return BruteForceSolution(
         min_value=best,
-        argmin_indices=argmin,
-        argmin_points=tuple(sp.a[i] for i in argmin),
+        argmin_indices=tuple(argmin.tolist()),
+        argmin_points=sp.a[argmin],
         pair_distance=dist,
         is_best_proximity=best <= dist + eps_prox,
     )
@@ -206,7 +208,7 @@ def _generate_matrix(cfg: GeneratorConfig, rng: random.Random) -> Instance:
     b_idx = list(range(n_ladder, total))
     t_image = list(range(1, n_ladder)) + [n_ladder - 1]
     return make_instance(
-        Metric(EXPLICIT_MATRIX, tuple(tuple(row) for row in matrix)),
+        Metric(EXPLICIT_MATRIX, matrix),
         a_idx,
         b_idx,
         t_image,

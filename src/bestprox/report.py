@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import (
     ContractionCertificate,
     InducedMap,
@@ -31,7 +33,7 @@ from .geometry import (
     proximal_subsets,
 )
 from .instance import Instance
-from .metric import EXPLICIT_MATRIX, MetricValidation, validate_metric
+from .metric import EXPLICIT_MATRIX, MetricValidation, as_point, validate_metric
 
 DECLARED_ALPHA_SLACK = 1e-12
 
@@ -68,7 +70,7 @@ class InstanceAssessment:
 def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 1000) -> InstanceAssessment:
     """Evaluate every theorem hypothesis on a loaded instance (non-raising)."""
     sp = inst.pair
-    pool = list(sp.a) + list(sp.b) if sp.metric.kind != EXPLICIT_MATRIX else None
+    pool = np.concatenate([sp.a, sp.b]) if sp.metric.kind != EXPLICIT_MATRIX else None
     validation = validate_metric(sp.metric, sample_budget, points=pool)
     geom = proximal_subsets(sp, inst.eps_prox)
     compactness = check_approximative_compactness(sp)
@@ -97,12 +99,9 @@ def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 
         ),
     ]
 
-    unpartnered = [i for i in geom.a0 if not geom.partners_in_a(inst.t_map.image[i])]
-    multi = [
-        (i, geom.partners_in_a(inst.t_map.image[i]))
-        for i in geom.a0
-        if len(geom.partners_in_a(inst.t_map.image[i])) > 1
-    ]
+    partners = {i: geom.partners_in_a(inst.t_map.image[i]) for i in geom.a0}
+    unpartnered = [i for i, found in partners.items() if not found]
+    multi = [(i, found) for i, found in partners.items() if len(found) > 1]
     if unpartnered:
         i = unpartnered[0]
         rows.append(
@@ -164,11 +163,7 @@ def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 
         )
     else:
         # Partner structure is broken; measure what the well-defined part shows.
-        single = {
-            i: geom.partners_in_a(inst.t_map.image[i])[0]
-            for i in geom.a0
-            if len(geom.partners_in_a(inst.t_map.image[i])) == 1
-        }
+        single = {i: found[0] for i, found in partners.items() if len(found) == 1}
         alpha, witness, pairs = _max_ratio(sp, single)
         rows.append(
             CheckRow(
@@ -242,7 +237,7 @@ def _jsonable(value):
 def trace_payload(trace: IterationTrace) -> dict:
     return {
         "indices": list(trace.indices),
-        "points": [_point_json(p) for p in trace.points],
+        "points": trace.points.tolist(),
         "step_gaps": list(trace.step_gaps),
         "residuals": list(trace.residuals),
         "a_priori_bounds": list(trace.a_priori_bounds),
@@ -254,7 +249,7 @@ def trace_payload(trace: IterationTrace) -> dict:
 def result_payload(result: BestProximityResult) -> dict:
     return {
         "index": result.index,
-        "point": _point_json(result.point),
+        "point": result.point.tolist(),
         "residual": result.residual,
         "iterations": result.iterations,
         "stop_reason": result.trace.stop_reason,
@@ -263,11 +258,8 @@ def result_payload(result: BestProximityResult) -> dict:
     }
 
 
-def _point_json(p):
-    return list(p) if isinstance(p, tuple) else p
-
-
 def format_point(p) -> str:
+    p = as_point(p)
     if isinstance(p, tuple):
         return "(" + ", ".join(repr(c) for c in p) + ")"
     return f"#{p}"

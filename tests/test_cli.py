@@ -173,6 +173,11 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     assert code == 1
     assert "line 1" in err
 
+    bad.write_text(ASYMMETRIC_TEXT.replace("[2, 0]", "[NaN, 0]"))
+    code, _, err = run(capsys, "certify", str(bad))
+    assert code == 1
+    assert "metric.matrix" in err
+
 
 def test_usage_errors_exit_1(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 1
@@ -181,6 +186,17 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     run(capsys, "generate", path)
     assert run(capsys, "solve", path, "--method", "sideways")[0] == 1
     assert run(capsys, "generate", path, "--alpha", "1.5")[0] == 1
+    for command, flag, value in (
+        ("solve", "--max-iter", "0"),
+        ("solve", "--tol", "-1"),
+        ("solve", "--tol", "nan"),
+        ("solve", "--eps-prox", "nan"),
+        ("certify", "--eps-prox", "inf"),
+        ("oracle", "--tol", "0"),
+    ):
+        code, _, err = run(capsys, command, path, flag, value)
+        assert code == 1, (command, flag, value)
+        assert flag in err
 
 
 def test_start_index_validation(tmp_path, capsys, narrow_a0_instance):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
@@ -10,8 +11,11 @@ from bestprox import (
     NOT_CONTRACTION,
     GeneratorConfig,
     HypothesisViolation,
+    InducedMap,
     MaxIterationsExceeded,
     NonUniquePartner,
+    ProximityMap,
+    SetPair,
     StartNotInA0,
     banach_iterate,
     build_induced_map,
@@ -19,6 +23,7 @@ from bestprox import (
     defining_defect,
     direct_iterate,
     distance,
+    euclidean_metric,
     generate_instance,
     proximal_subsets,
     verify_result,
@@ -135,13 +140,56 @@ def test_certify_wide_flags_multi_partner_as_infinite(nonunique_instance):
     assert wide.verdict == NOT_CONTRACTION
 
 
+def wide_scan(geom, t_map):
+    """Reference for the full-scope certificate: the pairwise loop over every
+    partnered point of A, stopping at the first point with several partners."""
+    pts, metric = geom.pair.a, geom.pair.metric
+    partnered = {
+        i: geom.partners_in_a(t_map.image[i])
+        for i in range(len(pts))
+        if geom.partners_in_a(t_map.image[i])
+    }
+    alpha, witness, pairs = 0.0, None, 0
+    idxs = sorted(partnered)
+    for pos, i in enumerate(idxs):
+        if len(partnered[i]) > 1:
+            return math.inf, (i, i), pairs
+        for j in idxs[pos + 1 :]:
+            den = distance(metric, pts[i], pts[j])
+            for u in partnered[i]:
+                for v in partnered[j]:
+                    ratio = distance(metric, pts[u], pts[v]) / den
+                    pairs += 1
+                    if ratio > alpha:
+                        alpha, witness = ratio, (i, j)
+    return alpha, witness, pairs
+
+
+def test_certify_wide_matches_pairwise_scan():
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        grid = [(float(x), float(y)) for x in range(4) for y in range(4)]
+        a = rng.sample(grid, rng.randint(2, 9))
+        b = rng.sample(grid, rng.randint(1, 6))
+        sp = SetPair(euclidean_metric(), a, b)
+        t_map = ProximityMap(tuple(rng.randrange(len(b)) for _ in a))
+        geom = proximal_subsets(sp, rng.choice([0.0, 0.5, 1.5, 10.0]))
+        table = {i: rng.choice(geom.a0) for i in geom.a0}
+        cert = certify_contraction(InducedMap(geom, t_map, table), wide=True)
+        expected = wide_scan(geom, t_map)
+        assert (cert.alpha_hat, cert.witness, cert.pair_count) == expected
+        outcomes.add((math.isinf(expected[0]), expected[1] is None))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
 # --- Banach iteration -----------------------------------------------------------
 
 
 def test_banach_geometric_converges(geometric_instance):
     induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
     res = banach_iterate(induced, 2)
-    assert res.point == (0.0, 0.0)
+    assert res.point.tolist() == [0.0, 0.0]
     assert res.iterations <= 3
     assert res.residual == 0.0
     assert res.trace.indices == (2, 1, 0, 0)

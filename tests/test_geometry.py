@@ -2,6 +2,7 @@ import itertools
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -113,6 +114,24 @@ def test_duplicates_rejected_matrix_zero_distance():
     m = matrix_metric([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     with pytest.raises(DuplicatePointError):
         SetPair(m, (0, 1), (2,))
+
+
+def test_points_and_matrix_are_read_only_arrays():
+    sp = euclid_pair([(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0)])
+    m = matrix_metric([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    msp = SetPair(m, (0, 1), (2,))
+    for arr, dtype, shape in (
+        (sp.a, np.float64, (2, 2)),
+        (sp.b, np.float64, (1, 2)),
+        (m.matrix, np.float64, (3, 3)),
+        (msp.a, np.int64, (2,)),
+        (msp.b, np.int64, (1,)),
+    ):
+        assert isinstance(arr, np.ndarray)
+        assert (arr.dtype, arr.shape) == (dtype, shape)
+        assert arr.flags.writeable is False
+        with pytest.raises(ValueError):
+            arr[0] = 5
 
 
 def test_empty_sets_rejected():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from bestprox import (
@@ -22,11 +23,15 @@ GEOMETRIC_TEXT = """
 """
 
 
+NAN, INF = float("nan"), float("inf")  # what JSON NaN and Infinity decode to
+MATRIX = {"A": [0], "B": [1], "T": [0]}
+
+
 def test_load_normalizes_and_defaults(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(GEOMETRIC_TEXT)
     inst = load_instance(path)
-    assert inst.pair.a[1] == (0.0, 0.25)  # ints coerced to floats
+    assert inst.pair.a[1].tolist() == [0.0, 0.25]  # ints coerced to floats
     assert inst.eps_prox == 1e-9  # euclidean default
     assert inst.tol == 1e-9
     assert inst.alpha_declared is None
@@ -63,7 +68,7 @@ def test_round_trip_generated(tmp_path):
     save_instance(inst, path)
     again = load_instance(path)
     assert dumps_instance(again) == dumps_instance(inst)
-    assert again.pair.a == inst.pair.a
+    assert np.array_equal(again.pair.a, inst.pair.a)
     assert again.t_map.image == inst.t_map.image
 
 
@@ -72,6 +77,14 @@ def test_tolerance_overrides():
     bumped = inst.with_tolerances(eps_prox=0.5, tol=1e-6)
     assert (bumped.eps_prox, bumped.tol) == (0.5, 1e-6)
     assert (inst.eps_prox, inst.tol) == (1e-9, 1e-9)  # original untouched
+    for bad, fragment in (
+        ({"eps_prox": float("nan")}, "eps_prox"),
+        ({"eps_prox": -1.0}, "eps_prox"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+    ):
+        with pytest.raises(ValueError, match=fragment):
+            inst.with_tolerances(**bad)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +103,12 @@ def test_tolerance_overrides():
         (lambda p: p.update(tolerances={"tol": 0.0}), "tol"),
         (lambda p: p.update(alpha=-0.5), "alpha"),
         (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, 1, 1]]), "dimension"),
+        (lambda p: p.update(A=[[0, 0], [0, NAN], [0, 1]]), "non-finite coordinate"),
+        (lambda p: p.update(tolerances={"tol": True}), "tolerances.tol"),
+        (lambda p: p.update(tolerances={"eps_prox": False}), "tolerances.eps_prox"),
+        (lambda p: p.update(tolerances={"tol": NAN}), "finite number > 0"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, NAN], [NAN, 0]]}), "'metric.matrix': non-finite"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [INF, 0]]}), "'metric.matrix': non-finite"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):

@@ -9,6 +9,7 @@ from bestprox import (
     distance,
     euclidean_metric,
     matrix_metric,
+    paired_distances,
     pairwise_distances,
     validate_metric,
 )
@@ -135,7 +136,7 @@ def test_validate_rejects_zero_budget():
 
 @st.composite
 def point_triples(draw):
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 64))
     coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
     pt = st.tuples(*[coord] * dim)
     return draw(pt), draw(pt), draw(pt)
@@ -157,6 +158,7 @@ def test_scalar_and_vectorized_paths_agree_bitwise(pqr):
     table = pairwise_distances(m, [p, r], [q, p])
     assert table[0, 0] == distance(m, p, q)
     assert table[1, 1] == distance(m, r, p)
+    assert paired_distances(m, [p, r], [q, p]).tolist() == [table[0, 0], table[1, 1]]
 
 
 @given(st.integers(2, 12), st.integers(0, 2**30))

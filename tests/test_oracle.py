@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bestprox import (
@@ -26,9 +27,29 @@ def test_brute_force_geometric(geometric_instance):
     sol = brute_force_solve(inst.pair, inst.t_map, eps_prox=inst.eps_prox)
     assert sol.min_value == 1.0
     assert sol.argmin_indices == (0,)
-    assert sol.argmin_points == ((0.0, 0.0),)
+    assert sol.argmin_points.tolist() == [[0.0, 0.0]]
     assert sol.pair_distance == 1.0
     assert sol.is_best_proximity
+
+
+def test_brute_force_attains_pair_distance_in_9d():
+    # d(A,B) comes from the cross table and d(a, T(a)) from the paired rows;
+    # with eps_prox = 0 the oracle finds the best proximity point only if the
+    # two agree bitwise.  A = {a} plus far filler, B = {a + v}, T = const.
+    from bestprox import Metric, make_instance
+
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        a = rng.normal(scale=10.0, size=9)
+        b = a + rng.normal(size=9)
+        filler = a + 1e3 + rng.normal(size=(3, 9))
+        inst = make_instance(
+            Metric(EUCLIDEAN), [a.tolist()] + filler.tolist(), [b.tolist()], [0] * 4, eps_prox=0.0
+        )
+        sol = brute_force_solve(inst.pair, inst.t_map, eps_prox=0.0)
+        assert sol.argmin_indices == (0,)
+        assert sol.min_value == sol.pair_distance
+        assert sol.is_best_proximity
 
 
 def test_brute_force_no_attaining_point(crossed_instance):

@@ -1,0 +1,45 @@
+"""CLI JSON reports compared byte for byte with golden files.
+
+``tests/golden/<instance>-<command>.json`` holds the stdout of
+``bestprox <command> inst.json --format json`` for ``certify``, ``solve`` and
+``oracle`` on two generated instances (one per space kind) and on the
+``boundary_instance`` and ``nonunique_instance`` fixtures.  Each command runs
+in a temporary directory with the relative path ``inst.json``, so the
+``instance`` field of the report is stable.
+
+A refactor that must not change reports keeps this test green.  A change that
+alters a report on purpose rewrites the affected golden file and says which
+fields moved and why.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bestprox import EUCLIDEAN, EXPLICIT_MATRIX, GeneratorConfig, generate_instance, save_instance
+from bestprox.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+GENERATED = {
+    "euclidean": GeneratorConfig(
+        seed=21, space_kind=EUCLIDEAN, a_size=40, alpha_target=0.7, decoy_count=3
+    ),
+    "matrix": GeneratorConfig(
+        seed=22, space_kind=EXPLICIT_MATRIX, a_size=10, alpha_target=0.6, decoy_count=2
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "oracle"])
+@pytest.mark.parametrize("name", ["euclidean", "matrix", "boundary", "nonunique"])
+def test_json_report_bytes(name, command, request, tmp_path, monkeypatch, capsys):
+    if name in GENERATED:
+        inst = generate_instance(GENERATED[name])
+    else:
+        inst = request.getfixturevalue(f"{name}_instance")
+    monkeypatch.chdir(tmp_path)
+    save_instance(inst, "inst.json")
+    main([command, "inst.json", "--format", "json"])
+    report = capsys.readouterr().out.encode()
+    assert report == (GOLDEN / f"{name}-{command}.json").read_bytes()
