@@ -166,10 +166,8 @@ def cmd_solve(args) -> int:
                 ),
             )
     if args.method in ("direct", "both"):
-        run(
-            "direct",
-            lambda: direct_iterate(geom, inst.t_map, start, tol=tol, max_iter=max_iter),
-        )
+        alpha_hat = assessment.a0_certificate().alpha_hat
+        run("direct", lambda: direct_iterate(geom, inst.t_map, start, alpha_hat=alpha_hat, tol=tol, max_iter=max_iter))
 
     traces_equal = None
     if args.method == "both" and len(results) == 2:

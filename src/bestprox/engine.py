@@ -12,9 +12,12 @@ contraction constant:
 Two iteration schemes are provided and must agree step for step:
 
 * :func:`banach_iterate` walks the prebuilt induced-map table;
-* :func:`direct_iterate` re-derives each successor by scanning A for the
-  proximal partner of T(x_k), without building the table.
+* :func:`direct_iterate` re-derives each successor with one kernel scan of A
+  for the points within eps_prox of d(A,B) from T(x_k).  It reads neither the
+  induced map nor the partner table of :class:`PairGeometry`, so agreement of
+  the two schemes is a real cross-check.
 
+Everything else reads partners through one pass, :func:`classify_partners`.
 Ambiguity is never resolved silently: a point with two proximal partners is a
 hypothesis failure (it forces alpha >= 1) and is surfaced with both witnesses.
 """
@@ -120,9 +123,6 @@ class InducedMap:
     t_map: ProximityMap
     table: dict[int, int]
 
-    def __call__(self, a_index: int) -> int:
-        return self.table[a_index]
-
 
 @dataclass(frozen=True)
 class ContractionCertificate:
@@ -161,23 +161,59 @@ class BestProximityResult:
     guaranteed: bool
 
 
+@dataclass(frozen=True)
+class PartnerClasses:
+    """The points of a scope sorted by how many proximal partners T(x) has.
+
+    ``table`` maps each point with exactly one partner to it, ``missing``
+    lists the points whose image has none (T(x) is outside B0), and
+    ``ambiguous`` maps each point with several partners to all of them.
+    Every collection is in ascending order of x.
+    """
+
+    table: dict[int, int]
+    missing: tuple[int, ...]
+    ambiguous: dict[int, tuple[int, ...]]
+
+
+def classify_partners(geom: PairGeometry, t_map: ProximityMap, *, wide: bool = False) -> PartnerClasses:
+    """Look up the proximal partners of T(x) for each x in A0 (all of A if ``wide``)."""
+    t_map.validate(geom.pair)
+    table: dict[int, int] = {}
+    missing: list[int] = []
+    ambiguous: dict[int, tuple[int, ...]] = {}
+    for i in range(len(geom.pair.a)) if wide else geom.a0:
+        partners = geom.partners_in_a(t_map.image[i])
+        if len(partners) == 1:
+            table[i] = partners[0]
+        elif partners:
+            ambiguous[i] = partners
+        else:
+            missing.append(i)
+    return PartnerClasses(table, tuple(missing), ambiguous)
+
+
+def _unique_partner(i: int, img: int, partners: tuple[int, ...]) -> int:
+    """The single entry of ``partners`` of T(A[i]) = B[img]; raises if there is none or several."""
+    if not partners:
+        raise HypothesisViolation(i, img)
+    if len(partners) > 1:
+        raise NonUniquePartner(i, img, partners)
+    return partners[0]
+
+
 def build_induced_map(geom: PairGeometry, t_map: ProximityMap) -> InducedMap:
     """Resolve the unique proximal partner of T(x) for every x in A0.
 
-    Raises :class:`HypothesisViolation` when some image has no partner (so
-    T(A0) is not inside B0) and :class:`NonUniquePartner` on ambiguity.
+    Raises at the first failing point of A0: :class:`HypothesisViolation` when
+    its image has no partner (so T(A0) is not inside B0) and
+    :class:`NonUniquePartner` on ambiguity.
     """
-    t_map.validate(geom.pair)
-    table: dict[int, int] = {}
-    for i in geom.a0:
-        img = t_map.image[i]
-        partners = geom.partners_in_a(img)
-        if not partners:
-            raise HypothesisViolation(i, img)
-        if len(partners) > 1:
-            raise NonUniquePartner(i, img, partners)
-        table[i] = partners[0]
-    return InducedMap(geometry=geom, t_map=t_map, table=table)
+    classes = classify_partners(geom, t_map)
+    first = min([*classes.missing, *classes.ambiguous], default=None)
+    if first is not None:
+        _unique_partner(first, t_map.image[first], classes.ambiguous.get(first, ()))
+    return InducedMap(geometry=geom, t_map=t_map, table=classes.table)
 
 
 def defining_defect(induced: InducedMap) -> float:
@@ -220,32 +256,24 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
     yields an infinite ratio (the partners disagree at zero cost), matching
     the fact that ambiguity already falsifies the contraction property.
     """
-    geom = induced.geometry
-    sp = geom.pair
+    sp = induced.geometry.pair
     if not wide:
         alpha, witness, pairs = _max_ratio(sp, induced.table)
         verdict = CONTRACTION if alpha < 1.0 else NOT_CONTRACTION
         return ContractionCertificate(alpha, witness, pairs, verdict, scope="a0")
 
-    partnered = {
-        i: geom.partners_in_a(induced.t_map.image[i])
-        for i in range(len(sp.a))
-        if geom.partners_in_a(induced.t_map.image[i])
-    }
-    idxs = sorted(partnered)
-    sizes = np.array([len(partnered[i]) for i in idxs])
-    multi = np.flatnonzero(sizes > 1)
-    if len(multi):
+    classes = classify_partners(induced.geometry, induced.t_map, wide=True)
+    if classes.ambiguous:
         # The pairwise scan in lexicographic order stops at the first point
-        # with several partners, having counted one ratio per partner of each
-        # later point for every earlier point.
-        k = int(multi[0])
-        tail = np.cumsum(sizes[::-1])[::-1]
-        pairs = int(tail[1 : k + 1].sum())
-        return ContractionCertificate(
-            math.inf, (idxs[k], idxs[k]), pairs, NOT_CONTRACTION, scope="full"
-        )
-    alpha, witness, pairs = _max_ratio(sp, {i: partnered[i][0] for i in idxs})
+        # with several partners, at position k among the partnered points,
+        # having counted one ratio per partner of the point at position j
+        # for each of the min(j, k) earlier points.
+        first = min(classes.ambiguous)
+        idxs = sorted([*classes.table, *classes.ambiguous])
+        sizes = np.array([len(classes.ambiguous[i]) if i in classes.ambiguous else 1 for i in idxs])
+        pairs = int(sizes @ np.minimum(np.arange(len(idxs)), idxs.index(first)))
+        return ContractionCertificate(math.inf, (first, first), pairs, NOT_CONTRACTION, scope="full")
+    alpha, witness, pairs = _max_ratio(sp, classes.table)
     if not alpha > 0.0:
         witness = None  # no ratio beats the scan's initial 0.0
     verdict = CONTRACTION if alpha < 1.0 else NOT_CONTRACTION
@@ -268,23 +296,6 @@ def _resolve_start(geom: PairGeometry, x0) -> int:
     if idx not in set(geom.a0):
         raise StartNotInA0(as_point(sp.a[idx]))
     return idx
-
-
-def _partner_scan_alpha(geom: PairGeometry, t_map: ProximityMap):
-    """Contraction constant over the single-partner part of A0 (non-raising).
-
-    Where every image has exactly one partner this equals the certificate of
-    the induced map, which keeps the two iteration schemes stopping at the
-    same step; ill-defined points are simply left out and will raise when an
-    iteration actually reaches them.
-    """
-    single = {}
-    for i in geom.a0:
-        partners = geom.partners_in_a(t_map.image[i])
-        if len(partners) == 1:
-            single[i] = partners[0]
-    alpha, witness, _ = _max_ratio(geom.pair, single)
-    return alpha, witness
 
 
 def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
@@ -387,29 +398,30 @@ def direct_iterate(
     t_map: ProximityMap,
     x0,
     *,
+    alpha_hat: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BestProximityResult:
     """Iterate by solving d(x_{k+1}, T(x_k)) = d(A,B) afresh at every step.
 
-    No induced-map table is built: each successor is found by scanning A for
-    the proximal partner of the current image, raising at the offending step
-    (with the iterate prefix attached) if the partner is missing or ambiguous.
-    On instances where the induced map exists this produces the exact same
-    index sequence as :func:`banach_iterate`.
+    No partner table is read: each successor is found by one kernel scan of A
+    for the points within eps_prox of d(A,B) from the current image, raising
+    at the offending step (with the iterate prefix attached) if there is none
+    or several.  ``alpha_hat`` is the contraction constant for the stopping
+    rule and the a-priori bounds; pass the certificate of the induced map (or
+    of its single-partner part) so both schemes stop at the same step.  On
+    instances where the induced map exists this produces the exact same index
+    sequence as :func:`banach_iterate`.
     """
     t_map.validate(geom.pair)
     start = _resolve_start(geom, x0)
-    alpha_hat, _ = _partner_scan_alpha(geom, t_map)
+    sp = geom.pair
+    cut = geom.pair_distance + geom.eps_prox
 
     def step(i: int) -> int:
         img = t_map.image[i]
-        partners = geom.partners_in_a(img)
-        if not partners:
-            raise HypothesisViolation(i, img)
-        if len(partners) > 1:
-            raise NonUniquePartner(i, img, partners)
-        return partners[0]
+        d = pairwise_distances(sp.metric, sp.a, sp.b[img : img + 1])[:, 0]
+        return _unique_partner(i, img, tuple(np.flatnonzero(d <= cut).tolist()))
 
     return _iterate(geom, t_map, step, start, alpha_hat, tol, max_iter)
 

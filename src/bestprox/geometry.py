@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, pairwise_distances, table_indices
+from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, paired_distances, pairwise_distances, table_indices
 
 # Row block size for the product scans; keeps memory bounded on 1e4-point sets.
 _CHUNK = 1024
@@ -47,7 +47,8 @@ class SetPair:
     ``a`` and ``b`` are stored as read-only arrays: ``(n, d)`` float64
     coordinates in euclidean spaces, ``(n,)`` int64 table indices in matrix
     spaces.  Construction checks shape, finiteness and index range on the
-    whole array, and rejects duplicates within either set (silent dedup would
+    whole array, rejects coordinates so far apart that a distance could
+    overflow, and rejects duplicates within either set (silent dedup would
     change |A0| behind the user's back).
     """
 
@@ -62,6 +63,14 @@ class SetPair:
             raise ValueError(f"points of mixed dimensions: {sorted([a.shape[1], b.shape[1]])}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if self.metric.kind == EUCLIDEAN:
+            # The kernel's bounding-box diagonal bounds every distance it can
+            # compute between these points, so a finite one rules out overflow.
+            pts = np.concatenate([a, b])
+            with np.errstate(over="ignore"):
+                diagonal = paired_distances(self.metric, pts.min(0)[None], pts.max(0)[None])
+            if not np.isfinite(diagonal[0]):
+                raise ValueError("coordinates of A and B too far apart: their bounding-box diagonal overflows")
         _reject_duplicates(self.metric, a, "A")
         _reject_duplicates(self.metric, b, "B")
 
@@ -106,27 +115,18 @@ def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:
 class PairGeometry:
     """d(A,B) together with A0, B0 and the proximal-pairing relation.
 
-    Indices refer to positions in ``pair.a`` / ``pair.b``.  ``pairing`` lists,
-    for each x in A0, every y in B within eps_prox of realizing d(A,B) with x;
-    ``reverse_pairing`` is its transpose (the proximal partners in A of each
-    y in B0).
+    Indices refer to positions in ``pair.a`` / ``pair.b``.  The relation is
+    stored once, by its B side: ``reverse_pairing`` maps each y in B0 to the
+    points of A, in ascending order, within eps_prox of realizing d(A,B)
+    with y (its proximal partners).
     """
 
     pair: SetPair
     pair_distance: float
     a0: tuple[int, ...]
     b0: tuple[int, ...]
-    pairing: dict[int, tuple[int, ...]]
     reverse_pairing: dict[int, tuple[int, ...]] = field(repr=False)
     eps_prox: float = 0.0
-
-    @property
-    def a0_points(self) -> np.ndarray:
-        return self.pair.a[list(self.a0)]
-
-    @property
-    def b0_points(self) -> np.ndarray:
-        return self.pair.b[list(self.b0)]
 
     def partners_in_a(self, b_index: int) -> tuple[int, ...]:
         """Indices in A of the proximal partners of B[b_index]."""
@@ -151,7 +151,7 @@ def pair_distance(sp: SetPair) -> float:
 
 
 def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry:
-    """Compute d(A,B), A0, B0 and the full pairing relation.
+    """Compute d(A,B), A0, B0 and the proximal partners of each point of B0.
 
     ``eps_prox`` defaults per metric kind (see :func:`default_eps_prox`).
     An empty A0 cannot occur: the minimum is attained at some pair, which
@@ -163,24 +163,23 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
         raise ValueError("eps_prox must be >= 0")
     dist = pair_distance(sp)
     cut = dist + eps_prox
-    pairing: dict[int, tuple[int, ...]] = {}
-    reverse: dict[int, list[int]] = {}
+    rows, cols = [], []
     for lo, block in _cross_rows(sp):
-        rows, cols = np.nonzero(block <= cut)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            i = lo + r
-            pairing.setdefault(i, ())
-            pairing[i] += (c,)
-            reverse.setdefault(c, []).append(i)
-    a0 = tuple(sorted(pairing))
-    b0 = tuple(sorted(reverse))
+        r, c = np.nonzero(block <= cut)
+        rows.append(r + lo)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    # Hits come in row-major order, so a stable sort by B index keeps the
+    # partners of each B point in ascending A order.
+    order = np.argsort(cols, kind="stable")
+    b0, starts = np.unique(cols[order], return_index=True)
+    groups = np.split(rows[order], starts[1:])
     return PairGeometry(
         pair=sp,
         pair_distance=dist,
-        a0=a0,
-        b0=b0,
-        pairing=pairing,
-        reverse_pairing={j: tuple(v) for j, v in reverse.items()},
+        a0=tuple(np.unique(rows).tolist()),
+        b0=tuple(b0.tolist()),
+        reverse_pairing={j: tuple(g.tolist()) for j, g in zip(b0.tolist(), groups)},
         eps_prox=eps_prox,
     )
 

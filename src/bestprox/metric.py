@@ -80,9 +80,6 @@ class Metric:
             raise ValueError("euclidean metric has no fixed cardinality")
         return len(self.matrix)
 
-    def distance(self, p, q) -> float:
-        return distance(self, p, q)
-
 
 def euclidean_metric() -> Metric:
     return Metric(EUCLIDEAN)

@@ -86,8 +86,8 @@ class GeneratorConfig:
             raise ValueError("alpha_target must lie in [0, 1)")
         if self.a_size < 1:
             raise ValueError("a_size must be >= 1")
-        if self.slab_gap <= 0:
-            raise ValueError("slab_gap must be > 0")
+        if not (math.isfinite(self.slab_gap) and self.slab_gap > 0):
+            raise ValueError("slab_gap must be finite and > 0")
         if self.decoy_count < 0 or self.b_size < 0:
             raise ValueError("counts must be nonnegative")
 

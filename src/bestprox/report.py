@@ -14,6 +14,8 @@ pass or fail, so its preconditions stay visible:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -22,9 +24,8 @@ from .engine import (
     InducedMap,
     BestProximityResult,
     IterationTrace,
-    build_induced_map,
     certify_contraction,
-    _max_ratio,
+    classify_partners,
 )
 from .geometry import (
     CompactnessVerdict,
@@ -55,16 +56,13 @@ class InstanceAssessment:
     certificate: ContractionCertificate | None
     checks: tuple[CheckRow, ...]
     declared_alpha_ok: bool | None
+    # The A0-scope certificate of the single-partner part of the induced map
+    # (all of it when the map exists), computed on first call and then reused.
+    a0_certificate: Callable[[], ContractionCertificate]
 
     @property
     def hypotheses_ok(self) -> bool:
         return all(row.passed for row in self.checks)
-
-    def row(self, name: str) -> CheckRow:
-        for r in self.checks:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 1000) -> InstanceAssessment:
@@ -99,17 +97,15 @@ def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 
         ),
     ]
 
-    partners = {i: geom.partners_in_a(inst.t_map.image[i]) for i in geom.a0}
-    unpartnered = [i for i, found in partners.items() if not found]
-    multi = [(i, found) for i, found in partners.items() if len(found) > 1]
-    if unpartnered:
-        i = unpartnered[0]
+    classes = classify_partners(geom, inst.t_map)
+    if classes.missing:
+        i = classes.missing[0]
         rows.append(
             CheckRow(
                 "T(A0)-subset-B0",
                 False,
                 f"image of A[{i}] (= B[{inst.t_map.image[i]}]) has no proximal partner in A; "
-                f"{len(unpartnered)} of {len(geom.a0)} images unpartnered",
+                f"{len(classes.missing)} of {len(geom.a0)} images unpartnered",
                 (i, inst.t_map.image[i]),
             )
         )
@@ -122,23 +118,22 @@ def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 
             )
         )
 
+    single = InducedMap(geom, inst.t_map, classes.table)
+    a0_certificate = cache(partial(certify_contraction, single))
     induced = None
     certificate = None
-    if not unpartnered and not multi:
-        induced = build_induced_map(geom, inst.t_map)
-        certificate = certify_contraction(induced, wide=wide)
+    if not classes.missing and not classes.ambiguous:
+        induced = single
+        certificate = certify_contraction(induced, wide=True) if wide else a0_certificate()
 
     declared_ok: bool | None = None
-    if multi:
-        i, partners = multi[0]
-        rows.append(
-            CheckRow(
-                "proximal-contraction",
-                False,
-                f"non-unique proximal partner: image of A[{i}] pairs with A indices "
-                f"{partners}; a proximal contraction forces them to coincide",
-                (i,) + tuple(partners),
-            )
+    if classes.ambiguous:
+        i, partners = next(iter(classes.ambiguous.items()))
+        contraction = (
+            False,
+            f"non-unique proximal partner: image of A[{i}] pairs with A indices "
+            f"{partners}; a proximal contraction forces them to coincide",
+            (i, *partners),
         )
     elif certificate is not None:
         detail = (
@@ -153,27 +148,17 @@ def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 
                 f"; declared alpha {inst.alpha_declared!r} "
                 + ("confirmed" if declared_ok else "CONTRADICTED by alpha_hat")
             )
-        rows.append(
-            CheckRow(
-                "proximal-contraction",
-                certificate.alpha_hat < 1.0,
-                detail,
-                certificate.witness,
-            )
-        )
+        contraction = (certificate.alpha_hat < 1.0, detail, certificate.witness)
     else:
         # Partner structure is broken; measure what the well-defined part shows.
-        single = {i: found[0] for i, found in partners.items() if len(found) == 1}
-        alpha, witness, pairs = _max_ratio(sp, single)
-        rows.append(
-            CheckRow(
-                "proximal-contraction",
-                False,
-                f"not certifiable (T(A0) ⊄ B0); partial alpha over {pairs} "
-                f"well-defined pairs = {alpha!r}",
-                witness,
-            )
+        part = a0_certificate()
+        contraction = (
+            False,
+            f"not certifiable (T(A0) ⊄ B0); partial alpha over {part.pair_count} "
+            f"well-defined pairs = {part.alpha_hat!r}",
+            part.witness,
         )
+    rows.append(CheckRow("proximal-contraction", *contraction))
 
     return InstanceAssessment(
         geometry=geom,
@@ -183,6 +168,7 @@ def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 
         certificate=certificate,
         checks=tuple(rows),
         declared_alpha_ok=declared_ok,
+        a0_certificate=a0_certificate,
     )
 
 
@@ -198,7 +184,7 @@ def assessment_payload(inst: Instance, assessment: InstanceAssessment) -> dict:
     sp = inst.pair
     geom = assessment.geometry
     cert = assessment.certificate
-    payload = {
+    return {
         "metric": {"kind": sp.metric.kind},
         "sizes": {"A": len(sp.a), "B": len(sp.b)},
         "pair_distance": geom.pair_distance,
@@ -225,7 +211,6 @@ def assessment_payload(inst: Instance, assessment: InstanceAssessment) -> dict:
         "alpha_declared": inst.alpha_declared,
         "declared_alpha_ok": assessment.declared_alpha_ok,
     }
-    return payload
 
 
 def _jsonable(value):

@@ -178,6 +178,11 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     assert code == 1
     assert "metric.matrix" in err
 
+    bad.write_text('{"metric": {"kind": "euclidean"}, "A": [[0, 0], [0, 1e200]], "B": [[1, 0], [1, 1e200]], "T": [0, 1]}')
+    code, _, err = run(capsys, "solve", str(bad))
+    assert code == 1
+    assert "coordinates of A and B" in err
+
 
 def test_usage_errors_exit_1(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 1
@@ -197,6 +202,10 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         code, _, err = run(capsys, command, path, flag, value)
         assert code == 1, (command, flag, value)
         assert flag in err
+    for value in ("nan", "inf"):
+        code, _, err = run(capsys, "generate", path, "--gap", value)
+        assert code == 1, value
+        assert "slab_gap must be finite and > 0" in err
 
 
 def test_start_index_validation(tmp_path, capsys, narrow_a0_instance):

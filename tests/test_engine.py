@@ -20,6 +20,7 @@ from bestprox import (
     banach_iterate,
     build_induced_map,
     certify_contraction,
+    classify_partners,
     defining_defect,
     direct_iterate,
     distance,
@@ -255,8 +256,9 @@ def test_banach_validates_parameters(geometric_instance):
 def test_direct_matches_banach_on_geometric(geometric_instance):
     geom = geom_of(geometric_instance)
     induced = build_induced_map(geom, geometric_instance.t_map)
-    left = banach_iterate(induced, 2)
-    right = direct_iterate(geom, geometric_instance.t_map, 2)
+    cert = certify_contraction(induced)
+    left = banach_iterate(induced, 2, certificate=cert)
+    right = direct_iterate(geom, geometric_instance.t_map, 2, alpha_hat=cert.alpha_hat)
     assert left.trace.indices == right.trace.indices
     assert left.trace.step_gaps == right.trace.step_gaps
     assert left.trace.a_priori_bounds == right.trace.a_priori_bounds
@@ -264,7 +266,7 @@ def test_direct_matches_banach_on_geometric(geometric_instance):
 
 def test_direct_fixed_start(geometric_instance):
     geom = geom_of(geometric_instance)
-    res = direct_iterate(geom, geometric_instance.t_map, 0)
+    res = direct_iterate(geom, geometric_instance.t_map, 0, alpha_hat=1 / 3)
     assert res.iterations == 1
     assert res.index == 0
 
@@ -272,7 +274,8 @@ def test_direct_fixed_start(geometric_instance):
 def test_direct_halving_fails_at_offending_step(halving_instance):
     geom = geom_of(halving_instance)
     with pytest.raises(HypothesisViolation) as exc:
-        direct_iterate(geom, halving_instance.t_map, 2)
+        # 0.5: the ratio of the one pair of A0 points with a single partner
+        direct_iterate(geom, halving_instance.t_map, 2, alpha_hat=0.5)
     # one good step (0,1) -> (0,1/2), then the image (1,1/4) is unpartnered
     assert exc.value.partial_indices == (2, 1)
     assert exc.value.a_index == 1
@@ -281,9 +284,49 @@ def test_direct_halving_fails_at_offending_step(halving_instance):
 def test_direct_nonunique_fails_immediately(nonunique_instance):
     geom = geom_of(nonunique_instance)
     with pytest.raises(NonUniquePartner) as exc:
-        direct_iterate(geom, nonunique_instance.t_map, 0)
+        direct_iterate(geom, nonunique_instance.t_map, 0, alpha_hat=0.0)
     assert exc.value.partial_indices == (0,)
     assert exc.value.partners == (0, 1)
+
+
+def test_direct_ignores_tampered_partner_table(geometric_instance):
+    inst = geometric_instance
+    geom = geom_of(inst)
+    alpha = certify_contraction(build_induced_map(geom, inst.t_map)).alpha_hat
+    # T(A[2]) = B[1], whose true partner is A[1]; claim A[2] instead.
+    assert geom.reverse_pairing[1] == (1,)
+    tampered = dataclasses.replace(geom, reverse_pairing={**geom.reverse_pairing, 1: (2,)})
+    banach = banach_iterate(build_induced_map(tampered, inst.t_map), 2)
+    direct = direct_iterate(tampered, inst.t_map, 2, alpha_hat=alpha)
+    assert banach.trace.indices == (2, 2)
+    assert direct.trace.indices == (2, 1, 0, 0)
+    assert direct.trace.indices == direct_iterate(geom, inst.t_map, 2, alpha_hat=alpha).trace.indices
+
+
+# --- partner classification -------------------------------------------------------
+
+
+def test_classify_partners_sorts_each_scope(halving_instance, nonunique_instance, narrow_a0_instance):
+    halving = classify_partners(geom_of(halving_instance), halving_instance.t_map)
+    assert (halving.table, halving.missing, halving.ambiguous) == ({0: 0, 2: 1}, (1,), {})
+    nonunique = classify_partners(geom_of(nonunique_instance), nonunique_instance.t_map)
+    assert (nonunique.table, nonunique.missing, nonunique.ambiguous) == ({}, (), {0: (0, 1), 1: (0, 1)})
+    narrow = geom_of(narrow_a0_instance)
+    assert classify_partners(narrow, narrow_a0_instance.t_map).table == {0: 0}
+    # A[1] lies outside A0, so only the wide scope sees it.
+    assert classify_partners(narrow, narrow_a0_instance.t_map, wide=True).table == {0: 0, 1: 0}
+
+
+def test_build_induced_map_raises_at_first_failing_point():
+    # With eps_prox = 3 both A points pair with B[0] and B[1]; B[2] pairs with neither.
+    sp = SetPair(euclidean_metric(), [(0.0, 0.0), (0.0, 2.0)], [(1.0, 0.0), (1.0, 2.0), (5.0, 1.0)])
+    geom = proximal_subsets(sp, 3.0)
+    with pytest.raises(HypothesisViolation) as exc:
+        build_induced_map(geom, ProximityMap((2, 1)))  # A[0] missing, A[1] ambiguous
+    assert (exc.value.a_index, exc.value.b_index) == (0, 2)
+    with pytest.raises(NonUniquePartner) as exc:
+        build_induced_map(geom, ProximityMap((1, 2)))  # A[0] ambiguous, A[1] missing
+    assert (exc.value.a_index, exc.value.b_index, exc.value.partners) == (0, 1, (0, 1))
 
 
 # --- result verification ---------------------------------------------------------

@@ -50,8 +50,8 @@ def test_proximal_subsets_parallel_lines():
     assert geom.a0 == (0, 1, 2)
     assert geom.b0 == (0, 1, 2)
     # pairing matches equal second coordinates
-    for i in geom.a0:
-        assert geom.pairing[i] == (i,)
+    for j in geom.b0:
+        assert geom.partners_in_a(j) == (j,)
 
 
 def test_proximal_subsets_far_point_excluded(narrow_a0_instance):
@@ -191,10 +191,11 @@ def test_shrinking_eps_never_enlarges_a0(sp, e1, e2):
 @settings(max_examples=100)
 def test_pairing_structure(sp):
     geom = proximal_subsets(sp)
-    assert set(geom.pairing) == set(geom.a0)
-    partners = set(itertools.chain.from_iterable(geom.pairing.values()))
-    assert partners == set(geom.b0)
-    # transpose consistency
-    for j in geom.b0:
-        for i in geom.partners_in_a(j):
-            assert j in geom.pairing[i]
+    assert set(geom.reverse_pairing) == set(geom.b0)
+    partners = set(itertools.chain.from_iterable(geom.partners_in_a(j) for j in geom.b0))
+    assert partners == set(geom.a0)
+    # the relation is exactly the pairs within eps_prox of d(A,B), partners ascending
+    cut = geom.pair_distance + geom.eps_prox
+    for j, y in enumerate(sp.b):
+        near = tuple(i for i, x in enumerate(sp.a) if distance(sp.metric, x, y) <= cut)
+        assert geom.partners_in_a(j) == near

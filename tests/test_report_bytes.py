@@ -3,7 +3,10 @@
 ``tests/golden/<instance>-<command>.json`` holds the stdout of
 ``bestprox <command> inst.json --format json`` for ``certify``, ``solve`` and
 ``oracle`` on two generated instances (one per space kind) and on the
-``boundary_instance`` and ``nonunique_instance`` fixtures.  Each command runs
+``boundary_instance`` and ``nonunique_instance`` fixtures, plus ``certify``
+and ``solve`` on ``halving_instance`` (a missing partner, so only a partial
+alpha is measured) and ``certify --wide`` on the boundary and non-unique
+fixtures (``<instance>-certify-wide.json``).  Each command runs
 in a temporary directory with the relative path ``inst.json``, so the
 ``instance`` field of the report is stable.
 
@@ -31,15 +34,34 @@ GENERATED = {
 }
 
 
-@pytest.mark.parametrize("command", ["certify", "solve", "oracle"])
-@pytest.mark.parametrize("name", ["euclidean", "matrix", "boundary", "nonunique"])
-def test_json_report_bytes(name, command, request, tmp_path, monkeypatch, capsys):
+def report_bytes(name, argv, request, tmp_path, monkeypatch, capsys) -> bytes:
     if name in GENERATED:
         inst = generate_instance(GENERATED[name])
     else:
         inst = request.getfixturevalue(f"{name}_instance")
     monkeypatch.chdir(tmp_path)
     save_instance(inst, "inst.json")
-    main([command, "inst.json", "--format", "json"])
-    report = capsys.readouterr().out.encode()
+    main([argv[0], "inst.json", "--format", "json", *argv[1:]])
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("command", ["certify", "solve", "oracle"])
+@pytest.mark.parametrize("name", ["euclidean", "matrix", "boundary", "nonunique"])
+def test_json_report_bytes(name, command, request, tmp_path, monkeypatch, capsys):
+    report = report_bytes(name, [command], request, tmp_path, monkeypatch, capsys)
     assert report == (GOLDEN / f"{name}-{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("halving", ["certify"]),
+        ("halving", ["solve"]),
+        ("boundary", ["certify", "--wide"]),
+        ("nonunique", ["certify", "--wide"]),
+    ],
+)
+def test_json_report_bytes_partner_paths(name, argv, request, tmp_path, monkeypatch, capsys):
+    report = report_bytes(name, argv, request, tmp_path, monkeypatch, capsys)
+    golden = "-".join([name, argv[0], *(a.lstrip("-") for a in argv[1:])])
+    assert report == (GOLDEN / f"{golden}.json").read_bytes()
