@@ -269,9 +269,9 @@ def cmd_generate(args) -> int:
             slab_gap=args.gap,
             decoy_count=args.decoys,
         )
+        inst = generate_instance(cfg)
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    inst = generate_instance(cfg)
     save_instance(inst, args.out_path)
     payload = {
         "command": "generate",

@@ -5,8 +5,10 @@ A belongs to A0 when some point of B realizes that minimum with it, up to the
 ``eps_prox`` tolerance (exact arithmetic corresponds to eps_prox = 0; square
 roots on coordinate spaces motivate the small default there).
 
-All computation is eager and deterministic: the product scan runs in fixed
-row order, so results are identical to a sequential scan.
+d(A,B), A0, B0 and the partner relation all come from one pass over A x B
+in fixed row blocks: each block lowers a running minimum and keeps its
+entries within eps_prox of it, and the kept entries are cut at the final
+d(A,B) + eps_prox.  The result is identical to a full-table computation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, paired_distances, pairwise_distances, table_indices
 
-# Row block size for the product scans; keeps memory bounded on 1e4-point sets.
+# Row block size for the product scan; keeps memory bounded on 1e4-point sets.
 _CHUNK = 1024
 
 DEFAULT_EPS_EUCLIDEAN = 1e-9
@@ -48,8 +50,8 @@ class SetPair:
     coordinates in euclidean spaces, ``(n,)`` int64 table indices in matrix
     spaces.  Construction checks shape, finiteness and index range on the
     whole array, rejects coordinates so far apart that a distance could
-    overflow, and rejects duplicates within either set (silent dedup would
-    change |A0| behind the user's back).
+    overflow, and rejects duplicates within either set, that is two points at
+    distance 0 (silent dedup would change |A0| behind the user's back).
     """
 
     metric: Metric
@@ -109,6 +111,22 @@ def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:
         if len(hits):
             i, j = sorted(int(v) for v in hits[0])
             raise DuplicatePointError(side, i, j)
+        return
+    # Distinct points are at kernel distance 0 only when every coordinate
+    # difference squares to 0, so they share one run of such steps on each
+    # sorted axis.  Only points sharing every run are compared, by the kernel.
+    order = np.argsort(pts, axis=0)
+    steps = np.diff(np.take_along_axis(pts, order, axis=0), axis=0)
+    if not ((steps != 0.0) & (steps * steps == 0.0)).any():
+        return
+    runs = np.zeros(pts.shape, dtype=np.int64)
+    np.put_along_axis(runs, order[1:], np.cumsum(steps * steps != 0.0, axis=0), axis=0)
+    _, group, counts = np.unique(runs, axis=0, return_inverse=True, return_counts=True)
+    shared = np.flatnonzero(counts[group.reshape(-1)] > 1)
+    hits = np.argwhere(np.tril(pairwise_distances(metric, pts[shared], pts[shared]) == 0.0, -1))
+    if len(hits):
+        j, i = shared[hits[0]].tolist()
+        raise DuplicatePointError(side, i, j)
 
 
 @dataclass(frozen=True)
@@ -133,23 +151,6 @@ class PairGeometry:
         return self.reverse_pairing.get(b_index, ())
 
 
-def _cross_rows(sp: SetPair):
-    """Yield (row_offset, distance block) over A in fixed chunk order."""
-    for lo in range(0, len(sp.a), _CHUNK):
-        block = sp.a[lo : lo + _CHUNK]
-        yield lo, pairwise_distances(sp.metric, block, sp.b)
-
-
-def pair_distance(sp: SetPair) -> float:
-    """Exact minimum of d over A x B."""
-    best = np.inf
-    for _, block in _cross_rows(sp):
-        m = float(block.min())
-        if m < best:
-            best = m
-    return best
-
-
 def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry:
     """Compute d(A,B), A0, B0 and the proximal partners of each point of B0.
 
@@ -161,14 +162,20 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
         eps_prox = default_eps_prox(sp.metric)
     if eps_prox < 0:
         raise ValueError("eps_prox must be >= 0")
-    dist = pair_distance(sp)
-    cut = dist + eps_prox
-    rows, cols = [], []
-    for lo, block in _cross_rows(sp):
-        r, c = np.nonzero(block <= cut)
+    # One pass over the row blocks of A x B.  Each block lowers the running
+    # minimum and keeps its entries within eps_prox of it; the minimum only
+    # falls, so the final cut below finds every hit among the kept ones.
+    dist = np.inf
+    rows, cols, vals = [], [], []
+    for lo in range(0, len(sp.a), _CHUNK):
+        block = pairwise_distances(sp.metric, sp.a[lo : lo + _CHUNK], sp.b)
+        dist = min(dist, float(block.min()))
+        r, c = np.nonzero(block <= dist + eps_prox)
         rows.append(r + lo)
         cols.append(c)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+        vals.append(block[r, c])
+    keep = np.concatenate(vals) <= dist + eps_prox
+    rows, cols = np.concatenate(rows)[keep], np.concatenate(cols)[keep]
     # Hits come in row-major order, so a stable sort by B index keeps the
     # partners of each B point in ascending A order.
     order = np.argsort(cols, kind="stable")

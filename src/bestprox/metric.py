@@ -36,9 +36,9 @@ Point = tuple[float, ...] | int
 # and coordinate spaces fall back to seeded sampling.
 EXHAUSTIVE_LIMIT = 200
 
-# Absolute slack for the sampled triangle check on coordinate spaces.  All
-# desk-scale instances have coordinates of magnitude <= 1e3, where accumulated
-# rounding stays far below this.  Matrix tables are checked exactly.
+# Slack for the sampled triangle check on coordinate spaces, relative to the
+# right-hand side d(p,q) + d(q,r) once that exceeds 1 (rounding grows with
+# magnitude), absolute below.  Matrix tables are checked exactly.
 TRIANGLE_SLACK = 1e-9
 
 
@@ -197,8 +197,8 @@ def validate_metric(
     violations.  Larger tables and coordinate spaces are sampled with a seeded
     generator so reports are reproducible.  For coordinate spaces, ``points``
     supplies the sample pool (random points of ``dimension`` are drawn
-    otherwise), and the triangle check allows ``TRIANGLE_SLACK`` absolute
-    rounding slack.
+    otherwise), and the triangle check allows
+    ``TRIANGLE_SLACK * max(1, d(p,q) + d(q,r))`` rounding slack per triple.
 
     Failure is a report outcome, never an exception.
     """
@@ -281,7 +281,7 @@ def _validate_sampled(
     dpq, dqp, dpp, dpr, dqr = (
         paired_distances(metric, x, y) for x, y in ((p, q), (q, p), (p, p), (p, r), (q, r))
     )
-    slack = 0.0 if exact else TRIANGLE_SLACK
+    slack = 0.0 if exact else TRIANGLE_SLACK * np.maximum(1.0, dpq + dqr)
 
     def first(name, violated, points, detail):
         hit = _first(violated)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ProximityMap
-from .geometry import SetPair, pair_distance
+from .geometry import SetPair, proximal_subsets
 from .instance import Instance, make_instance
 from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, paired_distances
 
@@ -59,7 +59,7 @@ def brute_force_solve(sp: SetPair, t_map: ProximityMap, eps_prox: float = 0.0) -
     values = paired_distances(sp.metric, sp.a, sp.b[list(t_map.image)])
     best = float(values.min())
     argmin = np.flatnonzero(values == best)
-    dist = pair_distance(sp)
+    dist = proximal_subsets(sp, eps_prox).pair_distance
     return BruteForceSolution(
         min_value=best,
         argmin_indices=tuple(argmin.tolist()),
@@ -128,7 +128,7 @@ def _generate_euclidean(cfg: GeneratorConfig, rng: random.Random) -> Instance:
         values = [v - terminator for v in orbit] + [0.0]
         spacing = min(abs(x - y) for x, y in zip(values, values[1:]))
         if spacing <= 4.0 * math.sqrt(0.5 * math.ulp(gap * gap)):
-            raise RuntimeError("ladder spacing degenerate; alpha too close to 1")
+            raise ValueError(f"slab_gap {gap!r} too large for alpha_target {alpha!r}: ladder spacing degenerates")
 
     a_pts = [(0.0, w) for w in values]
     mirror = [(gap, w) for w in values]
@@ -179,7 +179,12 @@ def _generate_matrix(cfg: GeneratorConfig, rng: random.Random) -> Instance:
         grid_bits = n0.bit_length()
 
     scale = 2.0 ** (-grid_bits)
-    gap_int = max(1, round(cfg.slab_gap * 2**grid_bits))
+    gap_grid = cfg.slab_gap * 2**grid_bits
+    # Table entries reach about four gaps (A to the farthest decoy); twice
+    # that staying finite keeps every entry a finite float.
+    if not math.isfinite(8.0 * gap_grid):
+        raise ValueError(f"slab_gap {cfg.slab_gap!r} too large: the matrix table entries would not be finite")
+    gap_int = max(1, round(gap_grid))
     span_int = max(ints) - min(ints)
 
     n_ladder = len(ints)

@@ -27,12 +27,7 @@ from .engine import (
     certify_contraction,
     classify_partners,
 )
-from .geometry import (
-    CompactnessVerdict,
-    PairGeometry,
-    check_approximative_compactness,
-    proximal_subsets,
-)
+from .geometry import PairGeometry, check_approximative_compactness, proximal_subsets
 from .instance import Instance
 from .metric import EXPLICIT_MATRIX, MetricValidation, as_point, validate_metric
 
@@ -50,8 +45,6 @@ class CheckRow:
 @dataclass(frozen=True)
 class InstanceAssessment:
     geometry: PairGeometry
-    metric_validation: MetricValidation
-    compactness: CompactnessVerdict
     induced: InducedMap | None
     certificate: ContractionCertificate | None
     checks: tuple[CheckRow, ...]
@@ -65,11 +58,11 @@ class InstanceAssessment:
         return all(row.passed for row in self.checks)
 
 
-def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 1000) -> InstanceAssessment:
+def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment:
     """Evaluate every theorem hypothesis on a loaded instance (non-raising)."""
     sp = inst.pair
     pool = np.concatenate([sp.a, sp.b]) if sp.metric.kind != EXPLICIT_MATRIX else None
-    validation = validate_metric(sp.metric, sample_budget, points=pool)
+    validation = validate_metric(sp.metric, 1000, points=pool)
     geom = proximal_subsets(sp, inst.eps_prox)
     compactness = check_approximative_compactness(sp)
 
@@ -162,8 +155,6 @@ def assess_instance(inst: Instance, *, wide: bool = False, sample_budget: int = 
 
     return InstanceAssessment(
         geometry=geom,
-        metric_validation=validation,
-        compactness=compactness,
         induced=induced,
         certificate=certificate,
         checks=tuple(rows),

@@ -183,6 +183,11 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     assert code == 1
     assert "coordinates of A and B" in err
 
+    bad.write_text('{"metric": {"kind": "euclidean"}, "A": [[0, 0], [1e-200, 0], [0, 5]], "B": [[1, 0], [1, 5]], "T": [1, 1, 1]}')
+    code, _, err = run(capsys, "certify", str(bad), "--format", "json")
+    assert code == 1
+    assert "duplicate points in A" in err
+
 
 def test_usage_errors_exit_1(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 1
@@ -206,6 +211,10 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         code, _, err = run(capsys, "generate", path, "--gap", value)
         assert code == 1, value
         assert "slab_gap must be finite and > 0" in err
+    for argv in (("--gap", "1e9"), ("--gap", "1e160"), ("--gap", "1e300", "--kind", "explicit-matrix")):
+        code, _, err = run(capsys, "generate", path, *argv)
+        assert code == 1, argv
+        assert "slab_gap" in err
 
 
 def test_start_index_validation(tmp_path, capsys, narrow_a0_instance):

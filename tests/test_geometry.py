@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 
+from bestprox import geometry
 from bestprox import (
     DuplicatePointError,
     SetPair,
@@ -14,7 +16,6 @@ from bestprox import (
     distance,
     euclidean_metric,
     matrix_metric,
-    pair_distance,
     point_to_set_distance,
     proximal_subsets,
 )
@@ -24,8 +25,16 @@ def euclid_pair(a, b):
     return SetPair(euclidean_metric(), tuple(a), tuple(b))
 
 
+def each_block_size():
+    """Run the caller's body with the product scan at 1-row and 2-row blocks
+    (so it spans several blocks) and at the default size."""
+    for size in (1, 2, geometry._CHUNK):
+        with mock.patch.object(geometry, "_CHUNK", size):
+            yield size
+
+
 def test_pair_distance_singletons():
-    assert pair_distance(euclid_pair([(0.0, 0.0)], [(1.0, 0.0)])) == 1.0
+    assert proximal_subsets(euclid_pair([(0.0, 0.0)], [(1.0, 0.0)])).pair_distance == 1.0
 
 
 def test_pair_distance_parallel_lines():
@@ -35,11 +44,11 @@ def test_pair_distance_parallel_lines():
     # brute force over the 9 pairs, independently of the library path
     expected = min(math.dist(x, y) for x in a for y in b)
     assert expected == 1.0
-    assert pair_distance(sp) == expected
+    assert proximal_subsets(sp).pair_distance == expected
 
 
 def test_pair_distance_overlapping_sets():
-    assert pair_distance(euclid_pair([(0.0, 0.0)], [(0.0, 0.0)])) == 0.0
+    assert proximal_subsets(euclid_pair([(0.0, 0.0)], [(0.0, 0.0)])).pair_distance == 0.0
 
 
 def test_proximal_subsets_parallel_lines():
@@ -160,14 +169,19 @@ def random_pairs(draw):
     pt = st.tuples(*[coord] * dim)
     a = draw(st.lists(pt, min_size=1, max_size=7, unique=True))
     b = draw(st.lists(pt, min_size=1, max_size=7, unique=True))
-    return euclid_pair(a, b)
+    try:
+        return euclid_pair(a, b)
+    except DuplicatePointError:  # distinct coordinates at kernel distance 0
+        reject()
 
 
 @given(random_pairs())
 @settings(max_examples=150)
 def test_pair_distance_is_a_lower_bound(sp):
-    d = pair_distance(sp)
-    assert all(distance(sp.metric, x, y) >= d for x in sp.a for y in sp.b)
+    for _ in each_block_size():
+        d = proximal_subsets(sp).pair_distance
+        assert all(distance(sp.metric, x, y) >= d for x in sp.a for y in sp.b)
+        assert d == min(distance(sp.metric, x, y) for x in sp.a for y in sp.b)
 
 
 @given(random_pairs(), st.floats(min_value=0, max_value=10))
@@ -190,12 +204,29 @@ def test_shrinking_eps_never_enlarges_a0(sp, e1, e2):
 @given(random_pairs())
 @settings(max_examples=100)
 def test_pairing_structure(sp):
-    geom = proximal_subsets(sp)
-    assert set(geom.reverse_pairing) == set(geom.b0)
-    partners = set(itertools.chain.from_iterable(geom.partners_in_a(j) for j in geom.b0))
-    assert partners == set(geom.a0)
-    # the relation is exactly the pairs within eps_prox of d(A,B), partners ascending
-    cut = geom.pair_distance + geom.eps_prox
-    for j, y in enumerate(sp.b):
-        near = tuple(i for i, x in enumerate(sp.a) if distance(sp.metric, x, y) <= cut)
-        assert geom.partners_in_a(j) == near
+    for _ in each_block_size():
+        geom = proximal_subsets(sp)
+        assert set(geom.reverse_pairing) == set(geom.b0)
+        partners = set(itertools.chain.from_iterable(geom.partners_in_a(j) for j in geom.b0))
+        assert partners == set(geom.a0)
+        # the relation is exactly the pairs within eps_prox of d(A,B), partners ascending
+        cut = geom.pair_distance + geom.eps_prox
+        for j, y in enumerate(sp.b):
+            near = tuple(i for i, x in enumerate(sp.a) if distance(sp.metric, x, y) <= cut)
+            assert geom.partners_in_a(j) == near
+
+
+def test_running_cut_drops_early_near_ties():
+    # With 2-row blocks, block 1 (rows 0-1) has minimum 3 and a near-tie at
+    # about 3.0004; block 2 (rows 2-3) has the true minimum 1 and a near-tie at
+    # about 1.0012.  Hits kept against block 1's minimum must not survive the
+    # final cut.
+    a = [(0.0, 0.0), (0.0, 0.05), (2.0, 10.0), (2.0, 10.05)]
+    b = [(3.0, 0.0), (3.0, 10.0)]
+    sp = euclid_pair(a, b)
+    for size in each_block_size():
+        geom = proximal_subsets(sp, 0.1)
+        assert geom.pair_distance == 1.0, size
+        assert geom.a0 == (2, 3)
+        assert geom.b0 == (1,)
+        assert geom.reverse_pairing == {1: (2, 3)}

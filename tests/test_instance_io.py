@@ -110,6 +110,7 @@ def test_tolerance_overrides():
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, NAN], [NAN, 0]]}), "'metric.matrix': non-finite"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [INF, 0]]}), "'metric.matrix': non-finite"),
         (lambda p: p.update(A=[[0, 0], [0, 1e200]], B=[[1, 0], [1, 1e200]], T=[0, 1]), "coordinates of A and B"),
+        (lambda p: p.update(A=[[0, 0], [1e-200, 0], [0, 5]], B=[[1, 0], [1, 5]], T=[1, 1, 1]), "duplicate points in A"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):

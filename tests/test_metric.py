@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -127,6 +129,15 @@ def test_validate_reports_are_reproducible():
     a = validate_metric(euclidean_metric(), sample_budget=64, seed=5)
     b = validate_metric(euclidean_metric(), sample_budget=64, seed=5)
     assert a == b
+
+
+def test_triangle_slack_scales_with_magnitude():
+    # Rounding in d(p,r) grows with the coordinates; an absolute slack reported
+    # a triangle violation for these points of a Euclidean space.
+    rng = random.Random(0)
+    a = [(x, 0.3 * x) for x in (rng.uniform(1e8, 3e8) for _ in range(40))]
+    pool = a + [(x, y + 7.0) for x, y in a]
+    assert validate_metric(euclidean_metric(), points=pool).passed
 
 
 def test_validate_rejects_zero_budget():
