@@ -272,7 +272,10 @@ def cmd_generate(args) -> int:
         inst = generate_instance(cfg)
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    save_instance(inst, args.out_path)
+    try:
+        save_instance(inst, args.out_path)
+    except OSError as err:
+        raise _UsageError(f"cannot write {args.out_path}: {err.strerror or err}") from None
     payload = {
         "command": "generate",
         "out_path": args.out_path,

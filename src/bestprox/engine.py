@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PairGeometry, SetPair
-from .metric import as_point, distance, paired_distances, pairwise_distances
+from .metric import EXPLICIT_MATRIX, Check, Checklist, as_point, distance, paired_distances, pairwise_distances
 
 CONTRACTION = "contraction"
 NOT_CONTRACTION = "not-contraction"
@@ -241,7 +241,8 @@ def _max_ratio(sp: SetPair, mapping: dict[int, int]):
     den = pairwise_distances(sp.metric, src, src)
     num = pairwise_distances(sp.metric, dst, dst)
     iu = np.triu_indices(n, k=1)
-    ratios = num[iu] / den[iu]
+    with np.errstate(over="ignore"):  # a ratio beyond the float range is inf
+        ratios = num[iu] / den[iu]
     best = int(np.argmax(ratios))
     witness = (keys[int(iu[0][best])], keys[int(iu[1][best])])
     return float(ratios[best]), witness, len(ratios)
@@ -281,12 +282,15 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
 
 
 def _resolve_start(geom: PairGeometry, x0) -> int:
-    """Accept an A-position or (for coordinate spaces) a literal point."""
+    """Accept an A-position (any integer but a bool) or, on coordinate spaces,
+    a literal point."""
     sp = geom.pair
-    if isinstance(x0, int) and not isinstance(x0, bool):
+    if isinstance(x0, (int, np.integer)) and not isinstance(x0, bool):
         if not 0 <= x0 < len(sp.a):
             raise ValueError(f"start index {x0} outside A (size {len(sp.a)})")
-        idx = x0
+        idx = int(x0)
+    elif sp.metric.kind == EXPLICIT_MATRIX:
+        raise ValueError(f"start on a matrix space must be an index of A, got {x0!r}")
     else:
         probe = np.asarray(x0, dtype=float)
         hits = np.flatnonzero((sp.a == probe).all(axis=1)) if probe.shape == sp.a.shape[1:2] else ()
@@ -426,22 +430,6 @@ def direct_iterate(
     return _iterate(geom, t_map, step, start, alpha_hat, tol, max_iter)
 
 
-@dataclass(frozen=True)
-class ResultCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[ResultCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def verify_result(
     result: BestProximityResult,
     geom: PairGeometry,
@@ -449,7 +437,7 @@ def verify_result(
     *,
     tol: float = DEFAULT_TOL,
     induced: InducedMap | None = None,
-) -> VerificationReport:
+) -> Checklist:
     """Audit a solve independently of how it was produced.
 
     Checks the residual against ``tol`` (boundary inclusive), the exact lower
@@ -461,12 +449,12 @@ def verify_result(
     d_img = distance(sp.metric, sp.a[z], sp.b[t_map.image[z]])
     residual = abs(d_img - geom.pair_distance)
     checks = [
-        ResultCheck(
+        Check(
             "residual-within-tol",
             residual <= tol,
             f"|d(z,T(z)) - d(A,B)| = {residual} (tol {tol})",
         ),
-        ResultCheck(
+        Check(
             "lower-bound",
             d_img >= geom.pair_distance,
             f"d(z,T(z)) = {d_img} >= d(A,B) = {geom.pair_distance}",
@@ -474,5 +462,5 @@ def verify_result(
     ]
     if induced is not None:
         fixed = induced.table.get(z) == z
-        checks.append(ResultCheck("fixed-point", fixed, f"S(z) = A[{induced.table.get(z)}]"))
-    return VerificationReport(tuple(checks))
+        checks.append(Check("fixed-point", fixed, f"S(z) = A[{induced.table.get(z)}]"))
+    return Checklist(tuple(checks))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, paired_distances, pairwise_distances, table_indices
+from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, paired_distances, pairwise_distances, table_indices
 
 # Row block size for the product scan; keeps memory bounded on 1e4-point sets.
 _CHUNK = 1024
@@ -198,25 +198,16 @@ def point_to_set_distance(metric: Metric, x, pts) -> float:
     return float(pairwise_distances(metric, [x], pts).min())
 
 
-@dataclass(frozen=True)
-class CompactnessVerdict:
-    holds: bool
-    status: str
-    reason: str
-
-
-def check_approximative_compactness(sp: SetPair) -> CompactnessVerdict:
+def check_approximative_compactness(sp: SetPair) -> Check:
     """Discharge the approximative-compactness hypothesis for finite sets.
 
     Every sequence in a finite set has a constant (hence convergent)
     subsequence, so the condition holds trivially; this exists so reports can
     show the hypothesis explicitly rather than silently assuming it.
     """
-    return CompactnessVerdict(
-        holds=True,
-        status="holds-trivially",
-        reason=(
-            f"B is finite ({len(sp.b)} points): any sequence in B has a "
-            "constant, hence convergent, subsequence"
-        ),
+    return Check(
+        "approximative-compactness",
+        True,
+        f"holds-trivially: B is finite ({len(sp.b)} points): any sequence in B "
+        "has a constant, hence convergent, subsequence",
     )

@@ -88,6 +88,33 @@ def _fail(field: str, problem: str) -> InstanceFormatError:
     return InstanceFormatError(f"field {field!r}: {problem}")
 
 
+def _number(field: str, value) -> float:
+    """A JSON number as a float; booleans, strings, null and integers too
+    large for a float are refused with the field's name."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _fail(field, f"must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _fail(field, "integer too large for a float") from None
+
+
+def _numbers(value) -> np.ndarray | None:
+    """Nested lists of JSON numbers as one numeric array, or None.
+
+    numpy types the whole payload in one pass: strings, booleans alone or
+    null leave a non-numeric dtype (ragged rows raise).  Only integers beyond
+    int64 leave an object array, whose entries are then checked one by one.
+    """
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
+            arr = arr.astype(float)
+    except (ValueError, OverflowError):
+        return None
+    return arr if arr.dtype.kind in "iuf" else None
+
+
 def _parse_metric(payload) -> Metric:
     if not isinstance(payload, dict):
         raise _fail("metric", "must be an object")
@@ -100,9 +127,12 @@ def _parse_metric(payload) -> Metric:
         matrix = payload.get("matrix")
         if not isinstance(matrix, list) or not matrix:
             raise _fail("metric.matrix", "required nonempty array of rows")
+        table = _numbers(matrix)
+        if table is None:
+            raise _fail("metric.matrix", "must be rows of one length of numbers that fit a float")
         try:
-            return Metric(EXPLICIT_MATRIX, matrix)
-        except (TypeError, ValueError) as err:
+            return Metric(EXPLICIT_MATRIX, table)
+        except ValueError as err:
             raise _fail("metric.matrix", str(err)) from None
     raise _fail("metric.kind", f"must be {EUCLIDEAN!r} or {EXPLICIT_MATRIX!r}, got {kind!r}")
 
@@ -115,19 +145,17 @@ def _parse_points(metric: Metric, payload, field: str):
             if isinstance(item, bool) or not isinstance(item, int):
                 raise _fail(f"{field}[{pos}]", f"matrix-space point must be an index, got {item!r}")
         return payload
-    try:
-        return np.array(payload, dtype=float)
-    except (TypeError, ValueError):
+    points = _numbers(payload)
+    if points is None:
         dim = len(payload[0]) if isinstance(payload[0], list) else 0
-        pos = next(pos for pos, item in enumerate(payload) if not _is_point(item, dim))
-        raise _fail(f"{field}[{pos}]", f"not a numeric point of dimension {dim}: {payload[pos]!r}") from None
+        pos = next((pos for pos, item in enumerate(payload) if not _is_point(item, dim)), 0)
+        raise _fail(f"{field}[{pos}]", f"not a numeric point of dimension {dim}: {payload[pos]!r}")
+    return points
 
 
 def _is_point(item, dim: int) -> bool:
-    try:
-        return isinstance(item, list) and np.array(item, dtype=float).shape == (dim,)
-    except (TypeError, ValueError):
-        return False
+    point = _numbers(item) if isinstance(item, list) else None
+    return point is not None and point.shape == (dim,)
 
 
 def parse_instance(payload) -> Instance:
@@ -150,16 +178,15 @@ def parse_instance(payload) -> Instance:
     if not isinstance(tolerances, dict):
         raise _fail("tolerances", "must be an object")
     eps_prox = tolerances.get("eps_prox")
-    tol = tolerances.get("tol", DEFAULT_TOL)
-    for name, value in (("eps_prox", eps_prox), ("tol", tol)):
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise _fail(f"tolerances.{name}", f"must be a number, got {value!r}")
+    if eps_prox is not None:
+        eps_prox = _number("tolerances.eps_prox", eps_prox)
+    tol = _number("tolerances.tol", tolerances.get("tol", DEFAULT_TOL))
 
     alpha = payload.get("alpha")
     if alpha is not None:
-        if not isinstance(alpha, (int, float)) or alpha < 0:
-            raise _fail("alpha", f"must be a nonnegative number, got {alpha!r}")
-        alpha = float(alpha)
+        alpha = _number("alpha", alpha)
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise _fail("alpha", f"must be a finite nonnegative number, got {alpha!r}")
 
     try:
         return make_instance(

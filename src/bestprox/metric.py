@@ -148,38 +148,43 @@ def distance(metric: Metric, p, q) -> float:
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
-    """Outcome of one axiom: ``witness`` names the offending points on failure.
-
-    Witness shapes: symmetry/nonnegativity -> (i, j); identity -> (i,);
-    triangle -> (i, j, k) meaning d(i,j) > d(i,k) + d(k,j).
-    """
+class Check:
+    """One checked condition: a metric axiom, a theorem hypothesis or a
+    property of a result.  ``witness`` names the offending data on failure."""
 
     name: str
     passed: bool
-    witness: tuple | None = None
     detail: str = ""
+    witness: object = None
 
 
 @dataclass(frozen=True)
-class MetricValidation:
-    checks: tuple[AxiomCheck, ...]
-    exhaustive: bool
-    samples: int
+class Checklist:
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     @property
-    def failures(self) -> tuple[AxiomCheck, ...]:
+    def failures(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def check(self, name: str) -> AxiomCheck:
+    def check(self, name: str) -> Check:
         for c in self.checks:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+@dataclass(frozen=True)
+class MetricValidation(Checklist):
+    """The four axiom checks.  Witness shapes: symmetry/nonnegativity ->
+    (i, j); identity -> (i,); triangle -> (i, j, k) meaning
+    d(i,j) > d(i,k) + d(k,j) (sampled checks name the points themselves)."""
+
+    exhaustive: bool
+    samples: int
 
 
 def validate_metric(
@@ -225,10 +230,12 @@ def _first(mask: np.ndarray) -> tuple | None:
     return tuple(hits[0].tolist()) if len(hits) else None
 
 
-def _axiom(name: str, witness: tuple | None, detail) -> AxiomCheck:
-    if witness is None:
-        return AxiomCheck(name, True)
-    return AxiomCheck(name, False, witness, detail(*witness))
+def _axiom(name: str, hit: tuple | None, detail, witness=None) -> Check:
+    """One axiom's check from its first violation ``hit`` (None if it holds);
+    ``detail`` and ``witness`` (default: the hit itself) are functions of it."""
+    if hit is None:
+        return Check(name, True)
+    return Check(name, False, detail(*hit), witness(*hit) if witness else hit)
 
 
 def _validate_matrix_exhaustive(metric: Metric) -> MetricValidation:
@@ -238,8 +245,10 @@ def _validate_matrix_exhaustive(metric: Metric) -> MetricValidation:
     off = ~np.eye(n, dtype=bool)
     for i in range(n):
         # viol[j, k] <=> d(i,j) > d(i,k) + d(k,j); scan order matches the
-        # lexicographic (i, j, k) loop, so the first hit is the witness.
-        viol = m[i][:, None] > m[i][None, :] + m.T
+        # lexicographic (i, j, k) loop, so the first hit is the witness.  A
+        # sum that overflows to inf exceeds every entry, as the exact one does.
+        with np.errstate(over="ignore"):
+            viol = m[i][:, None] > m[i][None, :] + m.T
         viol[i, :] = False
         viol[:, i] = False
         viol &= off.T
@@ -281,14 +290,12 @@ def _validate_sampled(
     dpq, dqp, dpp, dpr, dqr = (
         paired_distances(metric, x, y) for x, y in ((p, q), (q, p), (p, p), (p, r), (q, r))
     )
-    slack = 0.0 if exact else TRIANGLE_SLACK * np.maximum(1.0, dpq + dqr)
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+        bound = dpq + dqr
+    slack = 0.0 if exact else TRIANGLE_SLACK * np.maximum(1.0, bound)
 
     def first(name, violated, points, detail):
-        hit = _first(violated)
-        if hit is None:
-            return AxiomCheck(name, True)
-        s = hit[0]
-        return AxiomCheck(name, False, tuple(as_point(x[s]) for x in points), detail(s))
+        return _axiom(name, _first(violated), detail, lambda s: tuple(as_point(x[s]) for x in points))
 
     return MetricValidation(
         checks=(
@@ -297,7 +304,7 @@ def _validate_sampled(
             first("nonnegativity", dpq < 0.0, (p, q), lambda s: f"d(p,q) = {dpq[s]} < 0"),
             first(
                 "triangle",
-                dpr > dpq + dqr + slack,
+                dpr > bound + slack,
                 (p, r, q),
                 lambda s: f"d(p,r) = {dpr[s]} > {dpq[s]} + {dqr[s]} via q",
             ),

@@ -29,25 +29,18 @@ from .engine import (
 )
 from .geometry import PairGeometry, check_approximative_compactness, proximal_subsets
 from .instance import Instance
-from .metric import EXPLICIT_MATRIX, MetricValidation, as_point, validate_metric
+from .metric import EXPLICIT_MATRIX, Check, Checklist, MetricValidation, as_point, validate_metric
 
 DECLARED_ALPHA_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class CheckRow:
-    name: str
-    passed: bool
-    detail: str
-    witness: object = None
+class InstanceAssessment(Checklist):
+    """The hypothesis checklist (``checks``) and what was computed for it."""
 
-
-@dataclass(frozen=True)
-class InstanceAssessment:
     geometry: PairGeometry
     induced: InducedMap | None
     certificate: ContractionCertificate | None
-    checks: tuple[CheckRow, ...]
     declared_alpha_ok: bool | None
     # The A0-scope certificate of the single-partner part of the induced map
     # (all of it when the map exists), computed on first call and then reused.
@@ -55,7 +48,7 @@ class InstanceAssessment:
 
     @property
     def hypotheses_ok(self) -> bool:
-        return all(row.passed for row in self.checks)
+        return self.passed
 
 
 def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment:
@@ -64,26 +57,21 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
     pool = np.concatenate([sp.a, sp.b]) if sp.metric.kind != EXPLICIT_MATRIX else None
     validation = validate_metric(sp.metric, 1000, points=pool)
     geom = proximal_subsets(sp, inst.eps_prox)
-    compactness = check_approximative_compactness(sp)
 
     rows = [
-        CheckRow(
+        Check(
             "metric-axioms",
             validation.passed,
             _metric_detail(validation),
             tuple(c.witness for c in validation.failures) or None,
         ),
-        CheckRow(
+        Check(
             "nonempty-A-B",
             True,
             f"|A| = {len(sp.a)}, |B| = {len(sp.b)}; finite sets are closed and complete",
         ),
-        CheckRow(
-            "approximative-compactness",
-            compactness.holds,
-            f"{compactness.status}: {compactness.reason}",
-        ),
-        CheckRow(
+        check_approximative_compactness(sp),
+        Check(
             "nonempty-A0-B0",
             bool(geom.a0) and bool(geom.b0),
             f"|A0| = {len(geom.a0)}, |B0| = {len(geom.b0)} at eps_prox = {geom.eps_prox}",
@@ -93,23 +81,15 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
     classes = classify_partners(geom, inst.t_map)
     if classes.missing:
         i = classes.missing[0]
-        rows.append(
-            CheckRow(
-                "T(A0)-subset-B0",
-                False,
-                f"image of A[{i}] (= B[{inst.t_map.image[i]}]) has no proximal partner in A; "
-                f"{len(classes.missing)} of {len(geom.a0)} images unpartnered",
-                (i, inst.t_map.image[i]),
-            )
+        subset = (
+            False,
+            f"image of A[{i}] (= B[{inst.t_map.image[i]}]) has no proximal partner in A; "
+            f"{len(classes.missing)} of {len(geom.a0)} images unpartnered",
+            (i, inst.t_map.image[i]),
         )
     else:
-        rows.append(
-            CheckRow(
-                "T(A0)-subset-B0",
-                True,
-                f"all {len(geom.a0)} images of A0 have proximal partners",
-            )
-        )
+        subset = (True, f"all {len(geom.a0)} images of A0 have proximal partners")
+    rows.append(Check("T(A0)-subset-B0", *subset))
 
     single = InducedMap(geom, inst.t_map, classes.table)
     a0_certificate = cache(partial(certify_contraction, single))
@@ -151,7 +131,7 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
             f"well-defined pairs = {part.alpha_hat!r}",
             part.witness,
         )
-    rows.append(CheckRow("proximal-contraction", *contraction))
+    rows.append(Check("proximal-contraction", *contraction))
 
     return InstanceAssessment(
         geometry=geom,

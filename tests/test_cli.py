@@ -188,6 +188,26 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     assert code == 1
     assert "duplicate points in A" in err
 
+    huge = "1" + "0" * 400  # a JSON integer no float can hold
+    euclid = '{"metric": {"kind": "euclidean"}, "A": %s, "B": [[1, 0], [1, 1]], "T": [0, 1]%s}'
+    matrix = '{"metric": {"kind": "explicit-matrix", "matrix": %s}, "A": [0], "B": [1], "T": [0]}'
+    for text, field in (
+        (euclid % ("[[0, 0], [0, 1]]", ', "tolerances": {"tol": %s}' % huge), "tolerances.tol"),
+        (euclid % ("[[0, 0], [0, 1]]", ', "alpha": %s' % huge), "alpha"),
+        (euclid % ("[[0, 0], [0, 1]]", ', "alpha": Infinity'), "alpha"),
+        (euclid % ("[[0, 0], [0, 1]]", ', "alpha": NaN'), "alpha"),
+        (euclid % ("[[0, 0], [0, 1]]", ', "alpha": true'), "alpha"),
+        (euclid % ("[[0, 0], [%s, 1]]" % huge, ""), "A[1]"),
+        (euclid % ('[["0", "0"], ["0", "1"]]', ""), "A[0]"),
+        (matrix % "[[0, %s], [%s, 0]]" % (huge, huge), "metric.matrix"),
+        (matrix % '[[0, "1"], ["1", 0]]', "metric.matrix"),
+    ):
+        bad.write_text(text)
+        code, _, err = run(capsys, "certify", str(bad))
+        assert code == 1, text
+        assert f"'{field}'" in err, text
+        assert "Traceback" not in err
+
 
 def test_usage_errors_exit_1(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 1
@@ -215,6 +235,10 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         code, _, err = run(capsys, "generate", path, *argv)
         assert code == 1, argv
         assert "slab_gap" in err
+    for out in (str(tmp_path / "no" / "such" / "x.json"), str(tmp_path)):
+        code, _, err = run(capsys, "generate", out)
+        assert code == 1, out
+        assert f"cannot write {out}" in err
 
 
 def test_start_index_validation(tmp_path, capsys, narrow_a0_instance):

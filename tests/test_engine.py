@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bestprox import (
@@ -26,6 +27,8 @@ from bestprox import (
     distance,
     euclidean_metric,
     generate_instance,
+    make_instance,
+    matrix_metric,
     proximal_subsets,
     verify_result,
 )
@@ -117,6 +120,20 @@ def test_certify_witness_reproduces_alpha(geometric_instance):
         inst.metric, inst.pair.a[induced.table[w1]], inst.pair.a[induced.table[w2]]
     ) / distance(inst.metric, inst.pair.a[w1], inst.pair.a[w2])
     assert abs(ratio - cert.alpha_hat) <= math.ulp(cert.alpha_hat)
+
+
+def test_certify_ratio_beyond_float_range_is_inf():
+    # S maps A-points 1e-300 apart to A-points 1e308 apart: the ratio
+    # overflows, which reads inf without a warning.
+    n = 8
+    table = [[0.0 if i == j else 5.0 for j in range(n)] for i in range(n)]
+    for i, j, v in ((0, 4, 1.0), (1, 5, 1.0), (2, 6, 1.0), (3, 7, 1.0), (0, 1, 1e-300), (2, 3, 1e308)):
+        table[i][j] = table[j][i] = v
+    inst = make_instance(matrix_metric(table), [0, 1, 2, 3], [4, 5, 6, 7], [2, 3, 2, 3])
+    induced = build_induced_map(geom_of(inst), inst.t_map)
+    for wide in (False, True):
+        cert = certify_contraction(induced, wide=wide)
+        assert (cert.alpha_hat, cert.witness, cert.verdict) == (math.inf, (0, 1), NOT_CONTRACTION)
 
 
 def test_certify_wide_scope(boundary_instance, narrow_a0_instance):
@@ -231,6 +248,25 @@ def test_banach_rejects_start_outside_a0(narrow_a0_instance):
         banach_iterate(induced, 99)
     with pytest.raises(ValueError):
         banach_iterate(induced, (7.0, 7.0))
+
+
+def test_start_accepts_any_integer_but_bool(geometric_instance, swap_instance):
+    for inst in (geometric_instance, swap_instance):  # one euclidean, one matrix space
+        geom = geom_of(inst)
+        induced = build_induced_map(geom, inst.t_map)
+        alpha_hat = certify_contraction(induced).alpha_hat
+        for start in (np.int64(1), np.int32(1), np.uint8(1)):
+            assert banach_iterate(induced, start).trace.indices == banach_iterate(induced, 1).trace.indices
+            assert (
+                direct_iterate(geom, inst.t_map, start, alpha_hat=alpha_hat).trace.indices
+                == direct_iterate(geom, inst.t_map, 1, alpha_hat=alpha_hat).trace.indices
+            )
+        with pytest.raises(ValueError, match="outside A"):
+            banach_iterate(induced, np.int64(99))
+    induced = build_induced_map(geom_of(swap_instance), swap_instance.t_map)
+    for start in (0.0, 1.5, True, np.bool_(True), (0.0,)):
+        with pytest.raises(ValueError, match="must be an index of A"):
+            banach_iterate(induced, start)
 
 
 def test_banach_budget_exhaustion_carries_trace(geometric_instance):

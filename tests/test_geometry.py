@@ -106,9 +106,10 @@ def test_compactness_always_trivial():
     ]
     for sp in cases:
         verdict = check_approximative_compactness(sp)
-        assert verdict.holds
-        assert verdict.status == "holds-trivially"
-        assert "finite" in verdict.reason
+        assert verdict.name == "approximative-compactness"
+        assert verdict.passed
+        assert verdict.detail.startswith("holds-trivially: ")
+        assert "finite" in verdict.detail
 
 
 def test_duplicates_rejected_euclidean():

@@ -25,6 +25,7 @@ GEOMETRIC_TEXT = """
 
 NAN, INF = float("nan"), float("inf")  # what JSON NaN and Infinity decode to
 MATRIX = {"A": [0], "B": [1], "T": [0]}
+HUGE = 10**400  # a JSON integer no float can hold
 
 
 def test_load_normalizes_and_defaults(tmp_path):
@@ -111,6 +112,22 @@ def test_tolerance_overrides():
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [INF, 0]]}), "'metric.matrix': non-finite"),
         (lambda p: p.update(A=[[0, 0], [0, 1e200]], B=[[1, 0], [1, 1e200]], T=[0, 1]), "coordinates of A and B"),
         (lambda p: p.update(A=[[0, 0], [1e-200, 0], [0, 5]], B=[[1, 0], [1, 5]], T=[1, 1, 1]), "duplicate points in A"),
+        (lambda p: p.update(tolerances={"tol": HUGE}), "'tolerances.tol': integer too large"),
+        (lambda p: p.update(tolerances={"eps_prox": HUGE}), "'tolerances.eps_prox': integer too large"),
+        (lambda p: p.update(tolerances={"tol": None}), "'tolerances.tol': must be a number"),
+        (lambda p: p.update(alpha=HUGE), "'alpha': integer too large"),
+        (lambda p: p.update(alpha=INF), "'alpha': must be a finite"),
+        (lambda p: p.update(alpha=NAN), "'alpha': must be a finite"),
+        (lambda p: p.update(alpha=True), "'alpha': must be a number"),
+        (lambda p: p.update(alpha="0.5"), "'alpha': must be a number"),
+        (lambda p: p.update(A=[[0, 0], [0, HUGE], [0, 1]]), "'A[1]'"),
+        (lambda p: p.update(A=[["0", "0"], ["0", "0.25"], ["0", "1"]]), "'A[0]'"),
+        (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, None]]), "'B[2]'"),
+        (lambda p: p.update(A=[[True, False], [False, True], [True, True]]), "'A[0]'"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, HUGE], [HUGE, 0]]}), "'metric.matrix'"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, "1"], ["1", 0]]}), "'metric.matrix'"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, None], [None, 0]]}), "'metric.matrix'"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1]]}), "'metric.matrix'"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):
@@ -119,6 +136,16 @@ def test_parse_errors_name_the_field(mutate, fragment):
     with pytest.raises(InstanceFormatError) as exc:
         parse_instance(payload)
     assert fragment in str(exc.value)
+
+
+def test_integers_that_fit_a_float_are_accepted():
+    payload = json.loads(GEOMETRIC_TEXT)
+    payload.update(A=[[0, 0], [0, 2**70], [0, 1]], tolerances={"tol": 1, "eps_prox": 0}, alpha=1)
+    inst = parse_instance(payload)
+    assert inst.pair.a[1].tolist() == [0.0, float(2**70)]
+    assert (inst.tol, inst.eps_prox, inst.alpha_declared) == (1.0, 0.0, 1.0)
+    inst = parse_instance({"metric": {"kind": "explicit-matrix", "matrix": [[0, 2**70], [2**70, 0]]}, **MATRIX})
+    assert inst.metric.matrix.tolist() == [[0.0, float(2**70)], [float(2**70), 0.0]]
 
 
 def test_matrix_points_must_be_indices():

@@ -180,3 +180,16 @@ def test_embedded_integer_tables_validate(n, salt):
     # avoid duplicate-derived zero rows tripping nothing: zeros off-diagonal are
     # legal for the metric axioms themselves
     assert validate_metric(matrix_metric(table)).passed
+
+
+def test_triangle_sums_beyond_float_range_are_inf():
+    # d(i,k) + d(k,j) overflows to inf, which bounds every entry as the exact
+    # sum does: no warning and no violation, exhaustive or sampled.
+    for n in (4, 210):
+        table = [[0.0 if i == j else 1e308 for j in range(n)] for i in range(n)]
+        table[0][1] = table[1][0] = 1.0
+        report = validate_metric(matrix_metric(table))
+        assert report.exhaustive == (n == 4)
+        assert report.passed
+    table = [[0.0, 1.0, 1e308], [1.0, 0.0, 1.0], [1e308, 1.0, 0.0]]
+    assert validate_metric(matrix_metric(table)).check("triangle").witness == (0, 2, 1)
