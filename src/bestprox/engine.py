@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PairGeometry, SetPair
+from .geometry import PairGeometry, SetPair, row_blocks
 from .metric import EXPLICIT_MATRIX, Check, Checklist, as_point, distance, paired_distances, pairwise_distances
 
 CONTRACTION = "contraction"
@@ -216,21 +216,12 @@ def build_induced_map(geom: PairGeometry, t_map: ProximityMap) -> InducedMap:
     return InducedMap(geometry=geom, t_map=t_map, table=classes.table)
 
 
-def defining_defect(induced: InducedMap) -> float:
-    """max over A0 of | d(S(x), T(x)) - d(A,B) |, the induced-map residual."""
-    geom = induced.geometry
-    sp = geom.pair
-    partners = sp.a[list(induced.table.values())]
-    images = sp.b[[induced.t_map.image[i] for i in induced.table]]
-    d = paired_distances(sp.metric, partners, images)
-    return float(np.abs(d - geom.pair_distance).max(initial=0.0))
-
-
 def _max_ratio(sp: SetPair, mapping: dict[int, int]):
     """Max of d(S(x1), S(x2)) / d(x1, x2) over distinct keys of ``mapping``.
 
     Returns (alpha_hat, witness, pair_count).  The scan is exhaustive; ties
-    pick the first pair in lexicographic key order.
+    pick the first pair in lexicographic key order.  One row block of the
+    sorted keys is held at a time, with only its columns j > lo computed.
     """
     keys = sorted(mapping)
     n = len(keys)
@@ -238,14 +229,20 @@ def _max_ratio(sp: SetPair, mapping: dict[int, int]):
         return 0.0, None, 0
     src = sp.a[keys]
     dst = sp.a[[mapping[i] for i in keys]]
-    den = pairwise_distances(sp.metric, src, src)
-    num = pairwise_distances(sp.metric, dst, dst)
-    iu = np.triu_indices(n, k=1)
-    with np.errstate(over="ignore"):  # a ratio beyond the float range is inf
-        ratios = num[iu] / den[iu]
-    best = int(np.argmax(ratios))
-    witness = (keys[int(iu[0][best])], keys[int(iu[1][best])])
-    return float(ratios[best]), witness, len(ratios)
+    best, witness = -math.inf, None
+    for lo, hi in row_blocks(n - 1, n):
+        # Entry (r, c) pairs key lo + r with key lo + 1 + c.
+        ratios = pairwise_distances(sp.metric, dst[lo:hi], dst[lo + 1 :])
+        # A ratio beyond the float range is inf; the diagonal j = i is 0/0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios /= pairwise_distances(sp.metric, src[lo:hi], src[lo + 1 :])
+        ratios[np.tril_indices(hi - lo, -1, n - lo - 1)] = -math.inf  # j <= i
+        r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
+        # Only a strictly greater block maximum moves the witness, so ties
+        # keep the lexicographically first pair.
+        if ratios[r, c] > best:
+            best, witness = float(ratios[r, c]), (keys[lo + r], keys[lo + 1 + c])
+    return best, witness, n * (n - 1) // 2
 
 
 def certify_contraction(induced: InducedMap, *, wide: bool = False) -> ContractionCertificate:

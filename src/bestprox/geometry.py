@@ -6,9 +6,10 @@ A belongs to A0 when some point of B realizes that minimum with it, up to the
 roots on coordinate spaces motivate the small default there).
 
 d(A,B), A0, B0 and the partner relation all come from one pass over A x B
-in fixed row blocks: each block lowers a running minimum and keeps its
-entries within eps_prox of it, and the kept entries are cut at the final
-d(A,B) + eps_prox.  The result is identical to a full-table computation.
+in row blocks sized in bytes by :func:`row_blocks`, as is every O(n^2) scan:
+each block lowers a running minimum and keeps its entries within eps_prox of
+it, and the kept entries are cut at the final d(A,B) + eps_prox.  The result
+is identical to a full-table computation, in O(rows * |B|) memory.
 """
 
 from __future__ import annotations
@@ -19,8 +20,14 @@ import numpy as np
 
 from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, paired_distances, pairwise_distances, table_indices
 
-# Row block size for the product scan; keeps memory bounded on 1e4-point sets.
-_CHUNK = 1024
+# Bytes of float64 tables that one row block of a distance scan may hold.  The
+# kernel keeps up to nine (rows, width) arrays alive at d >= 8 and a scan a
+# few more, hence 12.  A block of a few MiB stays in cache: at d = 16 on a
+# 2-vCPU host, blocks of 64-128 rows ran twice as fast as blocks of 1024 rows.
+_BLOCK_BYTES = 4 << 20
+_BLOCK_ARRAYS = 12
+# Cap on the rows of one block; the tests lower it to force many blocks.
+_MAX_ROWS = 4096
 
 DEFAULT_EPS_EUCLIDEAN = 1e-9
 DEFAULT_EPS_MATRIX = 0.0
@@ -151,6 +158,12 @@ class PairGeometry:
         return self.reverse_pairing.get(b_index, ())
 
 
+def row_blocks(n: int, width: int):
+    """Bounds (lo, hi) of the row blocks of an n-row scan ``width`` entries wide."""
+    rows = max(1, min(_MAX_ROWS, _BLOCK_BYTES // (8 * _BLOCK_ARRAYS * max(width, 1))))
+    return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
+
+
 def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry:
     """Compute d(A,B), A0, B0 and the proximal partners of each point of B0.
 
@@ -167,8 +180,8 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
     # falls, so the final cut below finds every hit among the kept ones.
     dist = np.inf
     rows, cols, vals = [], [], []
-    for lo in range(0, len(sp.a), _CHUNK):
-        block = pairwise_distances(sp.metric, sp.a[lo : lo + _CHUNK], sp.b)
+    for lo, hi in row_blocks(len(sp.a), len(sp.b)):
+        block = pairwise_distances(sp.metric, sp.a[lo:hi], sp.b)
         dist = min(dist, float(block.min()))
         r, c = np.nonzero(block <= dist + eps_prox)
         rows.append(r + lo)
@@ -189,13 +202,6 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
         reverse_pairing={j: tuple(g.tolist()) for j, g in zip(b0.tolist(), groups)},
         eps_prox=eps_prox,
     )
-
-
-def point_to_set_distance(metric: Metric, x, pts) -> float:
-    """Exact minimum of d(x, s) over the nonempty finite set ``pts``."""
-    if len(pts) == 0:
-        raise ValueError("point-to-set distance over an empty set")
-    return float(pairwise_distances(metric, [x], pts).min())
 
 
 def check_approximative_compactness(sp: SetPair) -> Check:

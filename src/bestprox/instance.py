@@ -99,12 +99,13 @@ def _number(field: str, value) -> float:
         raise _fail(field, "integer too large for a float") from None
 
 
-def _numbers(value) -> np.ndarray | None:
+def _numbers(value, booleans: bool = True) -> np.ndarray | None:
     """Nested lists of JSON numbers as one numeric array, or None.
 
     numpy types the whole payload in one pass: strings, booleans alone or
     null leave a non-numeric dtype (ragged rows raise).  Only integers beyond
     int64 leave an object array, whose entries are then checked one by one.
+    A boolean among numbers reads as 0 or 1, so ``booleans`` scans for them.
     """
     try:
         arr = np.asarray(value)
@@ -112,10 +113,13 @@ def _numbers(value) -> np.ndarray | None:
             arr = arr.astype(float)
     except (ValueError, OverflowError):
         return None
-    return arr if arr.dtype.kind in "iuf" else None
+    rows = (row if isinstance(row, list) else (row,) for row in value)
+    if arr.dtype.kind not in "iuf" or (booleans and any(type(v) is bool for row in rows for v in row)):
+        return None
+    return arr
 
 
-def _parse_metric(payload) -> Metric:
+def _parse_metric(payload, booleans: bool) -> Metric:
     if not isinstance(payload, dict):
         raise _fail("metric", "must be an object")
     kind = payload.get("kind")
@@ -127,9 +131,12 @@ def _parse_metric(payload) -> Metric:
         matrix = payload.get("matrix")
         if not isinstance(matrix, list) or not matrix:
             raise _fail("metric.matrix", "required nonempty array of rows")
-        table = _numbers(matrix)
+        table = _numbers(matrix, booleans)
         if table is None:
             raise _fail("metric.matrix", "must be rows of one length of numbers that fit a float")
+        # A new read-only float64 table, which Metric keeps without a copy.
+        table = table.astype(float, copy=False)
+        table.flags.writeable = False
         try:
             return Metric(EXPLICIT_MATRIX, table)
         except ValueError as err:
@@ -137,7 +144,7 @@ def _parse_metric(payload) -> Metric:
     raise _fail("metric.kind", f"must be {EUCLIDEAN!r} or {EXPLICIT_MATRIX!r}, got {kind!r}")
 
 
-def _parse_points(metric: Metric, payload, field: str):
+def _parse_points(metric: Metric, payload, field: str, booleans: bool):
     if not isinstance(payload, list) or not payload:
         raise _fail(field, "must be a nonempty array of points")
     if metric.kind != EUCLIDEAN:
@@ -145,7 +152,7 @@ def _parse_points(metric: Metric, payload, field: str):
             if isinstance(item, bool) or not isinstance(item, int):
                 raise _fail(f"{field}[{pos}]", f"matrix-space point must be an index, got {item!r}")
         return payload
-    points = _numbers(payload)
+    points = _numbers(payload, booleans)
     if points is None:
         dim = len(payload[0]) if isinstance(payload[0], list) else 0
         pos = next((pos for pos, item in enumerate(payload) if not _is_point(item, dim)), 0)
@@ -158,16 +165,20 @@ def _is_point(item, dim: int) -> bool:
     return point is not None and point.shape == (dim,)
 
 
-def parse_instance(payload) -> Instance:
-    """Build an Instance from a decoded JSON object, with field diagnostics."""
+def parse_instance(payload, *, booleans: bool = True) -> Instance:
+    """Build an Instance from a decoded JSON object, with field diagnostics.
+
+    Booleans among the numbers of a point or a matrix row are refused;
+    ``booleans=False`` skips that scan for a payload known to hold none.
+    """
     if not isinstance(payload, dict):
         raise InstanceFormatError("top-level value must be an object")
     for required in ("metric", "A", "B", "T"):
         if required not in payload:
             raise _fail(required, "missing")
-    metric = _parse_metric(payload["metric"])
-    a = _parse_points(metric, payload["A"], "A")
-    b = _parse_points(metric, payload["B"], "B")
+    metric = _parse_metric(payload["metric"], booleans)
+    a = _parse_points(metric, payload["A"], "A", booleans)
+    b = _parse_points(metric, payload["B"], "B", booleans)
     t_raw = payload["T"]
     if not isinstance(t_raw, list) or any(
         isinstance(v, bool) or not isinstance(v, int) for v in t_raw
@@ -207,14 +218,17 @@ def parse_instance(payload) -> Instance:
 def load_instance(path) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            text = fh.read()
+        # Without a true or false token the payload holds no boolean.
+        payload, booleans = json.loads(text), "true" in text or "false" in text
     except OSError as err:
         raise InstanceFormatError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise InstanceFormatError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
-    return parse_instance(payload)
+    del text  # not held while the instance is built
+    return parse_instance(payload, booleans=booleans)
 
 
 def instance_payload(inst: Instance) -> dict:

@@ -9,9 +9,10 @@ Two space kinds are supported:
 
 Every distance in the package comes from one kernel: :func:`pairwise_distances`
 (the cross table d(p_i, q_j)) and :func:`paired_distances` (d(p_i, q_i) row by
-row) share the single euclidean formula of :func:`_norm`, and :func:`distance`
-is the one-pair case of the paired form.  A value is therefore bitwise the
-same whichever form computed it, in any dimension.
+row), and :func:`distance` is the one-pair case of the paired form.  The cross
+table adds the squared differences one axis at a time, never building a
+(rows, cols, d) tensor, in the order in which numpy sums the paired form's
+last axis.  A value is therefore bitwise the same whichever form computed it.
 
 Everything here is immutable after construction and every function is pure,
 so concurrent read-only use is safe.
@@ -48,7 +49,8 @@ class Metric:
 
     ``matrix`` must be present exactly when ``kind`` is ``explicit-matrix``;
     it is stored as a read-only ``(n, n)`` float64 array with finite entries.
-    Construction checks only shape and finiteness; run
+    A read-only float64 array that owns its data is kept, anything else is
+    copied.  Construction checks only shape and finiteness; run
     :func:`validate_metric` to check the metric axioms themselves.
     """
 
@@ -64,7 +66,10 @@ class Metric:
             return
         if self.matrix is None:
             raise ValueError("explicit-matrix metric requires a matrix")
-        table = np.array(self.matrix, dtype=float)
+        table = self.matrix
+        owned = isinstance(table, np.ndarray) and table.base is None and not table.flags.writeable
+        if not (owned and table.dtype == np.float64):
+            table = np.array(table, dtype=float)
         if table.ndim != 2 or not table.size or table.shape[0] != table.shape[1]:
             raise ValueError("distance matrix must be square and nonempty")
         bad = np.argwhere(~np.isfinite(table))
@@ -95,14 +100,35 @@ def as_point(p) -> Point:
     return tuple(value) if isinstance(value, list) else value
 
 
-def _norm(diff: np.ndarray) -> np.ndarray:
-    """The one euclidean formula: 2-norm of ``diff`` along its last axis.
+def _sum_squares(at: np.ndarray, bt: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The (rows, cols) table of the sums of (a_k - b_k)^2 over axes lo <= k < hi.
 
-    ``diff`` is a scratch array and is squared in place, so a table holds one
-    difference-sized array at a time instead of two.
+    ``at`` and ``bt`` hold the coordinates as (d, rows) and (d, cols).  Terms
+    are added as numpy's pairwise sum adds a contiguous axis: below 8 terms in
+    order; up to 128 in eight lanes, combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the tail in order; above 128 as two halves split at a multiple of 8.
     """
-    np.multiply(diff, diff, out=diff)
-    return np.sqrt(diff.sum(axis=-1))
+    n = hi - lo
+    if n > 128:
+        mid = lo + n // 2 - n // 2 % 8
+        left = _sum_squares(at, bt, lo, mid)
+        return np.add(left, _sum_squares(at, bt, mid, hi), out=left)
+    scratch = np.empty((at.shape[1], bt.shape[1]))
+
+    def square(k: int, out: np.ndarray) -> np.ndarray:
+        return np.square(np.subtract(at[k][:, None], bt[k], out=out), out=out)
+
+    # Lane j sums the terms lo + j, lo + j + lanes, ... before the tail.
+    lanes = 8 if n >= 8 else 1
+    acc = [square(k, np.empty_like(scratch)) for k in range(lo, lo + min(n, lanes))] or [np.zeros_like(scratch)]
+    tail = hi - n % lanes
+    for k in range(lo + lanes, tail):
+        acc[(k - lo) % lanes] += square(k, scratch)
+    for x, y in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)) if lanes == 8 else ():
+        acc[x] += acc[y]
+    for k in range(tail, hi):
+        acc[0] += square(k, scratch)
+    return acc[0]
 
 
 def _coordinates(ps, qs) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +154,8 @@ def pairwise_distances(metric: Metric, ps: Sequence, qs: Sequence) -> np.ndarray
     """Dense |ps| x |qs| table of d(p_i, q_j)."""
     if metric.kind == EUCLIDEAN:
         a, b = _coordinates(ps, qs)
-        return _norm(a[:, None, :] - b[None, :, :])
+        table = _sum_squares(a.T.copy(), b.T.copy(), 0, a.shape[1])
+        return np.sqrt(table, out=table)
     return metric.matrix[np.ix_(table_indices(metric, ps), table_indices(metric, qs))]
 
 
@@ -137,8 +164,8 @@ def paired_distances(metric: Metric, ps: Sequence, qs: Sequence) -> np.ndarray:
     if len(ps) != len(qs):
         raise ValueError(f"paired distances need equal counts, got {len(ps)} and {len(qs)}")
     if metric.kind == EUCLIDEAN:
-        a, b = _coordinates(ps, qs)
-        return _norm(a - b)
+        diff = np.subtract(*_coordinates(ps, qs))
+        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
     return metric.matrix[table_indices(metric, ps), table_indices(metric, qs)]
 
 
@@ -192,7 +219,6 @@ def validate_metric(
     sample_budget: int = 1000,
     *,
     points: Sequence | None = None,
-    dimension: int = 2,
     seed: int = 0,
 ) -> MetricValidation:
     """Check symmetry, identity, nonnegativity and the triangle inequality.
@@ -200,9 +226,8 @@ def validate_metric(
     Explicit matrices up to ``EXHAUSTIVE_LIMIT`` points are scanned
     exhaustively and exactly; witnesses are the lexicographically first
     violations.  Larger tables and coordinate spaces are sampled with a seeded
-    generator so reports are reproducible.  For coordinate spaces, ``points``
-    supplies the sample pool (random points of ``dimension`` are drawn
-    otherwise), and the triangle check allows
+    generator so reports are reproducible.  Coordinate spaces need
+    ``points``, the nonempty sample pool, and the triangle check allows
     ``TRIANGLE_SLACK * max(1, d(p,q) + d(q,r))`` rounding slack per triple.
 
     Failure is a report outcome, never an exception.
@@ -214,14 +239,9 @@ def validate_metric(
     if metric.kind == EXPLICIT_MATRIX:
         pool = np.arange(metric.size)
         return _validate_sampled(metric, pool, sample_budget, seed, exact=True)
-    if points is not None and len(points):
-        pool = np.asarray(points, dtype=float)
-    else:
-        rng = random.Random(seed)
-        count = max(3, min(sample_budget, 64))
-        draws = [rng.uniform(-100.0, 100.0) for _ in range(count * dimension)]
-        pool = np.array(draws).reshape(count, dimension)
-    return _validate_sampled(metric, pool, sample_budget, seed, exact=False)
+    if points is None or not len(points):
+        raise ValueError("a coordinate space is validated on a nonempty pool of points")
+    return _validate_sampled(metric, np.asarray(points, dtype=float), sample_budget, seed, exact=False)
 
 
 def _first(mask: np.ndarray) -> tuple | None:

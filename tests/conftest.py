@@ -4,9 +4,22 @@ Each fixture is a small problem whose behaviour was worked out by hand (and
 re-derived by in-test oracles where the tests assert exact values).
 """
 
+from unittest import mock
+
 import pytest
 
-from bestprox import EUCLIDEAN, Metric, make_instance, matrix_metric
+from bestprox import EUCLIDEAN, Metric, geometry, make_instance, matrix_metric
+
+
+def each_block_size():
+    """Run the caller's body with the row-blocked distance scans (A x B and
+    the certificate) at 1, 2 and 3 rows per block, so they span several
+    blocks, and at the default size (yielded as None).  Import it with
+    ``from conftest import each_block_size``."""
+    for rows in (1, 2, 3):
+        with mock.patch.object(geometry, "_MAX_ROWS", rows):
+            yield rows
+    yield None
 
 
 @pytest.fixture

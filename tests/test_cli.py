@@ -201,6 +201,9 @@ def test_malformed_file_exits_1(tmp_path, capsys):
         (euclid % ('[["0", "0"], ["0", "1"]]', ""), "A[0]"),
         (matrix % "[[0, %s], [%s, 0]]" % (huge, huge), "metric.matrix"),
         (matrix % '[[0, "1"], ["1", 0]]', "metric.matrix"),
+        (euclid % ("[[0, 0], [0, true]]", ""), "A[1]"),
+        (matrix % "[[0, true], [true, 0]]", "metric.matrix"),
+        (matrix % "[[0, 1.5], [false, 0]]", "metric.matrix"),
     ):
         bad.write_text(text)
         code, _, err = run(capsys, "certify", str(bad))

@@ -2,10 +2,13 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import each_block_size
 
+from bestprox.engine import _max_ratio
 from bestprox import (
     CONTRACTION,
     CYCLE_DETECTED,
@@ -22,13 +25,14 @@ from bestprox import (
     build_induced_map,
     certify_contraction,
     classify_partners,
-    defining_defect,
     direct_iterate,
     distance,
     euclidean_metric,
     generate_instance,
     make_instance,
     matrix_metric,
+    paired_distances,
+    pairwise_distances,
     proximal_subsets,
     verify_result,
 )
@@ -46,6 +50,32 @@ def brute_alpha(points, table):
         if ratio > best:
             best, witness = ratio, (x1, x2)
     return best, witness
+
+
+def defining_defect(induced) -> float:
+    """Reference: max over A0 of | d(S(x), T(x)) - d(A,B) |, the induced-map residual."""
+    geom = induced.geometry
+    sp = geom.pair
+    partners = sp.a[list(induced.table.values())]
+    images = sp.b[[induced.t_map.image[i] for i in induced.table]]
+    d = paired_distances(sp.metric, partners, images)
+    return float(np.abs(d - geom.pair_distance).max(initial=0.0))
+
+
+def dense_max_ratio(sp, mapping):
+    """Reference for the row-blocked certificate scan: both full |keys| x |keys|
+    tables, the ratio over the strict upper triangle, first maximum wins."""
+    keys = sorted(mapping)
+    n = len(keys)
+    if n < 2:
+        return 0.0, None, 0
+    src = sp.a[keys]
+    dst = sp.a[[mapping[i] for i in keys]]
+    iu = np.triu_indices(n, k=1)
+    with np.errstate(over="ignore"):
+        ratios = pairwise_distances(sp.metric, dst, dst)[iu] / pairwise_distances(sp.metric, src, src)[iu]
+    best = int(np.argmax(ratios))
+    return float(ratios[best]), (keys[int(iu[0][best])], keys[int(iu[1][best])]), len(ratios)
 
 
 # --- induced-map construction -------------------------------------------------
@@ -199,6 +229,63 @@ def test_certify_wide_matches_pairwise_scan():
         assert (cert.alpha_hat, cert.witness, cert.pair_count) == expected
         outcomes.add((math.isinf(expected[0]), expected[1] is None))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def tie_heavy_case(kind, rng):
+    """Disjoint A and B drawn from a 5 x 5 integer grid, euclidean or as a
+    taxicab table, with T and a self-map of A0 onto at most three points, so
+    that many ratios tie (all of them are 0 when the self-map is constant)."""
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    pts = rng.sample(grid, rng.randint(4, 18))
+    cut = rng.randint(2, len(pts) - 1)
+    if kind == "grid":
+        sp = SetPair(euclidean_metric(), pts[:cut], pts[cut:])
+    else:
+        table = [[float(abs(p[0] - q[0]) + abs(p[1] - q[1])) for q in pts] for p in pts]
+        sp = SetPair(matrix_metric(table), list(range(cut)), list(range(cut, len(pts))))
+    t_map = ProximityMap(tuple(rng.randrange(len(pts) - cut) for _ in range(cut)))
+    geom = proximal_subsets(sp, rng.choice([0.0, 1.0, 1.5, 10.0]))
+    targets = rng.sample(geom.a0, min(len(geom.a0), rng.randint(1, 3)))
+    return InducedMap(geom, t_map, {i: rng.choice(targets) for i in geom.a0})
+
+
+@pytest.mark.parametrize("kind", ["grid", "matrix"])
+def test_row_blocked_certificate_matches_dense_reference(kind):
+    rng = random.Random(kind)
+    seen = set()
+    for _ in range(80):
+        induced = tie_heavy_case(kind, rng)
+        sp = induced.geometry.pair
+        wide = classify_partners(induced.geometry, induced.t_map, wide=True)
+        expected = {"a0": dense_max_ratio(sp, induced.table), "full": dense_max_ratio(sp, wide.table)}
+        if not expected["full"][0] > 0.0:
+            expected["full"] = (expected["full"][0], None, expected["full"][2])
+        seen.add((len(induced.table) > 2, expected["a0"][0] == 0.0))
+        for rows in each_block_size():
+            assert _max_ratio(sp, induced.table) == dense_max_ratio(sp, induced.table), rows
+            assert _max_ratio(sp, wide.table) == dense_max_ratio(sp, wide.table), rows
+            for cert in (certify_contraction(induced), certify_contraction(induced, wide=True)):
+                if cert.scope == "full" and wide.ambiguous:
+                    continue  # the ambiguity path scans nothing
+                assert (cert.alpha_hat, cert.witness, cert.pair_count) == expected[cert.scope], rows
+    # Both tie shapes occur: all ratios 0 on many keys, and ties among nonzero ratios.
+    assert {(True, True), (True, False)} <= seen
+
+
+def test_certificate_memory_stays_within_the_block_budget():
+    # 3000 keys whose images all coincide: every ratio is 0 and the witness
+    # is the first pair.  Two dense 3000 x 3000 tables and a triangle index
+    # peaked at 412 MB; the row-blocked scan holds one block at a time.
+    n = 3000
+    sp = SetPair(euclidean_metric(), [(0.0, float(k)) for k in range(n)], [(1.0, 0.0)])
+    tracemalloc.start()
+    try:
+        result = _max_ratio(sp, dict.fromkeys(range(n), 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (0.0, (0, 1), n * (n - 1) // 2)
+    assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget
 
 
 # --- Banach iteration -----------------------------------------------------------

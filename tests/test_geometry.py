@@ -1,10 +1,11 @@
 import itertools
 import math
-from unittest import mock
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+from conftest import each_block_size
 from hypothesis import given, reject, settings
 
 from bestprox import geometry
@@ -16,7 +17,7 @@ from bestprox import (
     distance,
     euclidean_metric,
     matrix_metric,
-    point_to_set_distance,
+    pairwise_distances,
     proximal_subsets,
 )
 
@@ -25,12 +26,11 @@ def euclid_pair(a, b):
     return SetPair(euclidean_metric(), tuple(a), tuple(b))
 
 
-def each_block_size():
-    """Run the caller's body with the product scan at 1-row and 2-row blocks
-    (so it spans several blocks) and at the default size."""
-    for size in (1, 2, geometry._CHUNK):
-        with mock.patch.object(geometry, "_CHUNK", size):
-            yield size
+def point_to_set_distance(metric, x, pts) -> float:
+    """Reference: exact minimum of d(x, s) over the nonempty finite set ``pts``."""
+    if len(pts) == 0:
+        raise ValueError("point-to-set distance over an empty set")
+    return float(pairwise_distances(metric, [x], pts).min())
 
 
 def test_pair_distance_singletons():
@@ -225,9 +225,37 @@ def test_running_cut_drops_early_near_ties():
     a = [(0.0, 0.0), (0.0, 0.05), (2.0, 10.0), (2.0, 10.05)]
     b = [(3.0, 0.0), (3.0, 10.0)]
     sp = euclid_pair(a, b)
-    for size in each_block_size():
+    for rows in each_block_size():
         geom = proximal_subsets(sp, 0.1)
-        assert geom.pair_distance == 1.0, size
+        assert geom.pair_distance == 1.0, rows
         assert geom.a0 == (2, 3)
         assert geom.b0 == (1,)
         assert geom.reverse_pairing == {1: (2, 3)}
+
+
+def test_row_blocks_are_sized_in_bytes():
+    # A block holds at most _BLOCK_BYTES in _BLOCK_ARRAYS float64 tables of
+    # its width, never fewer than one row, and the blocks tile the rows.
+    budget = geometry._BLOCK_BYTES // (8 * geometry._BLOCK_ARRAYS)
+    for n, width in ((10, 1), (5000, 1200), (100, 32000), (3, 10**9)):
+        blocks = list(geometry.row_blocks(n, width))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        rows = blocks[0][1] - blocks[0][0]
+        assert rows == max(1, min(n, geometry._MAX_ROWS, budget // width))
+
+
+def test_product_scan_memory_stays_within_the_block_budget():
+    # |A| = 2000, |B| = 1200 in 16-D: a (rows, |B|, 16) difference tensor of
+    # 1024-row blocks peaked at 157 MB; the per-axis kernel holds a few
+    # (rows, |B|) tables of one byte-sized block.
+    rng = np.random.default_rng(0)
+    sp = euclid_pair(rng.standard_normal((2000, 16)), rng.standard_normal((1200, 16)) + 10.0)
+    tracemalloc.start()
+    try:
+        geom = proximal_subsets(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(geom.a0) >= 1
+    assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget

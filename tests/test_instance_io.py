@@ -1,8 +1,11 @@
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from bestprox import instance
 from bestprox import (
     GeneratorConfig,
     InstanceFormatError,
@@ -128,6 +131,10 @@ def test_tolerance_overrides():
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, "1"], ["1", 0]]}), "'metric.matrix'"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, None], [None, 0]]}), "'metric.matrix'"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1]]}), "'metric.matrix'"),
+        (lambda p: p.update(A=[[0, 0], [0, True], [0, 1]]), "'A[1]': not a numeric point"),
+        (lambda p: p.update(B=[[1, 0], [1, 0.25], [False, 1]]), "'B[2]': not a numeric point"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, True], [True, 0]]}), "'metric.matrix': must be rows"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 0.5], [False, 0]]}), "'metric.matrix': must be rows"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):
@@ -136,6 +143,37 @@ def test_parse_errors_name_the_field(mutate, fragment):
     with pytest.raises(InstanceFormatError) as exc:
         parse_instance(payload)
     assert fragment in str(exc.value)
+
+
+def test_booleans_in_rows_are_refused_when_loaded(tmp_path):
+    # load_instance scans for booleans only when the text holds a true or
+    # false token; it must still find them in points and matrix rows.
+    path = tmp_path / "bool.json"
+    for text, field in (
+        (GEOMETRIC_TEXT.replace("[0, 0.25]", "[0, true]"), "'A[1]'"),
+        ('{"metric": {"kind": "explicit-matrix", "matrix": [[0, false], [1, 0]]}, "A": [0], "B": [1], "T": [0]}', "'metric.matrix'"),
+    ):
+        path.write_text(text)
+        with pytest.raises(InstanceFormatError, match=re.escape(field)):
+            load_instance(path)
+
+
+def test_loaded_matrix_is_the_parsers_read_only_array(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text('{"metric": {"kind": "explicit-matrix", "matrix": [[0, 2], [2, 0]]}, "A": [0], "B": [1], "T": [0]}')
+    handed = []
+    real = instance.Metric
+
+    def spy(kind, matrix=None):
+        handed.append(matrix)
+        return real(kind, matrix)
+
+    with mock.patch.object(instance, "Metric", spy):
+        inst = load_instance(path)
+    table = inst.metric.matrix
+    assert table is handed[-1]  # kept without a copy
+    assert table.dtype == np.float64 and table.base is None
+    assert table.flags.writeable is False
 
 
 def test_integers_that_fit_a_float_are_accepted():

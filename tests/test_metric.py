@@ -1,6 +1,7 @@
 import random
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -15,6 +16,14 @@ from bestprox import (
     pairwise_distances,
     validate_metric,
 )
+
+
+def synthetic_pool(sample_budget, dimension, seed=0):
+    """Reference sample pool for a coordinate space: seeded uniform points."""
+    rng = random.Random(seed)
+    count = max(3, min(sample_budget, 64))
+    draws = [rng.uniform(-100.0, 100.0) for _ in range(count * dimension)]
+    return np.array(draws).reshape(count, dimension)
 
 
 def test_distance_identity():
@@ -114,9 +123,16 @@ def test_validate_large_matrix_is_sampled():
 
 
 def test_validate_euclidean_sampled():
-    report = validate_metric(euclidean_metric(), sample_budget=200, dimension=3)
+    pool = synthetic_pool(200, dimension=3)
+    report = validate_metric(euclidean_metric(), sample_budget=200, points=pool)
     assert report.passed
     assert not report.exhaustive
+
+
+def test_validate_euclidean_needs_a_pool():
+    for pool in (None, []):
+        with pytest.raises(ValueError, match="pool"):
+            validate_metric(euclidean_metric(), points=pool)
 
 
 def test_validate_euclidean_with_point_pool():
@@ -126,8 +142,9 @@ def test_validate_euclidean_with_point_pool():
 
 
 def test_validate_reports_are_reproducible():
-    a = validate_metric(euclidean_metric(), sample_budget=64, seed=5)
-    b = validate_metric(euclidean_metric(), sample_budget=64, seed=5)
+    pool = synthetic_pool(64, dimension=2, seed=5)
+    a = validate_metric(euclidean_metric(), sample_budget=64, points=pool, seed=5)
+    b = validate_metric(euclidean_metric(), sample_budget=64, points=pool.copy(), seed=5)
     assert a == b
 
 
@@ -170,6 +187,43 @@ def test_scalar_and_vectorized_paths_agree_bitwise(pqr):
     assert table[0, 0] == distance(m, p, q)
     assert table[1, 1] == distance(m, r, p)
     assert paired_distances(m, [p, r], [q, p]).tolist() == [table[0, 0], table[1, 1]]
+
+
+def test_cross_table_is_bitwise_the_numpy_sum_reference():
+    # The per-axis kernel must add the squares in the order numpy's sum
+    # reduces a contiguous axis (in order below 8 terms, eight accumulators up
+    # to 128, halves above).  If a numpy release changes that order, this
+    # fails instead of reports changing unseen.  Magnitudes spread over six
+    # decades, so any other order rounds differently somewhere.
+    rng = np.random.default_rng(7)
+    m = euclidean_metric()
+    for d in range(1, 201):
+        a = rng.standard_normal((5, d)) * 10.0 ** rng.uniform(-3, 3, (5, d))
+        b = rng.standard_normal((4, d)) * 10.0 ** rng.uniform(-3, 3, (4, d))
+        diff = a[:, None, :] - b[None, :, :]
+        reference = np.sqrt((diff * diff).sum(axis=-1))
+        table = pairwise_distances(m, a, b)
+        paired = paired_distances(m, np.repeat(a, 4, axis=0), np.tile(b, (5, 1))).reshape(5, 4)
+        assert table.tobytes() == reference.tobytes(), d
+        assert paired.tobytes() == reference.tobytes(), d
+
+
+def test_cross_table_of_empty_sides():
+    m = euclidean_metric()
+    assert pairwise_distances(m, np.zeros((0, 3)), np.ones((2, 3))).shape == (0, 2)
+    assert pairwise_distances(m, np.zeros((2, 0)), np.ones((3, 0))).tolist() == [[0.0] * 3] * 2
+
+
+def test_matrix_is_kept_only_when_read_only_and_owned():
+    table = np.array([[0.0, 1.0], [1.0, 0.0]])
+    kept = Metric(EXPLICIT_MATRIX, table)
+    assert kept.matrix is not table and table.flags.writeable  # a caller's array is never frozen
+    table.flags.writeable = False
+    assert Metric(EXPLICIT_MATRIX, table).matrix is table
+    for other in (table[:], table.astype(np.float32), table.astype(np.int64)):
+        other.flags.writeable = False
+        copied = Metric(EXPLICIT_MATRIX, other).matrix
+        assert copied is not other and copied.dtype == np.float64 and not copied.flags.writeable
 
 
 @given(st.integers(2, 12), st.integers(0, 2**30))
