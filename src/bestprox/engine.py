@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PairGeometry, SetPair, row_blocks
-from .metric import EXPLICIT_MATRIX, Check, Checklist, as_point, distance, paired_distances, pairwise_distances
+from .metric import EXPLICIT_MATRIX, Check, Checklist, as_point, distance, frozen_array, paired_distances, pairwise_distances
 
 CONTRACTION = "contraction"
 NOT_CONTRACTION = "not-contraction"
@@ -96,23 +96,31 @@ class MaxIterationsExceeded(SolverError):
         super().__init__(f"no convergence within {len(trace.indices) - 1} iterations")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProximityMap:
-    """T : A -> B as an index table: image[i] is the B-position of T(A[i])."""
+    """T : A -> B as an index table: image[i] is the B-position of T(A[i]), a
+    read-only int64 array (see :func:`~bestprox.metric.frozen_array`).  Anything
+    but a flat sequence of integers within int64 is refused, never truncated."""
 
-    image: tuple[int, ...]
+    image: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(int(v) for v in self.image))
+        image = np.asarray(self.image)
+        flat = image.ndim == 1 and ((image.dtype.kind in "iu" and np.can_cast(image.dtype, np.int64)) or not image.size)
+        # numpy types a boolean among integers as an integer, so look for one.
+        if not flat or (not isinstance(self.image, np.ndarray) and {bool, np.bool_} & set(map(type, self.image))):
+            raise ValueError("map must be a flat sequence of integer B indices within int64, without floats or booleans")
+        object.__setattr__(self, "image", frozen_array(image, np.int64))
 
     def validate(self, sp: SetPair) -> None:
+        """Check that T is total on A and lands in B."""
         if len(self.image) != len(sp.a):
             raise ValueError(
                 f"map must be total on A: {len(self.image)} entries for {len(sp.a)} points"
             )
-        for i, v in enumerate(self.image):
-            if not 0 <= v < len(sp.b):
-                raise ValueError(f"map entry {i} -> {v} is outside B (size {len(sp.b)})")
+        bad = np.flatnonzero((self.image < 0) | (self.image >= len(sp.b)))
+        if len(bad):
+            raise ValueError(f"map entry {bad[0]} -> {self.image[bad[0]]} is outside B (size {len(sp.b)})")
 
 
 @dataclass(frozen=True)
@@ -183,7 +191,7 @@ def classify_partners(geom: PairGeometry, t_map: ProximityMap, *, wide: bool = F
     missing: list[int] = []
     ambiguous: dict[int, tuple[int, ...]] = {}
     for i in range(len(geom.pair.a)) if wide else geom.a0:
-        partners = geom.partners_in_a(t_map.image[i])
+        partners = geom.partners_in_a(int(t_map.image[i]))
         if len(partners) == 1:
             table[i] = partners[0]
         elif partners:
@@ -212,7 +220,7 @@ def build_induced_map(geom: PairGeometry, t_map: ProximityMap) -> InducedMap:
     classes = classify_partners(geom, t_map)
     first = min([*classes.missing, *classes.ambiguous], default=None)
     if first is not None:
-        _unique_partner(first, t_map.image[first], classes.ambiguous.get(first, ()))
+        _unique_partner(first, int(t_map.image[first]), classes.ambiguous.get(first, ()))
     return InducedMap(geometry=geom, t_map=t_map, table=classes.table)
 
 
@@ -353,7 +361,7 @@ def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
 
 def _build_trace(geom, t_map, indices, gaps, alpha_hat, reason) -> IterationTrace:
     sp = geom.pair
-    images = sp.b[[t_map.image[i] for i in indices]]
+    images = sp.b[t_map.image[indices]]
     residuals = np.abs(paired_distances(sp.metric, sp.a[indices], images) - geom.pair_distance)
     bounds: tuple[float, ...] = ()
     if alpha_hat < 1.0 and gaps:
@@ -420,7 +428,7 @@ def direct_iterate(
     cut = geom.pair_distance + geom.eps_prox
 
     def step(i: int) -> int:
-        img = t_map.image[i]
+        img = int(t_map.image[i])
         d = pairwise_distances(sp.metric, sp.a, sp.b[img : img + 1])[:, 0]
         return _unique_partner(i, img, tuple(np.flatnonzero(d <= cut).tolist()))
 

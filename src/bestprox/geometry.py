@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, paired_distances, pairwise_distances, table_indices
+from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, frozen_array, paired_distances, pairwise_distances, table_indices
 
 # Bytes of float64 tables that one row block of a distance scan may hold.  The
 # kernel keeps up to nine (rows, width) arrays alive at d >= 8 and a scan a
@@ -53,9 +53,10 @@ def default_eps_prox(metric: Metric) -> float:
 class SetPair:
     """The nonempty finite sets A and B over one metric.
 
-    ``a`` and ``b`` are stored as read-only arrays: ``(n, d)`` float64
-    coordinates in euclidean spaces, ``(n,)`` int64 table indices in matrix
-    spaces.  Construction checks shape, finiteness and index range on the
+    ``a`` and ``b`` are stored as read-only arrays, by the rule of
+    :func:`~bestprox.metric.frozen_array`: ``(n, d)`` float64 coordinates in
+    euclidean spaces, ``(n,)`` int64 table indices in matrix spaces.
+    Construction checks shape, finiteness and index range on the
     whole array, rejects coordinates so far apart that a distance could
     overflow, and rejects duplicates within either set, that is two points at
     distance 0 (silent dedup would change |A0| behind the user's back).
@@ -89,7 +90,7 @@ def _point_array(metric: Metric, pts, side: str) -> np.ndarray:
         raise ValueError("A and B must be nonempty")
     if metric.kind == EUCLIDEAN:
         try:
-            arr = np.array(pts, dtype=float)
+            arr = frozen_array(pts, np.float64)
         except (TypeError, ValueError):
             raise ValueError(f"points of {side} must be coordinate vectors of one dimension") from None
         if arr.ndim != 2 or not arr.shape[1]:
@@ -98,26 +99,30 @@ def _point_array(metric: Metric, pts, side: str) -> np.ndarray:
         if len(bad):
             raise ValueError(f"non-finite coordinate in {side}[{bad[0]}]")
     else:
-        arr = table_indices(metric, pts)
+        arr = frozen_array(table_indices(metric, pts), np.int64)
         if arr.ndim != 1:
             raise ValueError(f"matrix-space points of {side} must be integer indices")
-    arr.flags.writeable = False
     return arr
 
 
 def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:
-    seen: dict = {}
-    for i, key in enumerate(map(tuple, pts.reshape(len(pts), -1).tolist())):
-        if key in seen:
-            raise DuplicatePointError(side, seen[key], i)
-        seen[key] = i
+    # Equal points: the least j that repeats an earlier point, and the first
+    # point it repeats (rows compare as floats, so -0.0 equals 0.0).
+    _, first, group = np.unique(pts.reshape(len(pts), -1), axis=0, return_index=True, return_inverse=True)
+    earlier = first[group.reshape(-1)]
+    repeats = np.flatnonzero(earlier != np.arange(len(pts)))
+    if len(repeats):
+        raise DuplicatePointError(side, int(earlier[repeats[0]]), int(repeats[0]))
     if metric.kind == EXPLICIT_MATRIX:
-        d = pairwise_distances(metric, pts, pts)
-        np.fill_diagonal(d, np.inf)
-        hits = np.argwhere(d == 0.0)
-        if len(hits):
-            i, j = sorted(int(v) for v in hits[0])
-            raise DuplicatePointError(side, i, j)
+        # Distinct indices at table distance 0: the first hit in row-major
+        # order, found one row block at a time.
+        for lo, hi in row_blocks(len(pts), len(pts)):
+            d = pairwise_distances(metric, pts[lo:hi], pts)
+            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            hits = np.argwhere(d == 0.0)
+            if len(hits):
+                i, j = sorted((int(hits[0, 0]) + lo, int(hits[0, 1])))
+                raise DuplicatePointError(side, i, j)
         return
     # Distinct points are at kernel distance 0 only when every coordinate
     # difference squares to 0, so they share one run of such steps on each
@@ -197,7 +202,8 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
     return PairGeometry(
         pair=sp,
         pair_distance=dist,
-        a0=tuple(np.unique(rows).tolist()),
+        # bincount, not np.unique, which imports numpy.ma on first use.
+        a0=tuple(np.flatnonzero(np.bincount(rows, minlength=len(sp.a))).tolist()),
         b0=tuple(b0.tolist()),
         reverse_pairing={j: tuple(g.tolist()) for j, g in zip(b0.tolist(), groups)},
         eps_prox=eps_prox,

@@ -78,7 +78,7 @@ def make_instance(
 ) -> Instance:
     """Assemble and validate an instance from in-memory pieces."""
     pair = SetPair(metric, a, b)
-    t_map = ProximityMap(tuple(t_image))
+    t_map = ProximityMap(t_image)
     t_map.validate(pair)
     eps_prox = checked_tolerance("eps_prox", default_eps_prox(metric) if eps_prox is None else eps_prox)
     return Instance(pair, t_map, eps_prox, checked_tolerance("tol", tol), alpha_declared)
@@ -100,12 +100,13 @@ def _number(field: str, value) -> float:
 
 
 def _numbers(value, booleans: bool = True) -> np.ndarray | None:
-    """Nested lists of JSON numbers as one numeric array, or None.
+    """Nested lists of JSON numbers as one new read-only float64 array, or None.
 
     numpy types the whole payload in one pass: strings, booleans alone or
     null leave a non-numeric dtype (ragged rows raise).  Only integers beyond
     int64 leave an object array, whose entries are then checked one by one.
     A boolean among numbers reads as 0 or 1, so ``booleans`` scans for them.
+    The array is frozen here, so Metric and SetPair keep it without a copy.
     """
     try:
         arr = np.asarray(value)
@@ -116,6 +117,8 @@ def _numbers(value, booleans: bool = True) -> np.ndarray | None:
     rows = (row if isinstance(row, list) else (row,) for row in value)
     if arr.dtype.kind not in "iuf" or (booleans and any(type(v) is bool for row in rows for v in row)):
         return None
+    arr = arr.astype(float, copy=False)
+    arr.flags.writeable = False
     return arr
 
 
@@ -134,9 +137,6 @@ def _parse_metric(payload, booleans: bool) -> Metric:
         table = _numbers(matrix, booleans)
         if table is None:
             raise _fail("metric.matrix", "must be rows of one length of numbers that fit a float")
-        # A new read-only float64 table, which Metric keeps without a copy.
-        table = table.astype(float, copy=False)
-        table.flags.writeable = False
         try:
             return Metric(EXPLICIT_MATRIX, table)
         except ValueError as err:
@@ -240,7 +240,7 @@ def instance_payload(inst: Instance) -> dict:
         "metric": metric,
         "A": inst.pair.a.tolist(),
         "B": inst.pair.b.tolist(),
-        "T": list(inst.t_map.image),
+        "T": inst.t_map.image.tolist(),
         "tolerances": {"eps_prox": inst.eps_prox, "tol": inst.tol},
     }
     if inst.alpha_declared is not None:

@@ -43,15 +43,26 @@ EXHAUSTIVE_LIMIT = 200
 TRIANGLE_SLACK = 1e-9
 
 
+def frozen_array(value, dtype) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype``: a read-only array of that
+    dtype that owns its data is kept, anything else is copied and the copy
+    frozen, so a caller's array is never frozen."""
+    if isinstance(value, np.ndarray) and value.base is None and not value.flags.writeable and value.dtype == dtype:
+        return value
+    value = np.array(value, dtype=dtype)
+    value.flags.writeable = False
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class Metric:
     """A metric over coordinate vectors or an explicit finite table.
 
     ``matrix`` must be present exactly when ``kind`` is ``explicit-matrix``;
-    it is stored as a read-only ``(n, n)`` float64 array with finite entries.
-    A read-only float64 array that owns its data is kept, anything else is
-    copied.  Construction checks only shape and finiteness; run
-    :func:`validate_metric` to check the metric axioms themselves.
+    it is stored as a read-only ``(n, n)`` float64 array with finite entries,
+    by the rule of :func:`frozen_array`.  Construction checks only shape and
+    finiteness; run :func:`validate_metric` to check the metric axioms
+    themselves.
     """
 
     kind: str
@@ -66,24 +77,13 @@ class Metric:
             return
         if self.matrix is None:
             raise ValueError("explicit-matrix metric requires a matrix")
-        table = self.matrix
-        owned = isinstance(table, np.ndarray) and table.base is None and not table.flags.writeable
-        if not (owned and table.dtype == np.float64):
-            table = np.array(table, dtype=float)
+        table = frozen_array(self.matrix, np.float64)
         if table.ndim != 2 or not table.size or table.shape[0] != table.shape[1]:
             raise ValueError("distance matrix must be square and nonempty")
         bad = np.argwhere(~np.isfinite(table))
         if len(bad):
             raise ValueError(f"non-finite distance at position {tuple(bad[0].tolist())}")
-        table.flags.writeable = False
         object.__setattr__(self, "matrix", table)
-
-    @property
-    def size(self) -> int:
-        """Cardinality of an explicit space (undefined for euclidean)."""
-        if self.matrix is None:
-            raise ValueError("euclidean metric has no fixed cardinality")
-        return len(self.matrix)
 
 
 def euclidean_metric() -> Metric:
@@ -144,10 +144,10 @@ def table_indices(metric: Metric, ps) -> np.ndarray:
     idx = np.asarray(ps)
     if idx.size and idx.dtype.kind not in "iu":
         raise ValueError(f"matrix-space points must be integer indices, got {idx.dtype}")
-    bad = idx[(idx < 0) | (idx >= metric.size)]
+    bad = idx[(idx < 0) | (idx >= len(metric.matrix))]
     if len(bad):
-        raise ValueError(f"index {bad[0]} out of range for {metric.size}-point space")
-    return idx.astype(np.int64)
+        raise ValueError(f"index {bad[0]} out of range for {len(metric.matrix)}-point space")
+    return idx.astype(np.int64, copy=False)
 
 
 def pairwise_distances(metric: Metric, ps: Sequence, qs: Sequence) -> np.ndarray:
@@ -234,10 +234,10 @@ def validate_metric(
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
-    if metric.kind == EXPLICIT_MATRIX and metric.size <= EXHAUSTIVE_LIMIT:
+    if metric.kind == EXPLICIT_MATRIX and len(metric.matrix) <= EXHAUSTIVE_LIMIT:
         return _validate_matrix_exhaustive(metric)
     if metric.kind == EXPLICIT_MATRIX:
-        pool = np.arange(metric.size)
+        pool = np.arange(len(metric.matrix))
         return _validate_sampled(metric, pool, sample_budget, seed, exact=True)
     if points is None or not len(points):
         raise ValueError("a coordinate space is validated on a nonempty pool of points")

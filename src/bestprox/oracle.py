@@ -56,7 +56,7 @@ class BruteForceSolution:
 
 def brute_force_solve(sp: SetPair, t_map: ProximityMap, eps_prox: float = 0.0) -> BruteForceSolution:
     t_map.validate(sp)
-    values = paired_distances(sp.metric, sp.a, sp.b[list(t_map.image)])
+    values = paired_distances(sp.metric, sp.a, sp.b[t_map.image])
     best = float(values.min())
     argmin = np.flatnonzero(values == best)
     dist = proximal_subsets(sp, eps_prox).pair_distance

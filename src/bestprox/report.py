@@ -33,6 +33,9 @@ from .metric import EXPLICIT_MATRIX, Check, Checklist, MetricValidation, as_poin
 
 DECLARED_ALPHA_SLACK = 1e-12
 
+# A text trace longer than twice this shows its first and last this many steps.
+TRACE_HEAD_TAIL = 10
+
 
 @dataclass(frozen=True)
 class InstanceAssessment(Checklist):
@@ -85,7 +88,7 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
             False,
             f"image of A[{i}] (= B[{inst.t_map.image[i]}]) has no proximal partner in A; "
             f"{len(classes.missing)} of {len(geom.a0)} images unpartnered",
-            (i, inst.t_map.image[i]),
+            (i, int(inst.t_map.image[i])),
         )
     else:
         subset = (True, f"all {len(geom.a0)} images of A0 have proximal partners")
@@ -170,7 +173,7 @@ def assessment_payload(inst: Instance, assessment: InstanceAssessment) -> dict:
                 "name": row.name,
                 "passed": row.passed,
                 "detail": row.detail,
-                "witness": _jsonable(row.witness),
+                "witness": row.witness,
             }
             for row in assessment.checks
         ],
@@ -182,12 +185,6 @@ def assessment_payload(inst: Instance, assessment: InstanceAssessment) -> dict:
         "alpha_declared": inst.alpha_declared,
         "declared_alpha_ok": assessment.declared_alpha_ok,
     }
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def trace_payload(trace: IterationTrace) -> dict:
@@ -221,14 +218,6 @@ def format_point(p) -> str:
     return f"#{p}"
 
 
-def render_checklist(assessment: InstanceAssessment) -> list[str]:
-    lines = ["hypothesis checklist:"]
-    for row in assessment.checks:
-        mark = "PASS" if row.passed else "FAIL"
-        lines.append(f"  [{mark}] {row.name}: {row.detail}")
-    return lines
-
-
 def render_assessment(inst: Instance, assessment: InstanceAssessment) -> list[str]:
     sp = inst.pair
     geom = assessment.geometry
@@ -237,26 +226,18 @@ def render_assessment(inst: Instance, assessment: InstanceAssessment) -> list[st
         f"|A| = {len(sp.a)}, |B| = {len(sp.b)}",
         f"pair distance d(A,B) = {geom.pair_distance!r}",
         f"|A0| = {len(geom.a0)}, |B0| = {len(geom.b0)} (eps_prox = {geom.eps_prox!r})",
+        "hypothesis checklist:",
     ]
-    lines += render_checklist(assessment)
+    for row in assessment.checks:
+        lines.append(f"  [{'PASS' if row.passed else 'FAIL'}] {row.name}: {row.detail}")
     return lines
 
 
-def render_trace(trace: IterationTrace, head_tail: int = 10) -> list[str]:
-    steps = list(zip(trace.indices, trace.residuals))
-    lines = [f"trace ({len(trace.indices)} points, stop: {trace.stop_reason}):"]
-
-    def fmt(k, idx, res):
-        return f"  step {k}: A[{idx}], residual {res!r}"
-
-    if len(steps) <= 2 * head_tail:
-        shown = [fmt(k, i, r) for k, (i, r) in enumerate(steps)]
-    else:
-        head = [fmt(k, i, r) for k, (i, r) in enumerate(steps[:head_tail])]
-        tail_start = len(steps) - head_tail
-        tail = [fmt(tail_start + k, i, r) for k, (i, r) in enumerate(steps[-head_tail:])]
-        shown = head + [f"  ... {len(steps) - 2 * head_tail} steps elided ..."] + tail
-    return lines + shown
+def render_trace(trace: IterationTrace) -> list[str]:
+    steps = [f"  step {k}: A[{i}], residual {r!r}" for k, (i, r) in enumerate(zip(trace.indices, trace.residuals))]
+    if len(steps) > 2 * TRACE_HEAD_TAIL:
+        steps[TRACE_HEAD_TAIL:-TRACE_HEAD_TAIL] = [f"  ... {len(steps) - 2 * TRACE_HEAD_TAIL} steps elided ..."]
+    return [f"trace ({len(trace.indices)} points, stop: {trace.stop_reason}):", *steps]
 
 
 def render_result(label: str, result: BestProximityResult) -> list[str]:

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from bestprox import save_instance
+import bestprox
+from bestprox import EXPLICIT_MATRIX, GeneratorConfig, generate_instance, save_instance
 from bestprox.cli import main
 
 ASYMMETRIC_TEXT = """
@@ -302,3 +307,23 @@ def test_eps_prox_override(tmp_path, capsys, geometric_instance):
     payload = json.loads(out)
     assert payload["eps_prox"] == 5.0
     assert payload["a0_size"] == 3
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # numpy imports numpy.ma on the first plain np.unique call, which cost
+    # 12-17 ms per command; no command needs it.
+    script = (
+        "import contextlib, io, sys\n"
+        "from bestprox.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main([c, p]) for p in sys.argv[1:] for c in ('certify', 'solve', 'oracle')]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    paths = []
+    for kind in ("euclidean", EXPLICIT_MATRIX):
+        paths.append(str(tmp_path / f"{kind}.json"))
+        save_instance(generate_instance(GeneratorConfig(seed=5, space_kind=kind)), paths[-1])
+    env = {**os.environ, "PYTHONPATH": str(Path(bestprox.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *paths], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{[0] * 6} False"

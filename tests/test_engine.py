@@ -426,6 +426,62 @@ def test_direct_ignores_tampered_partner_table(geometric_instance):
     assert direct.trace.indices == direct_iterate(geom, inst.t_map, 2, alpha_hat=alpha).trace.indices
 
 
+# --- the map T ---------------------------------------------------------------------
+
+
+def test_map_is_a_read_only_int64_array():
+    t_map = ProximityMap([1, 0])
+    assert isinstance(t_map.image, np.ndarray)
+    assert (t_map.image.dtype, t_map.image.shape, t_map.image.flags.writeable) == (np.int64, (2,), False)
+    with pytest.raises(ValueError):
+        t_map.image[0] = 0
+    caller = np.array([1, 0])
+    assert ProximityMap(caller).image is not caller and caller.flags.writeable  # never frozen
+    caller.flags.writeable = False
+    assert ProximityMap(caller).image is caller
+    for other in (caller[:], caller.astype(np.int32), caller.astype(np.uint8)):
+        other.flags.writeable = False
+        copied = ProximityMap(other).image
+        assert copied is not other and copied.dtype == np.int64 and not copied.flags.writeable
+
+
+def test_map_refuses_entries_that_are_not_integers():
+    # Each of these was once truncated: [1.9, 0.2] loaded as (1, 0) and
+    # (1.7, True, -0.5) as (1, 1, 0).
+    for image in (
+        [1.9, 0.2],
+        (1.7, True, -0.5),
+        [True, False],
+        [0, True],
+        [np.int64(0), np.bool_(True)],
+        np.array([1.0, 0.0]),
+        np.array([True, False]),
+        np.array([0, 1], dtype=object),
+        [[0], [1]],
+        ["0", "1"],
+        7,
+        [2**63],  # beyond int64: it would wrap to a negative index
+        [10**30],
+        np.array([0, 1], dtype=np.uint64),
+    ):
+        with pytest.raises(ValueError, match="integer B indices"):
+            ProximityMap(image)
+    with pytest.raises(ValueError, match="integer B indices"):
+        make_instance(euclidean_metric(), [(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0), (1.0, 1.0)], [1.9, 0.2])
+
+
+def test_map_validation_keeps_its_messages():
+    sp = SetPair(euclidean_metric(), [(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0), (1.0, 1.0)])
+    ProximityMap([1, 0]).validate(sp)
+    with pytest.raises(ValueError) as exc:
+        ProximityMap([0]).validate(sp)
+    assert str(exc.value) == "map must be total on A: 1 entries for 2 points"
+    for image, message in (([0, 2], "map entry 1 -> 2"), ([-1, 5], "map entry 0 -> -1")):
+        with pytest.raises(ValueError) as exc:
+            ProximityMap(image).validate(sp)
+        assert str(exc.value) == f"{message} is outside B (size 2)"
+
+
 # --- partner classification -------------------------------------------------------
 
 
@@ -447,6 +503,7 @@ def test_build_induced_map_raises_at_first_failing_point():
     with pytest.raises(HypothesisViolation) as exc:
         build_induced_map(geom, ProximityMap((2, 1)))  # A[0] missing, A[1] ambiguous
     assert (exc.value.a_index, exc.value.b_index) == (0, 2)
+    assert type(exc.value.b_index) is int
     with pytest.raises(NonUniquePartner) as exc:
         build_induced_map(geom, ProximityMap((1, 2)))  # A[0] ambiguous, A[1] missing
     assert (exc.value.a_index, exc.value.b_index, exc.value.partners) == (0, 1, (0, 1))

@@ -126,6 +126,40 @@ def test_duplicates_rejected_matrix_zero_distance():
         SetPair(m, (0, 1), (2,))
 
 
+def test_duplicate_witness_is_the_first_repeat_and_its_first_copy():
+    p, q, r = (0.0, 1.0), (2.0, 3.0), (4.0, 5.0)
+    for a, indices in (
+        ([(0.0, 1.0), (-0.0, 1.0)], (0, 1)),  # -0.0 equals 0.0
+        ([(1.0, -0.0), (2.0, 0.0), (1.0, 0.0)], (0, 2)),
+        ([p] * 6, (0, 1)),
+        ([q, p, r, p, q, p], (1, 3)),
+        ([r, q, p, q, r, r], (1, 3)),
+    ):
+        with pytest.raises(DuplicatePointError) as exc:
+            euclid_pair(a, [(9.0, 9.0)])
+        assert (exc.value.side, exc.value.indices) == ("A", indices)
+    with pytest.raises(DuplicatePointError) as exc:
+        euclid_pair([(9.0, 9.0)], [q, r, q, q])
+    assert (exc.value.side, exc.value.indices) == ("B", (0, 2))
+    m = matrix_metric([[float(abs(i - j)) for j in range(4)] for i in range(4)])
+    with pytest.raises(DuplicatePointError) as exc:
+        SetPair(m, (3, 1, 2, 1, 3), (0,))
+    assert exc.value.indices == (1, 3)
+
+
+def test_matrix_duplicate_witness_is_the_first_zero_in_row_major_order():
+    # Indices 1 and 4 sit at one place, and so do 2 and 3.  Listed as
+    # (5, 3, 1, 4, 2), the first zero off the diagonal, row by row, pairs
+    # positions 1 and 4; the scan finds it whatever the block size.
+    coords = [0.0, 1.0, 2.0, 2.0, 1.0, 3.0]
+    m = matrix_metric([[abs(x - y) for y in coords] for x in coords])
+    for rows in each_block_size():
+        for a, indices in (((5, 3, 1, 4, 2), (1, 4)), ((0, 5, 1, 2, 4), (2, 4)), ((2, 5, 0, 3), (0, 3))):
+            with pytest.raises(DuplicatePointError) as exc:
+                SetPair(m, a, (0,))
+            assert exc.value.indices == indices, rows
+
+
 def test_points_and_matrix_are_read_only_arrays():
     sp = euclid_pair([(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0)])
     m = matrix_metric([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -142,6 +176,38 @@ def test_points_and_matrix_are_read_only_arrays():
         assert arr.flags.writeable is False
         with pytest.raises(ValueError):
             arr[0] = 5
+
+
+def test_points_are_kept_only_when_read_only_and_owned():
+    e, b = euclidean_metric(), np.array([[1.0, 0.0]])
+    pts = np.array([[0.0, 0.0], [0.0, 1.0]])
+    assert SetPair(e, pts, b).a is not pts and pts.flags.writeable  # a caller's array is never frozen
+    pts.flags.writeable = False
+    assert SetPair(e, pts, b).a is pts
+    for other in (pts[:], pts.astype(np.float32), pts.astype(np.int64)):
+        other.flags.writeable = False
+        copied = SetPair(e, other, b).a
+        assert copied is not other and copied.dtype == np.float64 and not copied.flags.writeable
+    m = matrix_metric([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    idx = np.array([0, 1])
+    assert SetPair(m, idx, (2,)).a is not idx and idx.flags.writeable
+    idx.flags.writeable = False
+    assert SetPair(m, idx, (2,)).a is idx
+
+
+def test_matrix_duplicate_scan_memory_stays_within_the_block_budget():
+    # |A| = 1500 distinct indices: the whole 1500 x 1500 sub-table and its
+    # mask peaked at 20 MB; the row-blocked scan holds one block at a time.
+    coords = np.arange(2000, dtype=float)
+    m = matrix_metric(np.abs(coords[:, None] - coords))
+    tracemalloc.start()
+    try:
+        sp = SetPair(m, np.arange(1500), np.arange(1500, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sp.a) == 1500
+    assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget
 
 
 def test_empty_sets_rejected():

@@ -73,7 +73,7 @@ def test_round_trip_generated(tmp_path):
     again = load_instance(path)
     assert dumps_instance(again) == dumps_instance(inst)
     assert np.array_equal(again.pair.a, inst.pair.a)
-    assert again.t_map.image == inst.t_map.image
+    assert np.array_equal(again.t_map.image, inst.t_map.image)
 
 
 def test_tolerance_overrides():
@@ -174,6 +174,24 @@ def test_loaded_matrix_is_the_parsers_read_only_array(tmp_path):
     assert table is handed[-1]  # kept without a copy
     assert table.dtype == np.float64 and table.base is None
     assert table.flags.writeable is False
+
+
+def test_loaded_coordinates_are_the_parsers_read_only_arrays(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(GEOMETRIC_TEXT)  # integer coordinates, parsed as float64
+    handed = []
+    real = instance.SetPair
+
+    def spy(metric, a, b):
+        handed.append((a, b))
+        return real(metric, a, b)
+
+    with mock.patch.object(instance, "SetPair", spy):
+        inst = load_instance(path)
+    for kept, parsed in zip((inst.pair.a, inst.pair.b), handed[-1]):
+        assert kept is parsed  # kept without a copy
+        assert kept.dtype == np.float64 and kept.base is None
+        assert kept.flags.writeable is False
 
 
 def test_integers_that_fit_a_float_are_accepted():
