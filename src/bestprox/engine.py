@@ -17,6 +17,10 @@ Two iteration schemes are provided and must agree step for step:
   induced map nor the partner table of :class:`PairGeometry`, so agreement of
   the two schemes is a real cross-check.
 
+The certificate walks A0 x A0 with the tile scan of :mod:`~bestprox.geometry`
+and skips each tile whose ratios its box bounds put below the running maximum;
+``pair_count`` still counts every pair the certificate covers.
+
 Everything else reads partners through one pass, :func:`classify_partners`.
 Ambiguity is never resolved silently: a point with two proximal partners is a
 hypothesis failure (it forces alpha >= 1) and is surfaced with both witnesses.
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PairGeometry, SetPair, row_blocks
+from .geometry import PairGeometry, SetPair, scan_tiles
 from .metric import EXPLICIT_MATRIX, Check, Checklist, as_point, distance, frozen_array, paired_distances, pairwise_distances
 
 CONTRACTION = "contraction"
@@ -227,9 +231,8 @@ def build_induced_map(geom: PairGeometry, t_map: ProximityMap) -> InducedMap:
 def _max_ratio(sp: SetPair, mapping: dict[int, int]):
     """Max of d(S(x1), S(x2)) / d(x1, x2) over distinct keys of ``mapping``.
 
-    Returns (alpha_hat, witness, pair_count).  The scan is exhaustive; ties
-    pick the first pair in lexicographic key order.  One row block of the
-    sorted keys is held at a time, with only its columns j > lo computed.
+    Returns (alpha_hat, witness, pair_count).  The scan is exact; ties pick
+    the first pair in lexicographic key order.
     """
     keys = sorted(mapping)
     n = len(keys)
@@ -238,19 +241,27 @@ def _max_ratio(sp: SetPair, mapping: dict[int, int]):
     src = sp.a[keys]
     dst = sp.a[[mapping[i] for i in keys]]
     best, witness = -math.inf, None
-    for lo, hi in row_blocks(n - 1, n):
-        # Entry (r, c) pairs key lo + r with key lo + 1 + c.
-        ratios = pairwise_distances(sp.metric, dst[lo:hi], dst[lo + 1 :])
+
+    def skip(lower, upper):
+        # Every ratio is at most the images' upper bound over the sources'
+        # lower bound, and 0 where the former is 0, even over a 0.
+        return (upper[0] / lower[1] if lower[1] else math.inf if upper[0] else 0.0) < best
+
+    def visit(lo, clo, ratios, den):
+        nonlocal best, witness
         # A ratio beyond the float range is inf; the diagonal j = i is 0/0.
         with np.errstate(over="ignore", invalid="ignore"):
-            ratios /= pairwise_distances(sp.metric, src[lo:hi], src[lo + 1 :])
-        ratios[np.tril_indices(hi - lo, -1, n - lo - 1)] = -math.inf  # j <= i
+            ratios /= den
+        if clo < lo + len(ratios):
+            ratios[np.tril_indices(len(ratios), lo - clo, ratios.shape[1])] = -math.inf  # j <= i
         r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
-        # Only a strictly greater block maximum moves the witness, so ties
-        # keep the lexicographically first pair.
-        if ratios[r, c] > best:
-            best, witness = float(ratios[r, c]), (keys[lo + r], keys[lo + 1 + c])
-    return best, witness, n * (n - 1) // 2
+        # A tile's first maximum replaces the witness when it is greater, or
+        # equal at an earlier pair, so ties keep the lexicographically first.
+        if ratios[r, c] > best or (ratios[r, c] == best and (lo + r, clo + c) < witness):
+            best, witness = float(ratios[r, c]), (lo + r, clo + c)
+
+    scan_tiles(sp.metric, [(dst, dst), (src, src)], visit, skip, triangle=True)
+    return best, (keys[witness[0]], keys[witness[1]]), n * (n - 1) // 2
 
 
 def certify_contraction(induced: InducedMap, *, wide: bool = False) -> ContractionCertificate:

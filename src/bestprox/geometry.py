@@ -5,11 +5,16 @@ A belongs to A0 when some point of B realizes that minimum with it, up to the
 ``eps_prox`` tolerance (exact arithmetic corresponds to eps_prox = 0; square
 roots on coordinate spaces motivate the small default there).
 
-d(A,B), A0, B0 and the partner relation all come from one pass over A x B
-in row blocks sized in bytes by :func:`row_blocks`, as is every O(n^2) scan:
-each block lowers a running minimum and keeps its entries within eps_prox of
-it, and the kept entries are cut at the final d(A,B) + eps_prox.  The result
-is identical to a full-table computation, in O(rows * |B|) memory.
+d(A,B), A0, B0 and the partner relation all come from one pass over A x B,
+walked, as the certificate is, by :func:`scan_tiles` in row blocks (sized in
+bytes by :func:`row_blocks`) times column tiles: each tile lowers a running
+minimum and keeps its entries within eps_prox of it, and the kept entries are
+cut at the final d(A,B) + eps_prox.  On euclidean spaces a tile is skipped
+when the axis-aligned boxes of its rows and columns lie farther apart than
+that running cut.  The bound is exact: the kernel's paired form adds the
+squared per-axis box gaps (spans, for an upper bound) in the cross table's
+order and rounding is monotone, so it brackets every entry bit for bit.
+Matrix spaces are not pruned.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ _BLOCK_BYTES = 4 << 20
 _BLOCK_ARRAYS = 12
 # Cap on the rows of one block; the tests lower it to force many blocks.
 _MAX_ROWS = 4096
+# Columns of one tile of a euclidean scan; the tests lower it too.
+_TILE_COLS = 256
 
 DEFAULT_EPS_EUCLIDEAN = 1e-9
 DEFAULT_EPS_MATRIX = 0.0
@@ -169,6 +176,37 @@ def row_blocks(n: int, width: int):
     return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
+def _box_bounds(metric: Metric, pts: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray) -> list[list[float]]:
+    """[least, greatest] distance from the box of ``pts`` to each box [q_lo[t], q_hi[t]]."""
+    p_lo, p_hi = pts.min(axis=0), pts.max(axis=0)
+    gap = np.maximum(np.maximum(q_lo - p_hi, p_lo - q_hi), 0.0)
+    span = np.maximum(p_hi - q_lo, q_hi - p_lo)
+    return [paired_distances(metric, x, np.zeros_like(x)).tolist() for x in (gap, span)]
+
+
+def scan_tiles(metric: Metric, operands, visit, skip, *, triangle: bool = False) -> None:
+    """Walk the tables d(P[i], Q[j]) of each (P, Q) in ``operands``, of one
+    shape, tile by tile: ``visit(lo, clo, *tables)`` gets each tile computed,
+    its entry (r, c) being (lo + r, clo + c).  With ``triangle`` only tiles
+    holding an entry j > i are walked; the caller masks the rest.  Euclidean
+    tiles are skipped where ``skip(lower, upper)`` holds for the box bounds of
+    each operand; matrix tiles span the full width and are never skipped.
+    """
+    n, m = (len(x) for x in operands[0])
+    boxed = metric.kind == EUCLIDEAN
+    width = min(_TILE_COLS, m) if boxed else m
+    starts = range(0, m, width)
+    if boxed:
+        boxes = [(np.minimum.reduceat(q, starts), np.maximum.reduceat(q, starts)) for _, q in operands]
+    for lo, hi in row_blocks(n - triangle, width):  # a triangle's last row is empty
+        if boxed:
+            lower, upper = zip(*(_box_bounds(metric, p[lo:hi], *box) for (p, _), box in zip(operands, boxes)))
+        for t in range((lo + 1) // width if triangle else 0, len(starts)):
+            if not (boxed and skip([b[t] for b in lower], [b[t] for b in upper])):
+                clo = max(starts[t], lo + 1) if triangle else starts[t]
+                visit(lo, clo, *(pairwise_distances(metric, p[lo:hi], q[clo : starts[t] + width]) for p, q in operands))
+
+
 def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry:
     """Compute d(A,B), A0, B0 and the proximal partners of each point of B0.
 
@@ -180,22 +218,26 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
         eps_prox = default_eps_prox(sp.metric)
     if eps_prox < 0:
         raise ValueError("eps_prox must be >= 0")
-    # One pass over the row blocks of A x B.  Each block lowers the running
-    # minimum and keeps its entries within eps_prox of it; the minimum only
-    # falls, so the final cut below finds every hit among the kept ones.
+    # One pass over the tiles of A x B.  Each tile lowers the running minimum
+    # and keeps its entries within eps_prox of it; the minimum only falls, so
+    # the final cut below finds every hit among the kept ones, and a tile
+    # whose every entry lies beyond the running cut holds none of them.
     dist = np.inf
     rows, cols, vals = [], [], []
-    for lo, hi in row_blocks(len(sp.a), len(sp.b)):
-        block = pairwise_distances(sp.metric, sp.a[lo:hi], sp.b)
+
+    def visit(lo, clo, block):
+        nonlocal dist
         dist = min(dist, float(block.min()))
         r, c = np.nonzero(block <= dist + eps_prox)
         rows.append(r + lo)
-        cols.append(c)
+        cols.append(c + clo)
         vals.append(block[r, c])
+
+    scan_tiles(sp.metric, [(sp.a, sp.b)], visit, lambda lower, _: lower[0] > dist + eps_prox)
     keep = np.concatenate(vals) <= dist + eps_prox
     rows, cols = np.concatenate(rows)[keep], np.concatenate(cols)[keep]
-    # Hits come in row-major order, so a stable sort by B index keeps the
-    # partners of each B point in ascending A order.
+    # Within each column the hits come in ascending row order, so a stable
+    # sort by B index keeps the partners of each B point in ascending A order.
     order = np.argsort(cols, kind="stable")
     b0, starts = np.unique(cols[order], return_index=True)
     groups = np.split(rows[order], starts[1:])

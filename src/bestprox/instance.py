@@ -219,8 +219,10 @@ def load_instance(path) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        # Without a true or false token the payload holds no boolean.
-        payload, booleans = json.loads(text), "true" in text or "false" in text
+        # Without a true or false token the payload holds no boolean.  Each
+        # word is looked for only where its letter u (or f) occurs: one
+        # character is found by a far faster scan, and matrix files hold neither.
+        payload, booleans = json.loads(text), ("u" in text and "true" in text) or ("f" in text and "false" in text)
     except OSError as err:
         raise InstanceFormatError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:

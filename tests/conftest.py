@@ -1,25 +1,58 @@
-"""Hand-built instances shared across the test modules.
+"""Hand-built instances and scan references shared across the test modules.
 
 Each fixture is a small problem whose behaviour was worked out by hand (and
-re-derived by in-test oracles where the tests assert exact values).
+re-derived by in-test oracles where the tests assert exact values).  The dense
+references compute the full tables that the tiled scans of ``geometry`` walk
+in pieces, and the tests require equal results.
 """
 
+import itertools
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from bestprox import EUCLIDEAN, Metric, geometry, make_instance, matrix_metric
+from bestprox import EUCLIDEAN, Metric, geometry, make_instance, matrix_metric, pairwise_distances
 
 
 def each_block_size():
-    """Run the caller's body with the row-blocked distance scans (A x B and
-    the certificate) at 1, 2 and 3 rows per block, so they span several
-    blocks, and at the default size (yielded as None).  Import it with
+    """Run the caller's body with the tiled distance scans (A x B and the
+    certificate) at 1, 2 and 3 rows per block times 1, 2 and 3 columns per
+    tile (euclidean spaces only; a matrix scan is one tile wide), so they span
+    many tiles, and at the default sizes (yielded as None).  Import it with
     ``from conftest import each_block_size``."""
-    for rows in (1, 2, 3):
-        with mock.patch.object(geometry, "_MAX_ROWS", rows):
-            yield rows
+    for rows, cols in itertools.product((1, 2, 3), repeat=2):
+        with mock.patch.object(geometry, "_MAX_ROWS", rows), mock.patch.object(geometry, "_TILE_COLS", cols):
+            yield rows, cols
     yield None
+
+
+def dense_max_ratio(sp, mapping):
+    """Reference for the tiled certificate scan: both full |keys| x |keys|
+    tables, the ratio over the strict upper triangle, first maximum wins."""
+    keys = sorted(mapping)
+    n = len(keys)
+    if n < 2:
+        return 0.0, None, 0
+    src = sp.a[keys]
+    dst = sp.a[[mapping[i] for i in keys]]
+    iu = np.triu_indices(n, k=1)
+    with np.errstate(over="ignore"):
+        ratios = pairwise_distances(sp.metric, dst, dst)[iu] / pairwise_distances(sp.metric, src, src)[iu]
+    best = int(np.argmax(ratios))
+    return float(ratios[best]), (keys[int(iu[0][best])], keys[int(iu[1][best])]), len(ratios)
+
+
+def dense_proximal_subsets(sp, eps_prox):
+    """Reference for the tiled A x B scan: the full |A| x |B| table, cut at
+    its minimum plus eps_prox.  Returns (pair_distance, a0, b0, pairing) with
+    the pairing as a list of (B index, A partners) in ascending B order."""
+    table = pairwise_distances(sp.metric, sp.a, sp.b)
+    dist = float(table.min())
+    near = table <= dist + eps_prox
+    b0 = np.flatnonzero(near.any(axis=0)).tolist()
+    pairing = [(j, tuple(np.flatnonzero(near[:, j]).tolist())) for j in b0]
+    return dist, tuple(np.flatnonzero(near.any(axis=1)).tolist()), tuple(b0), pairing
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import each_block_size
+from conftest import dense_max_ratio, each_block_size
 
 from bestprox.engine import _max_ratio
 from bestprox import (
@@ -32,7 +32,6 @@ from bestprox import (
     make_instance,
     matrix_metric,
     paired_distances,
-    pairwise_distances,
     proximal_subsets,
     verify_result,
 )
@@ -60,22 +59,6 @@ def defining_defect(induced) -> float:
     images = sp.b[[induced.t_map.image[i] for i in induced.table]]
     d = paired_distances(sp.metric, partners, images)
     return float(np.abs(d - geom.pair_distance).max(initial=0.0))
-
-
-def dense_max_ratio(sp, mapping):
-    """Reference for the row-blocked certificate scan: both full |keys| x |keys|
-    tables, the ratio over the strict upper triangle, first maximum wins."""
-    keys = sorted(mapping)
-    n = len(keys)
-    if n < 2:
-        return 0.0, None, 0
-    src = sp.a[keys]
-    dst = sp.a[[mapping[i] for i in keys]]
-    iu = np.triu_indices(n, k=1)
-    with np.errstate(over="ignore"):
-        ratios = pairwise_distances(sp.metric, dst, dst)[iu] / pairwise_distances(sp.metric, src, src)[iu]
-    best = int(np.argmax(ratios))
-    return float(ratios[best]), (keys[int(iu[0][best])], keys[int(iu[1][best])]), len(ratios)
 
 
 # --- induced-map construction -------------------------------------------------
