@@ -178,7 +178,7 @@ def cmd_solve(args) -> int:
         for label, res in results.items()
     }
 
-    if not assessment.hypotheses_ok:
+    if not assessment.passed:
         code = EXIT_HYPOTHESIS
     elif failures or not results or traces_equal is False:
         code = EXIT_NO_CONVERGENCE
@@ -223,7 +223,7 @@ def cmd_solve(args) -> int:
 def cmd_certify(args) -> int:
     inst = _load(args)
     assessment = assess_instance(inst, wide=args.wide)
-    code = EXIT_OK if assessment.hypotheses_ok else EXIT_HYPOTHESIS
+    code = EXIT_OK if assessment.passed else EXIT_HYPOTHESIS
     payload = assessment_payload(inst, assessment)
     payload.update({"command": "certify", "instance": args.instance, "exit_code": code})
     lines = [f"instance: {args.instance}"]

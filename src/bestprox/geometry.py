@@ -12,8 +12,9 @@ minimum and keeps its entries within eps_prox of it, and the kept entries are
 cut at the final d(A,B) + eps_prox.  On euclidean spaces a tile is skipped
 when the axis-aligned boxes of its rows and columns lie farther apart than
 that running cut.  The bound is exact: the kernel's paired form adds the
-squared per-axis box gaps (spans, for an upper bound) in the cross table's
-order and rounding is monotone, so it brackets every entry bit for bit.
+squared per-axis box gaps (spans, for an upper bound) in the one in-order sum
+that builds the cross table, and rounding is monotone, so it brackets every
+entry bit for bit.
 Matrix spaces are not pruned.
 """
 
@@ -25,10 +26,12 @@ import numpy as np
 
 from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, frozen_array, paired_distances, pairwise_distances, table_indices
 
-# Bytes of float64 tables that one row block of a distance scan may hold.  The
-# kernel keeps up to nine (rows, width) arrays alive at d >= 8 and a scan a
-# few more, hence 12.  A block of a few MiB stays in cache: at d = 16 on a
-# 2-vCPU host, blocks of 64-128 rows ran twice as fast as blocks of 1024 rows.
+# Bytes of float64 tables that one row block of a distance scan may hold,
+# counted as 12 (rows, width) tables.  The kernel keeps two alive (its sum and
+# one scratch buffer) and a scan a few more, so 12 overstates a block; it is
+# kept so that block and tile shapes are those measured.  A block of a few MiB
+# stays in cache: at d = 16 on a 2-vCPU host, blocks of 64-128 rows ran twice
+# as fast as blocks of 1024 rows.
 _BLOCK_BYTES = 4 << 20
 _BLOCK_ARRAYS = 12
 # Cap on the rows of one block; the tests lower it to force many blocks.

@@ -9,10 +9,11 @@ Two space kinds are supported:
 
 Every distance in the package comes from one kernel: :func:`pairwise_distances`
 (the cross table d(p_i, q_j)) and :func:`paired_distances` (d(p_i, q_i) row by
-row), and :func:`distance` is the one-pair case of the paired form.  The cross
-table adds the squared differences one axis at a time, never building a
-(rows, cols, d) tensor, in the order in which numpy sums the paired form's
-last axis.  A value is therefore bitwise the same whichever form computed it.
+row), and :func:`distance` is the one-pair case of the paired form.  On
+coordinate spaces both forms are one in-order sum, computed by one function:
+the squared differences are added one axis at a time, in axis order, never
+building a (rows, cols, d) tensor.  A value is therefore bitwise the same
+whichever form computed it, whatever order numpy's own reductions use.
 
 Everything here is immutable after construction and every function is pure,
 so concurrent read-only use is safe.
@@ -100,43 +101,25 @@ def as_point(p) -> Point:
     return tuple(value) if isinstance(value, list) else value
 
 
-def _sum_squares(at: np.ndarray, bt: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The (rows, cols) table of the sums of (a_k - b_k)^2 over axes lo <= k < hi.
-
-    ``at`` and ``bt`` hold the coordinates as (d, rows) and (d, cols).  Terms
-    are added as numpy's pairwise sum adds a contiguous axis: below 8 terms in
-    order; up to 128 in eight lanes, combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the tail in order; above 128 as two halves split at a multiple of 8.
-    """
-    n = hi - lo
-    if n > 128:
-        mid = lo + n // 2 - n // 2 % 8
-        left = _sum_squares(at, bt, lo, mid)
-        return np.add(left, _sum_squares(at, bt, mid, hi), out=left)
-    scratch = np.empty((at.shape[1], bt.shape[1]))
-
-    def square(k: int, out: np.ndarray) -> np.ndarray:
-        return np.square(np.subtract(at[k][:, None], bt[k], out=out), out=out)
-
-    # Lane j sums the terms lo + j, lo + j + lanes, ... before the tail.
-    lanes = 8 if n >= 8 else 1
-    acc = [square(k, np.empty_like(scratch)) for k in range(lo, lo + min(n, lanes))] or [np.zeros_like(scratch)]
-    tail = hi - n % lanes
-    for k in range(lo + lanes, tail):
-        acc[(k - lo) % lanes] += square(k, scratch)
-    for x, y in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)) if lanes == 8 else ():
-        acc[x] += acc[y]
-    for k in range(tail, hi):
-        acc[0] += square(k, scratch)
-    return acc[0]
-
-
-def _coordinates(ps, qs) -> tuple[np.ndarray, np.ndarray]:
+def _euclidean(ps, qs, cross: bool) -> np.ndarray:
+    """d(p_i, q_j) as a (rows, cols) table when ``cross``, else d(p_i, q_i)
+    as an (n,) vector: the squared per-axis differences are added in axis
+    order into one accumulator, through one scratch buffer of its shape."""
     a = np.asarray(ps, dtype=float)
     b = np.asarray(qs, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: point arrays of shapes {a.shape} and {b.shape}")
-    return a, b
+    # at[k] is axis k of ``a``; for a cross table it is a column, broadcast
+    # against the row b.T[k].
+    at = a.T[:, :, None] if cross else a.T
+    acc = np.zeros((len(a), len(b)) if cross else len(a))
+    scratch = np.empty_like(acc) if len(at) > 1 else None
+    for k, bk in enumerate(b.T):
+        out = scratch if k else acc
+        np.square(np.subtract(at[k], bk, out=out), out=out)
+        if k:
+            acc += out
+    return np.sqrt(acc, out=acc)
 
 
 def table_indices(metric: Metric, ps) -> np.ndarray:
@@ -153,19 +136,17 @@ def table_indices(metric: Metric, ps) -> np.ndarray:
 def pairwise_distances(metric: Metric, ps: Sequence, qs: Sequence) -> np.ndarray:
     """Dense |ps| x |qs| table of d(p_i, q_j)."""
     if metric.kind == EUCLIDEAN:
-        a, b = _coordinates(ps, qs)
-        table = _sum_squares(a.T.copy(), b.T.copy(), 0, a.shape[1])
-        return np.sqrt(table, out=table)
+        return _euclidean(ps, qs, cross=True)
     return metric.matrix[np.ix_(table_indices(metric, ps), table_indices(metric, qs))]
 
 
 def paired_distances(metric: Metric, ps: Sequence, qs: Sequence) -> np.ndarray:
-    """d(p_i, q_i) for each i; bitwise equal to the matching cross-table entry."""
+    """d(p_i, q_i) for each i: the cross table's one in-order sum, so bitwise
+    equal to the matching cross-table entry."""
     if len(ps) != len(qs):
         raise ValueError(f"paired distances need equal counts, got {len(ps)} and {len(qs)}")
     if metric.kind == EUCLIDEAN:
-        diff = np.subtract(*_coordinates(ps, qs))
-        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1))
+        return _euclidean(ps, qs, cross=False)
     return metric.matrix[table_indices(metric, ps), table_indices(metric, qs)]
 
 

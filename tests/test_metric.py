@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -189,23 +190,40 @@ def test_scalar_and_vectorized_paths_agree_bitwise(pqr):
     assert paired_distances(m, [p, r], [q, p]).tolist() == [table[0, 0], table[1, 1]]
 
 
-def test_cross_table_is_bitwise_the_numpy_sum_reference():
-    # The per-axis kernel must add the squares in the order numpy's sum
-    # reduces a contiguous axis (in order below 8 terms, eight accumulators up
-    # to 128, halves above).  If a numpy release changes that order, this
-    # fails instead of reports changing unseen.  Magnitudes spread over six
-    # decades, so any other order rounds differently somewhere.
+def test_cross_table_is_bitwise_the_in_order_sum_reference():
+    # Both forms must add the squares in axis order, one accumulator for the
+    # whole sum.  Magnitudes spread over six decades, so any other order
+    # (numpy's pairwise sum splits into eight lanes from d = 8 and into halves
+    # above d = 128) rounds differently somewhere.
     rng = np.random.default_rng(7)
     m = euclidean_metric()
-    for d in range(1, 201):
+    for d in [*range(1, 201), 257, 600, 1100]:
         a = rng.standard_normal((5, d)) * 10.0 ** rng.uniform(-3, 3, (5, d))
         b = rng.standard_normal((4, d)) * 10.0 ** rng.uniform(-3, 3, (4, d))
         diff = a[:, None, :] - b[None, :, :]
-        reference = np.sqrt((diff * diff).sum(axis=-1))
+        acc = np.zeros((5, 4))
+        for k in range(d):
+            acc = acc + diff[..., k] * diff[..., k]
+        reference = np.sqrt(acc)
         table = pairwise_distances(m, a, b)
         paired = paired_distances(m, np.repeat(a, 4, axis=0), np.tile(b, (5, 1))).reshape(5, 4)
         assert table.tobytes() == reference.tobytes(), d
         assert paired.tobytes() == reference.tobytes(), d
+
+
+@pytest.mark.parametrize("d", [3, 8, 16, 64, 200])
+def test_cross_table_holds_two_tables_beyond_its_inputs(d):
+    # The kernel keeps its sum and one scratch buffer, both (rows, cols).
+    rng = np.random.default_rng(d)
+    a, b = rng.standard_normal((200, d)), rng.standard_normal((300, d))
+    tracemalloc.start()
+    try:
+        table = pairwise_distances(euclidean_metric(), a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (200, 300)
+    assert peak < 2.5 * table.nbytes, peak / table.nbytes
 
 
 def test_cross_table_of_empty_sides():
