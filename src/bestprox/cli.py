@@ -73,28 +73,32 @@ def _max_iter(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = _Parser(add_help=False)
-    shared.add_argument("--format", choices=("text", "json"), default="text")
-    shared.add_argument("--tol", type=_flag(partial(checked_tolerance, "tol")), default=None, help="convergence tolerance (default 1e-9)")
-    shared.add_argument("--max-iter", type=_flag(_max_iter), default=None, help="iteration budget (default 10000)")
-    shared.add_argument("--eps-prox", type=_flag(partial(checked_tolerance, "eps_prox")), default=None, help="override the instance proximity tolerance")
+    # Each subcommand takes only the flags it reads: --format everywhere,
+    # --eps-prox where an instance is loaded, --tol where it is reported.
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    eps = _Parser(add_help=False, parents=[fmt])
+    eps.add_argument("--eps-prox", type=_flag(partial(checked_tolerance, "eps_prox")), default=None, help="override the instance proximity tolerance")
+    tol = _Parser(add_help=False, parents=[eps])
+    tol.add_argument("--tol", type=_flag(partial(checked_tolerance, "tol")), default=None, help="convergence tolerance (default 1e-9)")
 
     parser = _Parser(prog="bestprox", description="Best proximity point solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[shared], help="run the fixed-point iteration")
+    p_solve = sub.add_parser("solve", parents=[tol], help="run the fixed-point iteration")
     p_solve.add_argument("instance")
+    p_solve.add_argument("--max-iter", type=_flag(_max_iter), default=DEFAULT_MAX_ITER, help="iteration budget (default 10000)")
     p_solve.add_argument("--method", choices=("induced", "direct", "both"), default="both")
     p_solve.add_argument("--start-index", type=int, default=None, help="position in A to start from (default: first point of A0)")
 
-    p_cert = sub.add_parser("certify", parents=[shared], help="check hypotheses and measure alpha; never iterates")
+    p_cert = sub.add_parser("certify", parents=[tol], help="check hypotheses and measure alpha; never iterates")
     p_cert.add_argument("instance")
     p_cert.add_argument("--wide", action="store_true", help="scan all of A, not only A0")
 
-    p_oracle = sub.add_parser("oracle", parents=[shared], help="brute-force minimize d(x, T(x)) over A")
+    p_oracle = sub.add_parser("oracle", parents=[eps], help="brute-force minimize d(x, T(x)) over A")
     p_oracle.add_argument("instance")
 
-    p_gen = sub.add_parser("generate", parents=[shared], help="write a solvable random instance")
+    p_gen = sub.add_parser("generate", parents=[fmt], help="write a solvable random instance")
     p_gen.add_argument("out_path")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--alpha", type=float, default=0.5)
@@ -109,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Instance:
     inst = load_instance(args.instance)
-    return inst.with_tolerances(args.eps_prox, args.tol)
+    return inst.with_tolerances(args.eps_prox, getattr(args, "tol", None))
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -121,8 +125,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def cmd_solve(args) -> int:
     inst = _load(args)
-    tol = inst.tol
-    max_iter = args.max_iter if args.max_iter is not None else DEFAULT_MAX_ITER
+    tol, max_iter = inst.tol, args.max_iter
     assessment = assess_instance(inst)
     geom = assessment.geometry
 
@@ -131,7 +134,7 @@ def cmd_solve(args) -> int:
             raise _UsageError(f"--start-index {args.start_index} outside A (size {len(inst.pair.a)})")
         start = args.start_index
     else:
-        start = geom.a0[0]
+        start = int(geom.a0[0])
 
     results = {}
     failures = {}

@@ -129,11 +129,12 @@ class ProximityMap:
 
 @dataclass(frozen=True)
 class InducedMap:
-    """The self-map of A0 sending x to the unique proximal partner of T(x)."""
+    """The self-map S of A0 sending x to the unique proximal partner of T(x),
+    read off the partner classes of T over A: S(x) = ``classes.table[x]``."""
 
     geometry: PairGeometry
     t_map: ProximityMap
-    table: dict[int, int]
+    classes: PartnerClasses
 
 
 @dataclass(frozen=True)
@@ -173,36 +174,27 @@ class BestProximityResult:
     guaranteed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartnerClasses:
-    """The points of a scope sorted by how many proximal partners T(x) has.
-
-    ``table`` maps each point with exactly one partner to it, ``missing``
-    lists the points whose image has none (T(x) is outside B0), and
-    ``ambiguous`` maps each point with several partners to all of them.
-    Every collection is in ascending order of x.
+    """How many proximal partners T(x) has, for every x in A, as read-only
+    int64 arrays over A: ``count[x]`` is their number (0 when T(x) is outside
+    B0), and ``table[x]`` the partner where there is exactly one, else -1.
+    The view of a scope such as A0 is both arrays indexed by it.
     """
 
-    table: dict[int, int]
-    missing: tuple[int, ...]
-    ambiguous: dict[int, tuple[int, ...]]
+    count: np.ndarray
+    table: np.ndarray
 
 
-def classify_partners(geom: PairGeometry, t_map: ProximityMap, *, wide: bool = False) -> PartnerClasses:
-    """Look up the proximal partners of T(x) for each x in A0 (all of A if ``wide``)."""
+def classify_partners(geom: PairGeometry, t_map: ProximityMap) -> PartnerClasses:
+    """Count the proximal partners of T(x) for all x in A, in one pass."""
     t_map.validate(geom.pair)
-    table: dict[int, int] = {}
-    missing: list[int] = []
-    ambiguous: dict[int, tuple[int, ...]] = {}
-    for i in range(len(geom.pair.a)) if wide else geom.a0:
-        partners = geom.partners_in_a(int(t_map.image[i]))
-        if len(partners) == 1:
-            table[i] = partners[0]
-        elif partners:
-            ambiguous[i] = partners
-        else:
-            missing.append(i)
-    return PartnerClasses(table, tuple(missing), ambiguous)
+    first = geom.offsets[t_map.image]
+    count = geom.offsets[t_map.image + 1] - first
+    # An empty group at the end starts at len(partners); np.where drops it.
+    table = np.where(count == 1, geom.partners.take(first, mode="clip"), -1)
+    count.flags.writeable = table.flags.writeable = False
+    return PartnerClasses(count, table)
 
 
 def _unique_partner(i: int, img: int, partners: tuple[int, ...]) -> int:
@@ -222,24 +214,25 @@ def build_induced_map(geom: PairGeometry, t_map: ProximityMap) -> InducedMap:
     :class:`NonUniquePartner` on ambiguity.
     """
     classes = classify_partners(geom, t_map)
-    first = min([*classes.missing, *classes.ambiguous], default=None)
-    if first is not None:
-        _unique_partner(first, int(t_map.image[first]), classes.ambiguous.get(first, ()))
-    return InducedMap(geometry=geom, t_map=t_map, table=classes.table)
+    failing = geom.a0[classes.count[geom.a0] != 1]
+    if len(failing):
+        img = int(t_map.image[failing[0]])
+        _unique_partner(int(failing[0]), img, geom.partners_in_a(img))
+    return InducedMap(geometry=geom, t_map=t_map, classes=classes)
 
 
-def _max_ratio(sp: SetPair, mapping: dict[int, int]):
-    """Max of d(S(x1), S(x2)) / d(x1, x2) over distinct keys of ``mapping``.
+def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
+    """Max of d(S(x1), S(x2)) / d(x1, x2) over distinct x1, x2 of the
+    ascending ``keys``, where S(x) = ``table[x]``.
 
     Returns (alpha_hat, witness, pair_count).  The scan is exact; ties pick
     the first pair in lexicographic key order.
     """
-    keys = sorted(mapping)
     n = len(keys)
     if n < 2:
         return 0.0, None, 0
     src = sp.a[keys]
-    dst = sp.a[[mapping[i] for i in keys]]
+    dst = sp.a[table[keys]]
     best, witness = -math.inf, None
 
     def skip(lower, upper):
@@ -261,7 +254,7 @@ def _max_ratio(sp: SetPair, mapping: dict[int, int]):
             best, witness = float(ratios[r, c]), (lo + r, clo + c)
 
     scan_tiles(sp.metric, [(dst, dst), (src, src)], visit, skip, triangle=True)
-    return best, (keys[witness[0]], keys[witness[1]]), n * (n - 1) // 2
+    return best, (int(keys[witness[0]]), int(keys[witness[1]])), n * (n - 1) // 2
 
 
 def certify_contraction(induced: InducedMap, *, wide: bool = False) -> ContractionCertificate:
@@ -273,24 +266,25 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
     yields an infinite ratio (the partners disagree at zero cost), matching
     the fact that ambiguity already falsifies the contraction property.
     """
-    sp = induced.geometry.pair
+    sp, a0 = induced.geometry.pair, induced.geometry.a0
+    count, table = induced.classes.count, induced.classes.table
     if not wide:
-        alpha, witness, pairs = _max_ratio(sp, induced.table)
+        alpha, witness, pairs = _max_ratio(sp, a0[count[a0] == 1], table)
         verdict = CONTRACTION if alpha < 1.0 else NOT_CONTRACTION
         return ContractionCertificate(alpha, witness, pairs, verdict, scope="a0")
 
-    classes = classify_partners(induced.geometry, induced.t_map, wide=True)
-    if classes.ambiguous:
+    partnered = np.flatnonzero(count)
+    sizes = count[partnered]
+    if (sizes > 1).any():
         # The pairwise scan in lexicographic order stops at the first point
         # with several partners, at position k among the partnered points,
         # having counted one ratio per partner of the point at position j
         # for each of the min(j, k) earlier points.
-        first = min(classes.ambiguous)
-        idxs = sorted([*classes.table, *classes.ambiguous])
-        sizes = np.array([len(classes.ambiguous[i]) if i in classes.ambiguous else 1 for i in idxs])
-        pairs = int(sizes @ np.minimum(np.arange(len(idxs)), idxs.index(first)))
+        k = int(np.argmax(sizes > 1))
+        pairs = int(sizes @ np.minimum(np.arange(len(sizes)), k))
+        first = int(partnered[k])
         return ContractionCertificate(math.inf, (first, first), pairs, NOT_CONTRACTION, scope="full")
-    alpha, witness, pairs = _max_ratio(sp, classes.table)
+    alpha, witness, pairs = _max_ratio(sp, partnered, table)
     if not alpha > 0.0:
         witness = None  # no ratio beats the scan's initial 0.0
     verdict = CONTRACTION if alpha < 1.0 else NOT_CONTRACTION
@@ -313,7 +307,7 @@ def _resolve_start(geom: PairGeometry, x0) -> int:
         if not len(hits):
             raise ValueError(f"start point {as_point(probe)!r} is not a point of A")
         idx = int(hits[0])
-    if idx not in set(geom.a0):
+    if idx not in geom.a0:
         raise StartNotInA0(as_point(sp.a[idx]))
     return idx
 
@@ -409,7 +403,7 @@ def banach_iterate(
     start = _resolve_start(geom, x0)
     cert = certificate if certificate is not None else certify_contraction(induced)
     return _iterate(
-        geom, induced.t_map, lambda i: induced.table[i], start, cert.alpha_hat, tol, max_iter
+        geom, induced.t_map, lambda i: int(induced.classes.table[i]), start, cert.alpha_hat, tol, max_iter
     )
 
 
@@ -477,6 +471,7 @@ def verify_result(
         ),
     ]
     if induced is not None:
-        fixed = induced.table.get(z) == z
-        checks.append(Check("fixed-point", fixed, f"S(z) = A[{induced.table.get(z)}]"))
+        image = int(induced.classes.table[z])
+        s_z = image if image >= 0 and z in induced.geometry.a0 else None  # S is defined on A0 only
+        checks.append(Check("fixed-point", s_z == z, f"S(z) = A[{s_z}]"))
     return Checklist(tuple(checks))

@@ -151,26 +151,29 @@ def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:
         raise DuplicatePointError(side, i, j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairGeometry:
     """d(A,B) together with A0, B0 and the proximal-pairing relation.
 
-    Indices refer to positions in ``pair.a`` / ``pair.b``.  The relation is
-    stored once, by its B side: ``reverse_pairing`` maps each y in B0 to the
-    points of A, in ascending order, within eps_prox of realizing d(A,B)
-    with y (its proximal partners).
+    Indices refer to positions in ``pair.a`` / ``pair.b``, held in read-only
+    int64 arrays: ``a0`` and ``b0`` ascending, and the relation stored once,
+    by its B side, in compressed rows: the proximal partners of B[j], the
+    points of A within eps_prox of realizing d(A,B) with it, are
+    ``partners[offsets[j]:offsets[j + 1]]`` in ascending order (none when j
+    is outside B0), so ``offsets`` has |B| + 1 entries.
     """
 
     pair: SetPair
     pair_distance: float
-    a0: tuple[int, ...]
-    b0: tuple[int, ...]
-    reverse_pairing: dict[int, tuple[int, ...]] = field(repr=False)
+    a0: np.ndarray
+    b0: np.ndarray
+    partners: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     eps_prox: float = 0.0
 
     def partners_in_a(self, b_index: int) -> tuple[int, ...]:
         """Indices in A of the proximal partners of B[b_index]."""
-        return self.reverse_pairing.get(b_index, ())
+        return tuple(self.partners[self.offsets[b_index] : self.offsets[b_index + 1]].tolist())
 
 
 def row_blocks(n: int, width: int):
@@ -241,18 +244,13 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
     rows, cols = np.concatenate(rows)[keep], np.concatenate(cols)[keep]
     # Within each column the hits come in ascending row order, so a stable
     # sort by B index keeps the partners of each B point in ascending A order.
-    order = np.argsort(cols, kind="stable")
-    b0, starts = np.unique(cols[order], return_index=True)
-    groups = np.split(rows[order], starts[1:])
-    return PairGeometry(
-        pair=sp,
-        pair_distance=dist,
-        # bincount, not np.unique, which imports numpy.ma on first use.
-        a0=tuple(np.flatnonzero(np.bincount(rows, minlength=len(sp.a))).tolist()),
-        b0=tuple(b0.tolist()),
-        reverse_pairing={j: tuple(g.tolist()) for j, g in zip(b0.tolist(), groups)},
-        eps_prox=eps_prox,
-    )
+    sizes = np.bincount(cols, minlength=len(sp.b))
+    a0 = np.flatnonzero(np.bincount(rows, minlength=len(sp.a)))
+    b0, partners = np.flatnonzero(sizes), rows[np.argsort(cols, kind="stable")]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for arr in (a0, b0, partners, offsets):
+        arr.flags.writeable = False
+    return PairGeometry(sp, dist, a0, b0, partners, offsets, eps_prox)
 
 
 def check_approximative_compactness(sp: SetPair) -> Check:

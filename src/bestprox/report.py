@@ -77,35 +77,38 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
         check_approximative_compactness(sp),
         Check(
             "nonempty-A0-B0",
-            bool(geom.a0) and bool(geom.b0),
+            len(geom.a0) > 0 and len(geom.b0) > 0,
             f"|A0| = {len(geom.a0)}, |B0| = {len(geom.b0)} at eps_prox = {geom.eps_prox}",
         ),
     ]
 
     classes = classify_partners(geom, inst.t_map)
-    if classes.missing:
-        i = classes.missing[0]
+    count = classes.count[geom.a0]
+    missing, ambiguous = geom.a0[count == 0], geom.a0[count > 1]
+    if len(missing):
+        i = int(missing[0])
         subset = (
             False,
             f"image of A[{i}] (= B[{inst.t_map.image[i]}]) has no proximal partner in A; "
-            f"{len(classes.missing)} of {len(geom.a0)} images unpartnered",
+            f"{len(missing)} of {len(geom.a0)} images unpartnered",
             (i, int(inst.t_map.image[i])),
         )
     else:
         subset = (True, f"all {len(geom.a0)} images of A0 have proximal partners")
     rows.append(Check("T(A0)-subset-B0", *subset))
 
-    single = InducedMap(geom, inst.t_map, classes.table)
+    single = InducedMap(geom, inst.t_map, classes)
     a0_certificate = cache(partial(certify_contraction, single))
     induced = None
     certificate = None
-    if not classes.missing and not classes.ambiguous:
+    if not len(missing) and not len(ambiguous):
         induced = single
         certificate = certify_contraction(induced, wide=True) if wide else a0_certificate()
 
     declared_ok: bool | None = None
-    if classes.ambiguous:
-        i, partners = next(iter(classes.ambiguous.items()))
+    if len(ambiguous):
+        i = int(ambiguous[0])
+        partners = geom.partners_in_a(int(inst.t_map.image[i]))
         contraction = (
             False,
             f"non-unique proximal partner: image of A[{i}] pairs with A indices "
@@ -165,8 +168,8 @@ def assessment_payload(inst: Instance, assessment: InstanceAssessment) -> dict:
         "pair_distance": geom.pair_distance,
         "a0_size": len(geom.a0),
         "b0_size": len(geom.b0),
-        "a0": list(geom.a0),
-        "b0": list(geom.b0),
+        "a0": geom.a0.tolist(),
+        "b0": geom.b0.tolist(),
         "eps_prox": inst.eps_prox,
         "tol": inst.tol,
         "checks": [

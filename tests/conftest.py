@@ -12,7 +12,21 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bestprox import EUCLIDEAN, Metric, geometry, make_instance, matrix_metric, pairwise_distances
+from bestprox import (
+    EUCLIDEAN,
+    InducedMap,
+    Metric,
+    PartnerClasses,
+    ProximityMap,
+    SetPair,
+    classify_partners,
+    euclidean_metric,
+    geometry,
+    make_instance,
+    matrix_metric,
+    pairwise_distances,
+    proximal_subsets,
+)
 
 
 def each_block_size():
@@ -41,6 +55,39 @@ def dense_max_ratio(sp, mapping):
         ratios = pairwise_distances(sp.metric, dst, dst)[iu] / pairwise_distances(sp.metric, src, src)[iu]
     best = int(np.argmax(ratios))
     return float(ratios[best]), (keys[int(iu[0][best])], keys[int(iu[1][best])]), len(ratios)
+
+
+def scope_map(induced, keys=None):
+    """S as the dict {x: table[x]} over ``keys`` (default A0), the form the
+    dense references take."""
+    keys = induced.geometry.a0 if keys is None else keys
+    return dict(zip(keys.tolist(), induced.classes.table[keys].tolist()))
+
+
+def with_self_map(geom, t_map, mapping):
+    """The partner classes of T over A, with S on A0 replaced by ``mapping``
+    (a dict over A0): one partner, mapping[x], at each x in A0."""
+    classes = classify_partners(geom, t_map)
+    count, table = classes.count.copy(), classes.table.copy()
+    count[geom.a0] = 1
+    table[geom.a0] = [mapping[x] for x in geom.a0.tolist()]
+    return InducedMap(geom, t_map, PartnerClasses(count, table))
+
+
+def tie_heavy_case(kind, rng):
+    """Disjoint A and B drawn from a 5 x 5 integer grid, euclidean or as a
+    taxicab table, with a random T and eps_prox, so that many distances tie.
+    Returns the geometry and T."""
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    pts = rng.sample(grid, rng.randint(4, 18))
+    cut = rng.randint(2, len(pts) - 1)
+    if kind == "grid":
+        sp = SetPair(euclidean_metric(), pts[:cut], pts[cut:])
+    else:
+        table = [[float(abs(p[0] - q[0]) + abs(p[1] - q[1])) for q in pts] for p in pts]
+        sp = SetPair(matrix_metric(table), list(range(cut)), list(range(cut, len(pts))))
+    t_map = ProximityMap(tuple(rng.randrange(len(pts) - cut) for _ in range(cut)))
+    return proximal_subsets(sp, rng.choice([0.0, 1.0, 1.5, 10.0])), t_map
 
 
 def dense_proximal_subsets(sp, eps_prox):

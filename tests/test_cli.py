@@ -230,7 +230,7 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         ("solve", "--tol", "nan"),
         ("solve", "--eps-prox", "nan"),
         ("certify", "--eps-prox", "inf"),
-        ("oracle", "--tol", "0"),
+        ("oracle", "--eps-prox", "-1"),
     ):
         code, _, err = run(capsys, command, path, flag, value)
         assert code == 1, (command, flag, value)
@@ -247,6 +247,24 @@ def test_usage_errors_exit_1(capsys, tmp_path):
         code, _, err = run(capsys, "generate", out)
         assert code == 1, out
         assert f"cannot write {out}" in err
+
+
+def test_each_command_refuses_flags_it_does_not_read(tmp_path, capsys):
+    path = str(tmp_path / "x.json")
+    run(capsys, "generate", path)
+    fresh = str(tmp_path / "fresh.json")
+    for command, target, flag, value in (
+        ("generate", fresh, "--tol", "1e-3"),
+        ("generate", fresh, "--max-iter", "5"),
+        ("generate", fresh, "--eps-prox", "0"),
+        ("oracle", path, "--tol", "1e-3"),
+        ("oracle", path, "--max-iter", "5"),
+        ("certify", path, "--max-iter", "5"),
+    ):
+        code, out, err = run(capsys, command, target, flag, value)
+        assert (code, out) == (1, ""), (command, flag)
+        assert f"unrecognized arguments: {flag} {value}" in err, (command, flag)
+    assert not os.path.exists(fresh)
 
 
 def test_start_index_validation(tmp_path, capsys, narrow_a0_instance):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_max_ratio, each_block_size
+from conftest import dense_max_ratio, each_block_size, scope_map, tie_heavy_case, with_self_map
 
 from bestprox.engine import _max_ratio
 from bestprox import (
@@ -55,8 +55,8 @@ def defining_defect(induced) -> float:
     """Reference: max over A0 of | d(S(x), T(x)) - d(A,B) |, the induced-map residual."""
     geom = induced.geometry
     sp = geom.pair
-    partners = sp.a[list(induced.table.values())]
-    images = sp.b[[induced.t_map.image[i] for i in induced.table]]
+    partners = sp.a[induced.classes.table[geom.a0]]
+    images = sp.b[induced.t_map.image[geom.a0]]
     d = paired_distances(sp.metric, partners, images)
     return float(np.abs(d - geom.pair_distance).max(initial=0.0))
 
@@ -66,14 +66,14 @@ def defining_defect(induced) -> float:
 
 def test_build_induced_map_geometric(geometric_instance):
     induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
-    assert induced.table == {0: 0, 1: 0, 2: 1}
+    assert scope_map(induced) == {0: 0, 1: 0, 2: 1}
     assert defining_defect(induced) == 0.0
 
 
 def test_build_induced_map_boundary(boundary_instance):
     induced = build_induced_map(geom_of(boundary_instance), boundary_instance.t_map)
     # rung-down: (0,1) -> (0,1/2) -> (0,0) -> (0,0)
-    assert induced.table == {0: 0, 1: 0, 2: 1}
+    assert scope_map(induced) == {0: 0, 1: 0, 2: 1}
 
 
 def test_build_halving_raises_hypothesis_violation(halving_instance):
@@ -94,7 +94,7 @@ def test_build_nonunique_raises_with_both_witnesses(nonunique_instance):
 
 def test_certify_geometric_is_one_third(geometric_instance):
     induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
-    oracle_alpha, oracle_witness = brute_alpha(geometric_instance.pair.a, induced.table)
+    oracle_alpha, oracle_witness = brute_alpha(geometric_instance.pair.a, scope_map(induced))
     assert oracle_alpha == 0.25 / 0.75  # ratios {1/3, 1/4, 0}
 
     cert = certify_contraction(induced)
@@ -106,7 +106,7 @@ def test_certify_geometric_is_one_third(geometric_instance):
 
 def test_certify_boundary_ratio_exactly_one(boundary_instance):
     induced = build_induced_map(geom_of(boundary_instance), boundary_instance.t_map)
-    oracle_alpha, oracle_witness = brute_alpha(boundary_instance.pair.a, induced.table)
+    oracle_alpha, oracle_witness = brute_alpha(boundary_instance.pair.a, scope_map(induced))
     assert oracle_alpha == 1.0  # the halved rung moves as far as its preimages
 
     cert = certify_contraction(induced)
@@ -130,7 +130,7 @@ def test_certify_witness_reproduces_alpha(geometric_instance):
     cert = certify_contraction(induced)
     w1, w2 = cert.witness
     ratio = distance(
-        inst.metric, inst.pair.a[induced.table[w1]], inst.pair.a[induced.table[w2]]
+        inst.metric, inst.pair.a[induced.classes.table[w1]], inst.pair.a[induced.classes.table[w2]]
     ) / distance(inst.metric, inst.pair.a[w1], inst.pair.a[w2])
     assert abs(ratio - cert.alpha_hat) <= math.ulp(cert.alpha_hat)
 
@@ -162,10 +162,8 @@ def test_certify_wide_scope(boundary_instance, narrow_a0_instance):
 
 def test_certify_wide_flags_multi_partner_as_infinite(nonunique_instance):
     geom = geom_of(nonunique_instance)
-    # build the table by hand around the ambiguity to exercise the wide scan
-    from bestprox import InducedMap
-
-    induced = InducedMap(geometry=geom, t_map=nonunique_instance.t_map, table={0: 0, 1: 1})
+    # build_induced_map refuses the ambiguity, so wrap the classes by hand
+    induced = InducedMap(geom, nonunique_instance.t_map, classify_partners(geom, nonunique_instance.t_map))
     wide = certify_contraction(induced, wide=True)
     assert math.isinf(wide.alpha_hat)
     assert wide.verdict == NOT_CONTRACTION
@@ -196,40 +194,38 @@ def wide_scan(geom, t_map):
     return alpha, witness, pairs
 
 
+def grid_case(rng):
+    """A and B drawn independently from a 4 x 4 integer grid (they may share
+    points), with a random T and eps_prox.  Returns the geometry and T."""
+    grid = [(float(x), float(y)) for x in range(4) for y in range(4)]
+    a = rng.sample(grid, rng.randint(2, 9))
+    b = rng.sample(grid, rng.randint(1, 6))
+    sp = SetPair(euclidean_metric(), a, b)
+    t_map = ProximityMap(tuple(rng.randrange(len(b)) for _ in a))
+    return proximal_subsets(sp, rng.choice([0.0, 0.5, 1.5, 10.0])), t_map
+
+
 def test_certify_wide_matches_pairwise_scan():
-    outcomes = set()
-    for seed in range(60):
-        rng = random.Random(seed)
-        grid = [(float(x), float(y)) for x in range(4) for y in range(4)]
-        a = rng.sample(grid, rng.randint(2, 9))
-        b = rng.sample(grid, rng.randint(1, 6))
-        sp = SetPair(euclidean_metric(), a, b)
-        t_map = ProximityMap(tuple(rng.randrange(len(b)) for _ in a))
-        geom = proximal_subsets(sp, rng.choice([0.0, 0.5, 1.5, 10.0]))
-        table = {i: rng.choice(geom.a0) for i in geom.a0}
-        cert = certify_contraction(InducedMap(geom, t_map, table), wide=True)
-        expected = wide_scan(geom, t_map)
-        assert (cert.alpha_hat, cert.witness, cert.pair_count) == expected
-        outcomes.add((math.isinf(expected[0]), expected[1] is None))
-    assert outcomes == {(True, False), (False, False), (False, True)}
+    # Euclidean grids and taxicab tables; on each, every outcome occurs: an
+    # ambiguous image, a maximum ratio with its witness, and no ratio above 0.
+    for kind in ("grid", "matrix"):
+        outcomes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            geom, t_map = grid_case(rng) if kind == "grid" else tie_heavy_case(kind, rng)
+            cert = certify_contraction(InducedMap(geom, t_map, classify_partners(geom, t_map)), wide=True)
+            expected = wide_scan(geom, t_map)
+            assert (cert.alpha_hat, cert.witness, cert.pair_count) == expected, (kind, seed)
+            outcomes.add((math.isinf(expected[0]), expected[1] is None))
+        assert outcomes == {(True, False), (False, False), (False, True)}, kind
 
 
-def tie_heavy_case(kind, rng):
-    """Disjoint A and B drawn from a 5 x 5 integer grid, euclidean or as a
-    taxicab table, with T and a self-map of A0 onto at most three points, so
-    that many ratios tie (all of them are 0 when the self-map is constant)."""
-    grid = [(x, y) for x in range(5) for y in range(5)]
-    pts = rng.sample(grid, rng.randint(4, 18))
-    cut = rng.randint(2, len(pts) - 1)
-    if kind == "grid":
-        sp = SetPair(euclidean_metric(), pts[:cut], pts[cut:])
-    else:
-        table = [[float(abs(p[0] - q[0]) + abs(p[1] - q[1])) for q in pts] for p in pts]
-        sp = SetPair(matrix_metric(table), list(range(cut)), list(range(cut, len(pts))))
-    t_map = ProximityMap(tuple(rng.randrange(len(pts) - cut) for _ in range(cut)))
-    geom = proximal_subsets(sp, rng.choice([0.0, 1.0, 1.5, 10.0]))
-    targets = rng.sample(geom.a0, min(len(geom.a0), rng.randint(1, 3)))
-    return InducedMap(geom, t_map, {i: rng.choice(targets) for i in geom.a0})
+def tie_heavy_induced(kind, rng):
+    """A tie-heavy case whose S maps A0 onto at most three points of A0, so
+    that many ratios tie (all of them are 0 when S is constant)."""
+    geom, t_map = tie_heavy_case(kind, rng)
+    targets = rng.sample(geom.a0.tolist(), min(len(geom.a0), rng.randint(1, 3)))
+    return with_self_map(geom, t_map, {i: rng.choice(targets) for i in geom.a0.tolist()})
 
 
 @pytest.mark.parametrize("kind", ["grid", "matrix"])
@@ -237,18 +233,18 @@ def test_row_blocked_certificate_matches_dense_reference(kind):
     rng = random.Random(kind)
     seen = set()
     for _ in range(80):
-        induced = tie_heavy_case(kind, rng)
-        sp = induced.geometry.pair
-        wide = classify_partners(induced.geometry, induced.t_map, wide=True)
-        expected = {"a0": dense_max_ratio(sp, induced.table), "full": dense_max_ratio(sp, wide.table)}
+        induced = tie_heavy_induced(kind, rng)
+        sp, a0, count = induced.geometry.pair, induced.geometry.a0, induced.classes.count
+        keys = {"a0": a0, "full": np.flatnonzero(count)}
+        expected = {scope: dense_max_ratio(sp, scope_map(induced, keys[scope])) for scope in keys}
         if not expected["full"][0] > 0.0:
             expected["full"] = (expected["full"][0], None, expected["full"][2])
-        seen.add((len(induced.table) > 2, expected["a0"][0] == 0.0))
+        seen.add((len(a0) > 2, expected["a0"][0] == 0.0))
         for rows in each_block_size():
-            assert _max_ratio(sp, induced.table) == dense_max_ratio(sp, induced.table), rows
-            assert _max_ratio(sp, wide.table) == dense_max_ratio(sp, wide.table), rows
+            for k in keys.values():
+                assert _max_ratio(sp, k, induced.classes.table) == dense_max_ratio(sp, scope_map(induced, k)), rows
             for cert in (certify_contraction(induced), certify_contraction(induced, wide=True)):
-                if cert.scope == "full" and wide.ambiguous:
+                if cert.scope == "full" and count.max() > 1:
                     continue  # the ambiguity path scans nothing
                 assert (cert.alpha_hat, cert.witness, cert.pair_count) == expected[cert.scope], rows
     # Both tie shapes occur: all ratios 0 on many keys, and ties among nonzero ratios.
@@ -263,7 +259,7 @@ def test_certificate_memory_stays_within_the_block_budget():
     sp = SetPair(euclidean_metric(), [(0.0, float(k)) for k in range(n)], [(1.0, 0.0)])
     tracemalloc.start()
     try:
-        result = _max_ratio(sp, dict.fromkeys(range(n), 0))
+        result = _max_ratio(sp, np.arange(n), np.zeros(n, np.int64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -400,8 +396,10 @@ def test_direct_ignores_tampered_partner_table(geometric_instance):
     geom = geom_of(inst)
     alpha = certify_contraction(build_induced_map(geom, inst.t_map)).alpha_hat
     # T(A[2]) = B[1], whose true partner is A[1]; claim A[2] instead.
-    assert geom.reverse_pairing[1] == (1,)
-    tampered = dataclasses.replace(geom, reverse_pairing={**geom.reverse_pairing, 1: (2,)})
+    assert geom.partners_in_a(1) == (1,)
+    partners = geom.partners.copy()
+    partners[geom.offsets[1]] = 2
+    tampered = dataclasses.replace(geom, partners=partners)
     banach = banach_iterate(build_induced_map(tampered, inst.t_map), 2)
     direct = direct_iterate(tampered, inst.t_map, 2, alpha_hat=alpha)
     assert banach.trace.indices == (2, 2)
@@ -469,14 +467,16 @@ def test_map_validation_keeps_its_messages():
 
 
 def test_classify_partners_sorts_each_scope(halving_instance, nonunique_instance, narrow_a0_instance):
+    # Over all of A: A[1]'s image has no partner, then two, then one.
     halving = classify_partners(geom_of(halving_instance), halving_instance.t_map)
-    assert (halving.table, halving.missing, halving.ambiguous) == ({0: 0, 2: 1}, (1,), {})
+    assert (halving.count.tolist(), halving.table.tolist()) == ([1, 0, 1], [0, -1, 1])
     nonunique = classify_partners(geom_of(nonunique_instance), nonunique_instance.t_map)
-    assert (nonunique.table, nonunique.missing, nonunique.ambiguous) == ({}, (), {0: (0, 1), 1: (0, 1)})
+    assert (nonunique.count.tolist(), nonunique.table.tolist()) == ([2, 2], [-1, -1])
     narrow = geom_of(narrow_a0_instance)
-    assert classify_partners(narrow, narrow_a0_instance.t_map).table == {0: 0}
-    # A[1] lies outside A0, so only the wide scope sees it.
-    assert classify_partners(narrow, narrow_a0_instance.t_map, wide=True).table == {0: 0, 1: 0}
+    classes = classify_partners(narrow, narrow_a0_instance.t_map)
+    assert (classes.count.tolist(), classes.table.tolist()) == ([1, 1], [0, 0])
+    # A[1] lies outside A0, so the A0 view leaves it out.
+    assert classes.table[narrow.a0].tolist() == [0]
 
 
 def test_build_induced_map_raises_at_first_failing_point():
@@ -526,6 +526,23 @@ def test_verify_boundary_tolerance_is_inclusive(geometric_instance):
     assert report.passed  # residual == tol counts as within
 
 
+def test_verify_names_no_image_where_s_is_undefined(halving_instance, narrow_a0_instance):
+    # S is undefined at A[1] of the halving instance (its image has no
+    # partner) and at A[1] of the narrow one (outside A0, though its image
+    # has one partner); the fixed-point check then reads S(z) = A[None].
+    for inst in (halving_instance, narrow_a0_instance):
+        geom = geom_of(inst)
+        classes = classify_partners(geom, inst.t_map)
+        result = direct_iterate(geom, inst.t_map, 0, alpha_hat=0.0)
+        fake = dataclasses.replace(result, index=1, point=inst.pair.a[1])
+        check = verify_result(fake, geom, inst.t_map, induced=InducedMap(geom, inst.t_map, classes)).check("fixed-point")
+        assert (check.passed, check.detail) == (False, "S(z) = A[None]")
+    # Where S is defined the detail names its image.
+    induced = build_induced_map(geom_of(narrow_a0_instance), narrow_a0_instance.t_map)
+    result = banach_iterate(induced, 0)
+    assert verify_result(result, induced.geometry, narrow_a0_instance.t_map, induced=induced).check("fixed-point").detail == "S(z) = A[0]"
+
+
 # --- invariants on generated instances -------------------------------------------
 
 
@@ -544,8 +561,9 @@ def test_generated_instance_engine_invariants(seed, kind):
 
     # certified bound: no pair exceeds alpha_hat (it is the max), witness attains it
     pts = inst.pair.a
-    for x1, x2 in itertools.combinations(sorted(induced.table), 2):
-        num = distance(inst.metric, pts[induced.table[x1]], pts[induced.table[x2]])
+    table = scope_map(induced)
+    for x1, x2 in itertools.combinations(sorted(table), 2):
+        num = distance(inst.metric, pts[table[x1]], pts[table[x2]])
         den = distance(inst.metric, pts[x1], pts[x2])
         assert num <= cert.alpha_hat * den + 1e-15
 

@@ -130,7 +130,7 @@ def test_main_keeps_the_exit_code_contract(base, mutations, command, flags, json
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
-@given(target=st.sampled_from(["dir", "missing", "file"]), flags=st.lists(FLAG_VALUES.map(lambda v: ["--tol", v]), max_size=1))
+@given(target=st.sampled_from(["dir", "missing", "file"]), flags=st.lists(FLAG_VALUES.map(lambda v: ["--gap", v]), max_size=1))
 def test_generate_keeps_the_exit_code_contract(target, flags):
     with tempfile.TemporaryDirectory() as tmp:
         out = {"dir": tmp, "missing": os.path.join(tmp, "no", "such", "x.json"), "file": os.path.join(tmp, "x.json")}

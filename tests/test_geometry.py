@@ -1,11 +1,12 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from conftest import each_block_size
+from conftest import dense_proximal_subsets, each_block_size, tie_heavy_case
 from hypothesis import given, reject, settings
 
 from bestprox import geometry
@@ -13,6 +14,7 @@ from bestprox import (
     DuplicatePointError,
     SetPair,
     check_approximative_compactness,
+    classify_partners,
     default_eps_prox,
     distance,
     euclidean_metric,
@@ -56,8 +58,8 @@ def test_proximal_subsets_parallel_lines():
     a = [(0.0, t) for t in heights]
     b = [(1.0, t) for t in heights]
     geom = proximal_subsets(euclid_pair(a, b), 1e-9)
-    assert geom.a0 == (0, 1, 2)
-    assert geom.b0 == (0, 1, 2)
+    assert geom.a0.tolist() == [0, 1, 2]
+    assert geom.b0.tolist() == [0, 1, 2]
     # pairing matches equal second coordinates
     for j in geom.b0:
         assert geom.partners_in_a(j) == (j,)
@@ -66,16 +68,16 @@ def test_proximal_subsets_parallel_lines():
 def test_proximal_subsets_far_point_excluded(narrow_a0_instance):
     geom = proximal_subsets(narrow_a0_instance.pair, narrow_a0_instance.eps_prox)
     assert geom.pair_distance == 1.0  # (2,5) sits at sqrt(26)
-    assert geom.a0 == (0,)
-    assert geom.b0 == (0,)
+    assert geom.a0.tolist() == [0]
+    assert geom.b0.tolist() == [0]
 
 
 def test_proximal_subsets_huge_tolerance_takes_everything():
     a = [(0.0, 0.0), (0.0, 2.0)]
     b = [(1.0, 0.0), (5.0, 5.0)]
     geom = proximal_subsets(euclid_pair(a, b), eps_prox=100.0)
-    assert geom.a0 == (0, 1)
-    assert geom.b0 == (0, 1)
+    assert geom.a0.tolist() == [0, 1]
+    assert geom.b0.tolist() == [0, 1]
 
 
 def test_default_eps_depends_on_kind():
@@ -273,7 +275,7 @@ def test_shrinking_eps_never_enlarges_a0(sp, e1, e2):
 def test_pairing_structure(sp):
     for _ in each_block_size():
         geom = proximal_subsets(sp)
-        assert set(geom.reverse_pairing) == set(geom.b0)
+        assert [j for j in range(len(sp.b)) if geom.partners_in_a(j)] == geom.b0.tolist()
         partners = set(itertools.chain.from_iterable(geom.partners_in_a(j) for j in geom.b0))
         assert partners == set(geom.a0)
         # the relation is exactly the pairs within eps_prox of d(A,B), partners ascending
@@ -281,6 +283,31 @@ def test_pairing_structure(sp):
         for j, y in enumerate(sp.b):
             near = tuple(i for i, x in enumerate(sp.a) if distance(sp.metric, x, y) <= cut)
             assert geom.partners_in_a(j) == near
+
+
+@pytest.mark.parametrize("kind", ["grid", "matrix"])
+def test_partner_relation_matches_the_dense_reference(kind):
+    # The compressed rows hold every B index, those outside B0 (the last one
+    # among them) as empty groups, and the classes of T count, per point of A,
+    # the points of A at the cut from its image.
+    rng = random.Random(kind)
+    last_empty = set()
+    for _ in range(80):
+        geom, t_map = tie_heavy_case(kind, rng)
+        sp = geom.pair
+        dense = dict(dense_proximal_subsets(sp, geom.eps_prox)[3])
+        assert [geom.partners_in_a(j) for j in range(len(sp.b))] == [dense.get(j, ()) for j in range(len(sp.b))]
+        assert len(geom.offsets) == len(sp.b) + 1 and geom.offsets[-1] == len(geom.partners)
+        last_empty.add(len(sp.b) - 1 not in dense)
+        classes = classify_partners(geom, t_map)
+        for arr in (geom.a0, geom.b0, geom.partners, geom.offsets, classes.count, classes.table):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        cut = geom.pair_distance + geom.eps_prox
+        for x in range(len(sp.a)):
+            image = sp.b[t_map.image[x]]
+            near = [i for i in range(len(sp.a)) if distance(sp.metric, sp.a[i], image) <= cut]
+            assert (classes.count[x], classes.table[x]) == (len(near), near[0] if len(near) == 1 else -1), x
+    assert last_empty == {True, False}
 
 
 def test_running_cut_drops_early_near_ties():
@@ -294,9 +321,9 @@ def test_running_cut_drops_early_near_ties():
     for rows in each_block_size():
         geom = proximal_subsets(sp, 0.1)
         assert geom.pair_distance == 1.0, rows
-        assert geom.a0 == (2, 3)
-        assert geom.b0 == (1,)
-        assert geom.reverse_pairing == {1: (2, 3)}
+        assert geom.a0.tolist() == [2, 3]
+        assert geom.b0.tolist() == [1]
+        assert [geom.partners_in_a(j) for j in range(len(b))] == [(), (2, 3)]
 
 
 def test_row_blocks_are_sized_in_bytes():

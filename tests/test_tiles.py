@@ -10,18 +10,16 @@ import sys
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from conftest import dense_max_ratio, dense_proximal_subsets, each_block_size
+from conftest import dense_max_ratio, dense_proximal_subsets, each_block_size, scope_map, with_self_map
 from hypothesis import given, reject, settings
 
 from bestprox import geometry
 from bestprox.engine import _max_ratio
 from bestprox import (
     DuplicatePointError,
-    InducedMap,
     ProximityMap,
     SetPair,
     certify_contraction,
-    classify_partners,
     euclidean_metric,
     matrix_metric,
     pairwise_distances,
@@ -96,15 +94,16 @@ def test_tiled_scans_match_the_dense_references(case):
     alpha = dense_max_ratio(sp, mapping)
     for sizes in each_block_size():
         geom = proximal_subsets(sp, eps)
-        assert (geom.pair_distance, geom.a0, geom.b0, list(geom.reverse_pairing.items())) == dense, sizes
-        induced = InducedMap(geom, t_map, mapping)
+        pairing = [(j, geom.partners_in_a(j)) for j in geom.b0.tolist()]
+        assert (geom.pair_distance, tuple(geom.a0.tolist()), tuple(geom.b0.tolist()), pairing) == dense, sizes
+        induced = with_self_map(geom, t_map, mapping)
         cert = certify_contraction(induced)
         assert (cert.alpha_hat, cert.witness, cert.pair_count) == alpha, sizes
-        wide = classify_partners(geom, t_map, wide=True)
-        if wide.ambiguous:
+        partnered = np.flatnonzero(induced.classes.count)
+        if induced.classes.count.max() > 1:
             continue  # the ambiguity path scans nothing
         cert = certify_contraction(induced, wide=True)
-        full, witness, pairs = dense_max_ratio(sp, wide.table)
+        full, witness, pairs = dense_max_ratio(sp, scope_map(induced, partnered))
         assert (cert.alpha_hat, cert.witness, cert.pair_count) == (full, witness if full > 0.0 else None, pairs), sizes
 
 
@@ -141,7 +140,7 @@ def test_pruning_skips_far_tiles_of_the_product(kernel_entries):
     a, b = ladder_with_clouds(np.random.default_rng(3), 1500, 1000)
     sp = SetPair(euclidean_metric(), a, b)
     geom = proximal_subsets(sp)
-    assert (geom.pair_distance, geom.a0, geom.b0) == (1.0, tuple(range(31)), tuple(range(31)))
+    assert (geom.pair_distance, geom.a0.tolist(), geom.b0.tolist()) == (1.0, list(range(31)), list(range(31)))
     assert sum(kernel_entries) < 0.05 * len(a) * len(b), sum(kernel_entries)
 
 
@@ -153,7 +152,7 @@ def test_pruning_skips_the_collapsed_block_of_the_certificate(kernel_entries):
     a = np.vstack([np.column_stack([np.zeros((31, 2)), heights]), rng.uniform(1e4, 2e4, size=(2000, 3))])
     sp = SetPair(euclidean_metric(), a, [(0.0, 0.0, -1.0)])
     mapping = {i: min(i + 1, 30) for i in range(31)} | dict.fromkeys(range(31, len(a)), 30)
-    alpha, witness, pairs = _max_ratio(sp, mapping)
+    alpha, witness, pairs = _max_ratio(sp, np.arange(len(a)), np.array([mapping[i] for i in range(len(a))]))
     assert (alpha, witness, pairs) == (29 / 30, (0, 1), len(a) * (len(a) - 1) // 2)
     cells = sum(kernel_entries) / 2  # a tile computes the image and the source tables
     assert cells < 0.25 * pairs, cells
@@ -165,8 +164,8 @@ def test_matrix_spaces_compute_every_entry(kernel_entries):
     m = matrix_metric(pairwise_distances(euclidean_metric(), pts, pts))
     sp = SetPair(m, np.arange(len(a)), np.arange(len(a), len(pts)))
     kernel_entries.clear()  # SetPair's duplicate scan reads the table too
-    assert proximal_subsets(sp).a0 == tuple(range(31))
+    assert proximal_subsets(sp).a0.tolist() == list(range(31))
     assert sum(kernel_entries) == len(a) * len(b)
     kernel_entries.clear()
-    pairs = _max_ratio(sp, dict.fromkeys(range(len(a)), 0))[2]
+    pairs = _max_ratio(sp, np.arange(len(a)), np.zeros(len(a), np.int64))[2]
     assert sum(kernel_entries) / 2 >= pairs
