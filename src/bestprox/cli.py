@@ -28,14 +28,7 @@ from .engine import (
 from .instance import Instance, InstanceFormatError, checked_tolerance, load_instance, save_instance
 from .metric import EUCLIDEAN, EXPLICIT_MATRIX
 from .oracle import GeneratorConfig, brute_force_solve, generate_instance
-from .report import (
-    assess_instance,
-    assessment_payload,
-    format_point,
-    render_assessment,
-    render_result,
-    result_payload,
-)
+from .report import SOLVE_METHODS, assess_instance, assessment_payload, render_text, result_payload
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", parents=[tol], help="run the fixed-point iteration")
     p_solve.add_argument("instance")
     p_solve.add_argument("--max-iter", type=_flag(_max_iter), default=DEFAULT_MAX_ITER, help="iteration budget (default 10000)")
-    p_solve.add_argument("--method", choices=("induced", "direct", "both"), default="both")
+    p_solve.add_argument("--method", choices=(*SOLVE_METHODS, "both"), default="both")
     p_solve.add_argument("--start-index", type=int, default=None, help="position in A to start from (default: first point of A0)")
 
     p_cert = sub.add_parser("certify", parents=[tol], help="check hypotheses and measure alpha; never iterates")
@@ -116,11 +109,12 @@ def _load(args) -> Instance:
     return inst.with_tolerances(args.eps_prox, getattr(args, "tol", None))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict) -> None:
+    # The JSON payload is the report; the text report is rendered from it alone.
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print("\n".join(text_lines))
+        print(render_text(payload))
 
 
 def cmd_solve(args) -> int:
@@ -153,21 +147,9 @@ def cmd_solve(args) -> int:
 
     if args.method in ("induced", "both"):
         if assessment.induced is None:
-            failures["induced"] = {
-                "error": "HypothesisViolation",
-                "detail": "induced map cannot be built (see checklist)",
-            }
+            failures["induced"] = {"error": "HypothesisViolation", "detail": "induced map cannot be built (see checklist)"}
         else:
-            run(
-                "induced",
-                lambda: banach_iterate(
-                    assessment.induced,
-                    start,
-                    tol=tol,
-                    max_iter=max_iter,
-                    certificate=assessment.certificate,
-                ),
-            )
+            run("induced", lambda: banach_iterate(assessment.induced, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
     if args.method in ("direct", "both"):
         alpha_hat = assessment.a0_certificate().alpha_hat
         run("direct", lambda: direct_iterate(geom, inst.t_map, start, alpha_hat=alpha_hat, tol=tol, max_iter=max_iter))
@@ -197,6 +179,7 @@ def cmd_solve(args) -> int:
             "instance": args.instance,
             "method": args.method,
             "start_index": start,
+            "start_point": inst.pair.a[start].tolist(),
             "max_iter": max_iter,
             "results": {k: result_payload(r) for k, r in results.items()},
             "failures": failures,
@@ -206,20 +189,7 @@ def cmd_solve(args) -> int:
         }
     )
 
-    lines = [f"instance: {args.instance}"]
-    lines += render_assessment(inst, assessment)
-    lines.append(f"start: A[{start}] = {format_point(inst.pair.a[start])}, method: {args.method}")
-    for label, res in results.items():
-        lines += render_result(label, res)
-        lines.append(f"verified ({label}): {'yes' if verifications[label].passed else 'no'}")
-    for label, info in failures.items():
-        lines.append(f"result ({label}): FAILED - {info['error']}: {info['detail']}")
-        if info.get("partial_indices"):
-            lines.append(f"  partial iterate indices: {info['partial_indices']}")
-    if traces_equal is not None:
-        lines.append(f"traces equal: {'yes' if traces_equal else 'NO - scheme mismatch'}")
-    lines.append(f"exit code: {code}")
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return code
 
 
@@ -229,10 +199,7 @@ def cmd_certify(args) -> int:
     code = EXIT_OK if assessment.passed else EXIT_HYPOTHESIS
     payload = assessment_payload(inst, assessment)
     payload.update({"command": "certify", "instance": args.instance, "exit_code": code})
-    lines = [f"instance: {args.instance}"]
-    lines += render_assessment(inst, assessment)
-    lines.append(f"exit code: {code}")
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return code
 
 
@@ -249,15 +216,7 @@ def cmd_oracle(args) -> int:
         "is_best_proximity": sol.is_best_proximity,
         "exit_code": EXIT_OK,
     }
-    lines = [
-        f"instance: {args.instance}",
-        f"min over A of d(x, T(x)) = {sol.min_value!r}",
-        f"argmin indices: {list(sol.argmin_indices)}",
-        "argmin points: " + ", ".join(format_point(p) for p in sol.argmin_points),
-        f"pair distance d(A,B) = {sol.pair_distance!r}",
-        f"minimum attains d(A,B): {'yes (best proximity point exists)' if sol.is_best_proximity else 'no'}",
-    ]
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return EXIT_OK
 
 
@@ -288,12 +247,7 @@ def cmd_generate(args) -> int:
         "sizes": {"A": len(inst.pair.a), "B": len(inst.pair.b)},
         "exit_code": EXIT_OK,
     }
-    lines = [
-        f"wrote {args.out_path}: {cfg.space_kind} instance, "
-        f"|A| = {len(inst.pair.a)}, |B| = {len(inst.pair.b)}, "
-        f"alpha target {cfg.alpha_target}, seed {cfg.seed}"
-    ]
-    _emit(args, payload, lines)
+    _emit(args, payload)
     return EXIT_OK
 
 

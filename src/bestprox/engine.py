@@ -18,8 +18,9 @@ Two iteration schemes are provided and must agree step for step:
   the two schemes is a real cross-check.
 
 The certificate walks A0 x A0 with the tile scan of :mod:`~bestprox.geometry`
-and skips each tile whose ratios its box bounds put below the running maximum;
-``pair_count`` still counts every pair the certificate covers.
+and skips each tile whose ratios its box bounds put below the running maximum,
+or at it when all the tile's pairs come after the witness; ``pair_count``
+still counts every pair the certificate covers.
 
 Everything else reads partners through one pass, :func:`classify_partners`.
 Ambiguity is never resolved silently: a point with two proximal partners is a
@@ -235,10 +236,13 @@ def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
     dst = sp.a[table[keys]]
     best, witness = -math.inf, None
 
-    def skip(lower, upper):
+    def skip(lower, upper, lo, clo):
         # Every ratio is at most the images' upper bound over the sources'
-        # lower bound, and 0 where the former is 0, even over a 0.
-        return (upper[0] / lower[1] if lower[1] else math.inf if upper[0] else 0.0) < best
+        # lower bound, and 0 where the former is 0, even over a 0.  Every
+        # pair of the tile comes at or after (lo, clo), so once that lies
+        # after the witness a tie there cannot replace it either.
+        bound = upper[0] / lower[1] if lower[1] else math.inf if upper[0] else 0.0
+        return bound < best or (bound == best and (lo, clo) > witness)
 
     def visit(lo, clo, ratios, den):
         nonlocal best, witness

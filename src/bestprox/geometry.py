@@ -195,8 +195,9 @@ def scan_tiles(metric: Metric, operands, visit, skip, *, triangle: bool = False)
     shape, tile by tile: ``visit(lo, clo, *tables)`` gets each tile computed,
     its entry (r, c) being (lo + r, clo + c).  With ``triangle`` only tiles
     holding an entry j > i are walked; the caller masks the rest.  Euclidean
-    tiles are skipped where ``skip(lower, upper)`` holds for the box bounds of
-    each operand; matrix tiles span the full width and are never skipped.
+    tiles are skipped where ``skip(lower, upper, lo, clo)`` holds for the box
+    bounds of each operand and the tile's first entry (lo, clo); matrix tiles
+    span the full width and are never skipped.
     """
     n, m = (len(x) for x in operands[0])
     boxed = metric.kind == EUCLIDEAN
@@ -208,8 +209,8 @@ def scan_tiles(metric: Metric, operands, visit, skip, *, triangle: bool = False)
         if boxed:
             lower, upper = zip(*(_box_bounds(metric, p[lo:hi], *box) for (p, _), box in zip(operands, boxes)))
         for t in range((lo + 1) // width if triangle else 0, len(starts)):
-            if not (boxed and skip([b[t] for b in lower], [b[t] for b in upper])):
-                clo = max(starts[t], lo + 1) if triangle else starts[t]
+            clo = max(starts[t], lo + 1) if triangle else starts[t]
+            if not (boxed and skip([b[t] for b in lower], [b[t] for b in upper], lo, clo)):
                 visit(lo, clo, *(pairwise_distances(metric, p[lo:hi], q[clo : starts[t] + width]) for p, q in operands))
 
 
@@ -239,7 +240,7 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
         cols.append(c + clo)
         vals.append(block[r, c])
 
-    scan_tiles(sp.metric, [(sp.a, sp.b)], visit, lambda lower, _: lower[0] > dist + eps_prox)
+    scan_tiles(sp.metric, [(sp.a, sp.b)], visit, lambda lower, *_: lower[0] > dist + eps_prox)
     keep = np.concatenate(vals) <= dist + eps_prox
     rows, cols = np.concatenate(rows)[keep], np.concatenate(cols)[keep]
     # Within each column the hits come in ascending row order, so a stable

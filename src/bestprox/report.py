@@ -1,4 +1,9 @@
-"""Hypothesis checklist and report payloads shared by the CLI commands.
+"""Hypothesis checklist and the reports of the CLI commands.
+
+A command's report is one payload dict, built from :func:`assessment_payload`
+and :func:`result_payload`.  The CLI prints it as JSON, or as text through
+:func:`render_text`, which reads nothing but the payload: the text report is a
+function of the JSON report, so every value it shows is a JSON field.
 
 Reports always show the full hypothesis list of the best-proximity theorem,
 pass or fail, so its preconditions stay visible:
@@ -23,18 +28,20 @@ from .engine import (
     ContractionCertificate,
     InducedMap,
     BestProximityResult,
-    IterationTrace,
     certify_contraction,
     classify_partners,
 )
 from .geometry import PairGeometry, check_approximative_compactness, proximal_subsets
 from .instance import Instance
-from .metric import EXPLICIT_MATRIX, Check, Checklist, MetricValidation, as_point, validate_metric
+from .metric import EXPLICIT_MATRIX, Check, Checklist, MetricValidation, validate_metric
 
 DECLARED_ALPHA_SLACK = 1e-12
 
 # A text trace longer than twice this shows its first and last this many steps.
 TRACE_HEAD_TAIL = 10
+
+# The methods of ``solve``, in the order its text report lists them.
+SOLVE_METHODS = ("induced", "direct")
 
 
 @dataclass(frozen=True)
@@ -191,65 +198,99 @@ def assessment_payload(inst: Instance, assessment: InstanceAssessment) -> dict:
     }
 
 
-def trace_payload(trace: IterationTrace) -> dict:
-    return {
-        "indices": list(trace.indices),
-        "points": trace.points.tolist(),
-        "step_gaps": list(trace.step_gaps),
-        "residuals": list(trace.residuals),
-        "a_priori_bounds": list(trace.a_priori_bounds),
-        "alpha_hat": trace.alpha_hat,
-        "stop_reason": trace.stop_reason,
-    }
-
-
 def result_payload(result: BestProximityResult) -> dict:
+    trace = result.trace
     return {
         "index": result.index,
         "point": result.point.tolist(),
         "residual": result.residual,
         "iterations": result.iterations,
-        "stop_reason": result.trace.stop_reason,
+        "stop_reason": trace.stop_reason,
         "guaranteed": result.guaranteed,
-        "trace": trace_payload(result.trace),
+        "trace": {
+            "indices": list(trace.indices),
+            "points": trace.points.tolist(),
+            "step_gaps": list(trace.step_gaps),
+            "residuals": list(trace.residuals),
+            "a_priori_bounds": list(trace.a_priori_bounds),
+            "alpha_hat": trace.alpha_hat,
+            "stop_reason": trace.stop_reason,
+        },
     }
 
 
 def format_point(p) -> str:
-    p = as_point(p)
-    if isinstance(p, tuple):
+    """A point as the JSON report holds it: a list of coordinates, or an int
+    naming a point of a distance table."""
+    if isinstance(p, list):
         return "(" + ", ".join(repr(c) for c in p) + ")"
     return f"#{p}"
 
 
-def render_assessment(inst: Instance, assessment: InstanceAssessment) -> list[str]:
-    sp = inst.pair
-    geom = assessment.geometry
-    lines = [
-        f"metric: {sp.metric.kind}",
-        f"|A| = {len(sp.a)}, |B| = {len(sp.b)}",
-        f"pair distance d(A,B) = {geom.pair_distance!r}",
-        f"|A0| = {len(geom.a0)}, |B0| = {len(geom.b0)} (eps_prox = {geom.eps_prox!r})",
+def render_assessment(doc: dict) -> list[str]:
+    return [
+        f"metric: {doc['metric']['kind']}",
+        f"|A| = {doc['sizes']['A']}, |B| = {doc['sizes']['B']}",
+        f"pair distance d(A,B) = {doc['pair_distance']!r}",
+        f"|A0| = {doc['a0_size']}, |B0| = {doc['b0_size']} (eps_prox = {doc['eps_prox']!r})",
         "hypothesis checklist:",
+        *(f"  [{'PASS' if row['passed'] else 'FAIL'}] {row['name']}: {row['detail']}" for row in doc["checks"]),
     ]
-    for row in assessment.checks:
-        lines.append(f"  [{'PASS' if row.passed else 'FAIL'}] {row.name}: {row.detail}")
-    return lines
 
 
-def render_trace(trace: IterationTrace) -> list[str]:
-    steps = [f"  step {k}: A[{i}], residual {r!r}" for k, (i, r) in enumerate(zip(trace.indices, trace.residuals))]
+def render_result(label: str, res: dict) -> list[str]:
+    trace = res["trace"]
+    steps = [f"  step {k}: A[{i}], residual {r!r}" for k, (i, r) in enumerate(zip(trace["indices"], trace["residuals"]))]
     if len(steps) > 2 * TRACE_HEAD_TAIL:
         steps[TRACE_HEAD_TAIL:-TRACE_HEAD_TAIL] = [f"  ... {len(steps) - 2 * TRACE_HEAD_TAIL} steps elided ..."]
-    return [f"trace ({len(trace.indices)} points, stop: {trace.stop_reason}):", *steps]
-
-
-def render_result(label: str, result: BestProximityResult) -> list[str]:
-    lines = [
-        f"result ({label}): A[{result.index}] = {format_point(result.point)}",
-        f"  residual |d(z,T(z)) - d(A,B)| = {result.residual!r}",
-        f"  iterations = {result.iterations} ({result.trace.stop_reason})",
-        f"  guaranteed: {'yes' if result.guaranteed else 'no (unguaranteed best effort)'}",
+    return [
+        f"result ({label}): A[{res['index']}] = {format_point(res['point'])}",
+        f"  residual |d(z,T(z)) - d(A,B)| = {res['residual']!r}",
+        f"  iterations = {res['iterations']} ({res['stop_reason']})",
+        f"  guaranteed: {'yes' if res['guaranteed'] else 'no (unguaranteed best effort)'}",
+        f"  trace ({len(trace['indices'])} points, stop: {trace['stop_reason']}):",
+        *("  " + step for step in steps),
     ]
-    lines += ["  " + l for l in render_trace(result.trace)]
+
+
+def _solve_lines(doc: dict) -> list[str]:
+    lines = [f"start: A[{doc['start_index']}] = {format_point(doc['start_point'])}, method: {doc['method']}"]
+    # A fixed order, not the dicts' own: a sort_keys round trip reorders them.
+    for label in SOLVE_METHODS:
+        if label in doc["results"]:
+            lines += render_result(label, doc["results"][label])
+            lines.append(f"verified ({label}): {'yes' if doc['verified'][label] else 'no'}")
+    for label in SOLVE_METHODS:
+        if label in doc["failures"]:
+            info = doc["failures"][label]
+            lines.append(f"result ({label}): FAILED - {info['error']}: {info['detail']}")
+            if info.get("partial_indices"):
+                lines.append(f"  partial iterate indices: {info['partial_indices']}")
+    if doc["traces_equal"] is not None:
+        lines.append(f"traces equal: {'yes' if doc['traces_equal'] else 'NO - scheme mismatch'}")
     return lines
+
+
+def render_text(doc: dict) -> str:
+    """The text report of a command, read from its JSON payload alone."""
+    if doc["command"] == "generate":
+        return (
+            f"wrote {doc['out_path']}: {doc['kind']} instance, "
+            f"|A| = {doc['sizes']['A']}, |B| = {doc['sizes']['B']}, "
+            f"alpha target {doc['alpha_target']}, seed {doc['seed']}"
+        )
+    lines = [f"instance: {doc['instance']}"]
+    if doc["command"] == "oracle":
+        lines += [
+            f"min over A of d(x, T(x)) = {doc['min_value']!r}",
+            f"argmin indices: {doc['argmin_indices']}",
+            "argmin points: " + ", ".join(format_point(p) for p in doc["argmin_points"]),
+            f"pair distance d(A,B) = {doc['pair_distance']!r}",
+            f"minimum attains d(A,B): {'yes (best proximity point exists)' if doc['is_best_proximity'] else 'no'}",
+        ]
+    else:
+        lines += render_assessment(doc)
+        if doc["command"] == "solve":
+            lines += _solve_lines(doc)
+        lines.append(f"exit code: {doc['exit_code']}")
+    return "\n".join(lines)

@@ -12,17 +12,25 @@ which prints the check details as a checklist.  Each command runs in a
 temporary directory with the relative path ``inst.json``, so the
 ``instance`` field of the report is stable.
 
+The text report is rendered from the JSON payload alone, so rendering the
+parsed JSON report must give the text report byte for byte, on every golden
+case and on the paths the goldens miss: a failed iteration with its partial
+indices, an exhausted budget, a trace long enough to elide steps, and
+``generate``.
+
 A refactor that must not change reports keeps this test green.  A change that
 alters a report on purpose rewrites the affected golden file and says which
 fields moved and why.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from bestprox import EUCLIDEAN, EXPLICIT_MATRIX, GeneratorConfig, generate_instance, save_instance
 from bestprox.cli import main
+from bestprox.report import render_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,6 +41,8 @@ GENERATED = {
     "matrix": GeneratorConfig(
         seed=22, space_kind=EXPLICIT_MATRIX, a_size=10, alpha_target=0.6, decoy_count=2
     ),
+    "long": GeneratorConfig(seed=2, space_kind=EUCLIDEAN, a_size=120, alpha_target=0.9),
+    "budget": GeneratorConfig(seed=5, space_kind=EUCLIDEAN, a_size=50, alpha_target=0.8),
 }
 
 def report_bytes(name, argv, fmt, request, tmp_path, monkeypatch, capsys) -> bytes:
@@ -87,3 +97,34 @@ def test_json_report_bytes_partner_paths(name, argv, request, tmp_path, monkeypa
 def test_text_report_bytes_partner_paths(name, argv, request, tmp_path, monkeypatch, capsys):
     report = report_bytes(name, argv, "text", request, tmp_path, monkeypatch, capsys)
     assert report == (GOLDEN / f"{golden_name(name, argv)}.txt").read_bytes()
+
+
+def assert_text_renders_json(name, argv, request, tmp_path, monkeypatch, capsys) -> str:
+    json_report = report_bytes(name, argv, "json", request, tmp_path, monkeypatch, capsys)
+    text = report_bytes(name, argv, "text", request, tmp_path, monkeypatch, capsys).decode()
+    assert render_text(json.loads(json_report)) + "\n" == text
+    return text
+
+
+@COMMANDS
+@NAMES
+def test_text_report_renders_the_json_report(name, command, request, tmp_path, monkeypatch, capsys):
+    assert_text_renders_json(name, [command], request, tmp_path, monkeypatch, capsys)
+
+
+@PARTNER_PATHS
+def test_text_report_renders_the_json_report_partner_paths(name, argv, request, tmp_path, monkeypatch, capsys):
+    assert_text_renders_json(name, argv, request, tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize(
+    "name, argv, shown",
+    [
+        ("halving", ["solve", "--method", "direct", "--start-index", "2"], "partial iterate indices: [2, 1]"),
+        ("budget", ["solve", "--max-iter", "1"], "FAILED - max-iterations"),
+        ("long", ["solve", "--method", "induced"], "steps elided"),
+        ("matrix", ["generate", "--kind", "explicit-matrix", "--seed", "3"], "wrote inst.json"),
+    ],
+)
+def test_text_report_renders_the_json_report_other_paths(name, argv, shown, request, tmp_path, monkeypatch, capsys):
+    assert shown in assert_text_renders_json(name, argv, request, tmp_path, monkeypatch, capsys)

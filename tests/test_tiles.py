@@ -158,6 +158,19 @@ def test_pruning_skips_the_collapsed_block_of_the_certificate(kernel_entries):
     assert cells < 0.25 * pairs, cells
 
 
+def test_pruning_skips_the_ties_of_an_all_zero_certificate(kernel_entries):
+    # S sends the whole line A onto one point, so every ratio is 0 and every
+    # tile's bound equals the maximum: only a tile that could hold a pair
+    # before the witness (0, 1) has to be computed.
+    n = 2000
+    a = np.column_stack([np.zeros(n), np.arange(float(n))])
+    sp = SetPair(euclidean_metric(), a, [(1.0, 0.0)])
+    alpha, witness, pairs = _max_ratio(sp, np.arange(n), np.zeros(n, np.int64))
+    assert (alpha, witness, pairs) == (0.0, (0, 1), n * (n - 1) // 2)
+    cells = sum(kernel_entries) / 2  # a tile computes the image and the source tables
+    assert cells < 0.05 * pairs, cells
+
+
 def test_matrix_spaces_compute_every_entry(kernel_entries):
     a, b = ladder_with_clouds(np.random.default_rng(3), 300, 200)
     pts = np.vstack([a, b])
