@@ -3,7 +3,7 @@
 Commands: solve, certify, oracle, generate.  Exit codes are a contract:
 
 * 0 -- success (verified convergence for solve, all hypotheses green for certify)
-* 1 -- parse or usage error
+* 1 -- parse or usage error, or stdout closed before the report was written
 * 2 -- a theorem hypothesis is violated (the report names it, with witnesses)
 * 3 -- no verified convergence (budget exhausted, cycle, or trace mismatch)
 """
@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from dataclasses import replace
 from functools import partial
 
 from .engine import (
@@ -135,7 +137,8 @@ def cmd_solve(args) -> int:
 
     def run(label, fn):
         try:
-            results[label] = fn()
+            # A checklist that fails certifies nothing, so no result is guaranteed.
+            results[label] = fn() if assessment.passed else replace(fn(), guaranteed=False)
         except MaxIterationsExceeded as err:
             failures[label] = {"error": "max-iterations", "detail": str(err)}
         except (HypothesisViolation, NonUniquePartner) as err:
@@ -151,7 +154,8 @@ def cmd_solve(args) -> int:
         else:
             run("induced", lambda: banach_iterate(assessment.induced, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
     if args.method in ("direct", "both"):
-        alpha_hat = assessment.a0_certificate().alpha_hat
+        # Only the checklist's certificate may cut the walk.
+        alpha_hat = assessment.certificate.alpha_hat if assessment.certificate else None
         run("direct", lambda: direct_iterate(geom, inst.t_map, start, alpha_hat=alpha_hat, tol=tol, max_iter=max_iter))
 
     traces_equal = None
@@ -270,7 +274,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so the flush
+        # at interpreter exit cannot fail again (the SIGPIPE note of the
+        # Python docs), and report the unwritten report as exit code 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -110,12 +110,13 @@ class ProximityMap:
     image: np.ndarray
 
     def __post_init__(self) -> None:
-        image = np.asarray(self.image)
-        flat = image.ndim == 1 and ((image.dtype.kind in "iu" and np.can_cast(image.dtype, np.int64)) or not image.size)
-        # numpy types a boolean among integers as an integer, so look for one.
-        if not flat or (not isinstance(self.image, np.ndarray) and {bool, np.bool_} & set(map(type, self.image))):
+        try:
+            image = frozen_array(self.image, np.int64)
+        except ValueError:
+            image = None
+        if image is None or image.ndim != 1:
             raise ValueError("map must be a flat sequence of integer B indices within int64, without floats or booleans")
-        object.__setattr__(self, "image", frozen_array(image, np.int64))
+        object.__setattr__(self, "image", image)
 
     def validate(self, sp: SetPair) -> None:
         """Check that T is total on A and lands in B."""
@@ -128,14 +129,21 @@ class ProximityMap:
             raise ValueError(f"map entry {bad[0]} -> {self.image[bad[0]]} is outside B (size {len(sp.b)})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedMap:
-    """The self-map S of A0 sending x to the unique proximal partner of T(x),
-    read off the partner classes of T over A: S(x) = ``classes.table[x]``."""
+    """S, sending x to the unique proximal partner of T(x): S(x) = ``table[x]``.
+
+    Both arrays are read-only int64 over all of A: ``count[x]`` is how many
+    proximal partners T(x) has (0 when T(x) is outside B0), and ``table[x]``
+    the partner where there is exactly one, else -1.  The view of a scope
+    such as A0 is both arrays indexed by it.  S is a self-map of A0 only
+    where ``count`` is 1 on all of A0.
+    """
 
     geometry: PairGeometry
     t_map: ProximityMap
-    classes: PartnerClasses
+    count: np.ndarray
+    table: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,7 @@ class IterationTrace:
     step_gaps: tuple[float, ...]
     residuals: tuple[float, ...]
     a_priori_bounds: tuple[float, ...]
-    alpha_hat: float
+    alpha_hat: float | None  # None: no constant was certified
     stop_reason: str
 
 
@@ -175,27 +183,16 @@ class BestProximityResult:
     guaranteed: bool
 
 
-@dataclass(frozen=True, eq=False)
-class PartnerClasses:
-    """How many proximal partners T(x) has, for every x in A, as read-only
-    int64 arrays over A: ``count[x]`` is their number (0 when T(x) is outside
-    B0), and ``table[x]`` the partner where there is exactly one, else -1.
-    The view of a scope such as A0 is both arrays indexed by it.
-    """
-
-    count: np.ndarray
-    table: np.ndarray
-
-
-def classify_partners(geom: PairGeometry, t_map: ProximityMap) -> PartnerClasses:
-    """Count the proximal partners of T(x) for all x in A, in one pass."""
+def classify_partners(geom: PairGeometry, t_map: ProximityMap) -> InducedMap:
+    """Count the proximal partners of T(x) for all x in A, in one pass; the
+    map may be partial on A0."""
     t_map.validate(geom.pair)
     first = geom.offsets[t_map.image]
     count = geom.offsets[t_map.image + 1] - first
     # An empty group at the end starts at len(partners); np.where drops it.
     table = np.where(count == 1, geom.partners.take(first, mode="clip"), -1)
     count.flags.writeable = table.flags.writeable = False
-    return PartnerClasses(count, table)
+    return InducedMap(geom, t_map, count, table)
 
 
 def _unique_partner(i: int, img: int, partners: tuple[int, ...]) -> int:
@@ -214,12 +211,17 @@ def build_induced_map(geom: PairGeometry, t_map: ProximityMap) -> InducedMap:
     its image has no partner (so T(A0) is not inside B0) and
     :class:`NonUniquePartner` on ambiguity.
     """
-    classes = classify_partners(geom, t_map)
-    failing = geom.a0[classes.count[geom.a0] != 1]
+    return _total(classify_partners(geom, t_map))
+
+
+def _total(induced: InducedMap) -> InducedMap:
+    """``induced``, raising as :func:`build_induced_map` does unless S is a self-map of A0."""
+    geom = induced.geometry
+    failing = geom.a0[induced.count[geom.a0] != 1]
     if len(failing):
-        img = int(t_map.image[failing[0]])
+        img = int(induced.t_map.image[failing[0]])
         _unique_partner(int(failing[0]), img, geom.partners_in_a(img))
-    return InducedMap(geometry=geom, t_map=t_map, classes=classes)
+    return induced
 
 
 def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
@@ -271,7 +273,7 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
     the fact that ambiguity already falsifies the contraction property.
     """
     sp, a0 = induced.geometry.pair, induced.geometry.a0
-    count, table = induced.classes.count, induced.classes.table
+    count, table = induced.count, induced.table
     if not wide:
         alpha, witness, pairs = _max_ratio(sp, a0[count[a0] == 1], table)
         verdict = CONTRACTION if alpha < 1.0 else NOT_CONTRACTION
@@ -323,9 +325,11 @@ def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
         raise ValueError("max_iter must be >= 1")
     sp = geom.pair
     # Walk the orbit to its fixed point, first repeat, failing step or budget,
-    # then measure every step gap in one kernel call and cut the walk at the
-    # first gap that already guarantees d(x_k, z) <= tol.  This stops exactly
-    # where a step-by-step test of the gap would have stopped.
+    # then measure every step gap in one kernel call.  Only a certified
+    # constant below 1 (``alpha_hat`` None certifies none) cuts the walk at
+    # the first gap that already guarantees d(x_k, z) <= tol, bounds the
+    # error a priori and guarantees the result.  The cut stops exactly where
+    # a step-by-step test of the gap would have stopped.
     indices = [start_idx]
     visited = {start_idx}
     reason, failure = MAX_ITERATIONS, None
@@ -345,7 +349,8 @@ def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
             break
         visited.add(nxt)
     gaps = paired_distances(sp.metric, sp.a[indices[:-1]], sp.a[indices[1:]]).tolist()
-    if alpha_hat < 1.0:
+    contracts = alpha_hat is not None and alpha_hat < 1.0
+    if contracts:
         threshold = tol * (1.0 - alpha_hat) / max(alpha_hat, tol)
         first = next((k for k, gap in enumerate(gaps) if gap <= threshold), None)
         if first is not None:
@@ -354,7 +359,21 @@ def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
     if failure is not None:
         failure.partial_indices = tuple(indices)
         raise failure
-    trace = _build_trace(geom, t_map, indices, gaps, alpha_hat, reason)
+    images = sp.b[t_map.image[indices]]
+    residuals = np.abs(paired_distances(sp.metric, sp.a[indices], images) - geom.pair_distance)
+    bounds: tuple[float, ...] = ()
+    if contracts and gaps:
+        scale = gaps[0] / (1.0 - alpha_hat)
+        bounds = tuple(scale * alpha_hat**k for k in range(len(indices)))
+    trace = IterationTrace(
+        indices=tuple(indices),
+        points=sp.a[indices],
+        step_gaps=tuple(gaps),
+        residuals=tuple(residuals.tolist()),
+        a_priori_bounds=bounds,
+        alpha_hat=alpha_hat,
+        stop_reason=reason,
+    )
     if reason == MAX_ITERATIONS:
         raise MaxIterationsExceeded(trace)
     last = indices[-1]
@@ -364,26 +383,7 @@ def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
         residual=trace.residuals[-1],
         iterations=len(indices) - 1,
         trace=trace,
-        guaranteed=(alpha_hat < 1.0 and reason == CONVERGED),
-    )
-
-
-def _build_trace(geom, t_map, indices, gaps, alpha_hat, reason) -> IterationTrace:
-    sp = geom.pair
-    images = sp.b[t_map.image[indices]]
-    residuals = np.abs(paired_distances(sp.metric, sp.a[indices], images) - geom.pair_distance)
-    bounds: tuple[float, ...] = ()
-    if alpha_hat < 1.0 and gaps:
-        scale = gaps[0] / (1.0 - alpha_hat)
-        bounds = tuple(scale * alpha_hat**k for k in range(len(indices)))
-    return IterationTrace(
-        indices=tuple(indices),
-        points=sp.a[indices],
-        step_gaps=tuple(gaps),
-        residuals=tuple(residuals.tolist()),
-        a_priori_bounds=bounds,
-        alpha_hat=alpha_hat,
-        stop_reason=reason,
+        guaranteed=(contracts and reason == CONVERGED),
     )
 
 
@@ -401,13 +401,14 @@ def banach_iterate(
     gap guarantees d(x_k, z) <= tol under the certified constant, or when a
     revisited point reveals a cycle (possible only without a contraction
     certificate; the result is then stamped unguaranteed).  Exhausting the
-    budget raises :class:`MaxIterationsExceeded` with the full trace.
+    budget raises :class:`MaxIterationsExceeded` with the full trace.  A map
+    partial on A0 is refused up front, as :func:`build_induced_map` refuses it.
     """
-    geom = induced.geometry
+    geom = _total(induced).geometry
     start = _resolve_start(geom, x0)
     cert = certificate if certificate is not None else certify_contraction(induced)
     return _iterate(
-        geom, induced.t_map, lambda i: int(induced.classes.table[i]), start, cert.alpha_hat, tol, max_iter
+        geom, induced.t_map, lambda i: int(induced.table[i]), start, cert.alpha_hat, tol, max_iter
     )
 
 
@@ -416,7 +417,7 @@ def direct_iterate(
     t_map: ProximityMap,
     x0,
     *,
-    alpha_hat: float,
+    alpha_hat: float | None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> BestProximityResult:
@@ -425,11 +426,11 @@ def direct_iterate(
     No partner table is read: each successor is found by one kernel scan of A
     for the points within eps_prox of d(A,B) from the current image, raising
     at the offending step (with the iterate prefix attached) if there is none
-    or several.  ``alpha_hat`` is the contraction constant for the stopping
-    rule and the a-priori bounds; pass the certificate of the induced map (or
-    of its single-partner part) so both schemes stop at the same step.  On
-    instances where the induced map exists this produces the exact same index
-    sequence as :func:`banach_iterate`.
+    or several.  ``alpha_hat`` is the induced map's certified constant, which
+    stops both schemes at the same step, or None where none is certified: the
+    walk is then never cut short and never guaranteed.  On instances where
+    the induced map exists this produces the exact same index sequence as
+    :func:`banach_iterate`.
     """
     t_map.validate(geom.pair)
     start = _resolve_start(geom, x0)
@@ -475,7 +476,7 @@ def verify_result(
         ),
     ]
     if induced is not None:
-        image = int(induced.classes.table[z])
+        image = int(induced.table[z])
         s_z = image if image >= 0 and z in induced.geometry.a0 else None  # S is defined on A0 only
         checks.append(Check("fixed-point", s_z == z, f"S(z) = A[{s_z}]"))
     return Checklist(tuple(checks))

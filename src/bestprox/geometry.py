@@ -101,15 +101,15 @@ def _point_array(metric: Metric, pts, side: str) -> np.ndarray:
     if metric.kind == EUCLIDEAN:
         try:
             arr = frozen_array(pts, np.float64)
-        except (TypeError, ValueError):
-            raise ValueError(f"points of {side} must be coordinate vectors of one dimension") from None
+        except ValueError as err:
+            raise ValueError(f"points of {side} must be coordinate vectors of one dimension: {err}") from None
         if arr.ndim != 2 or not arr.shape[1]:
             raise ValueError(f"points of {side} must be coordinate vectors of dimension >= 1")
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if len(bad):
             raise ValueError(f"non-finite coordinate in {side}[{bad[0]}]")
     else:
-        arr = frozen_array(table_indices(metric, pts), np.int64)
+        arr = table_indices(metric, frozen_array(pts, np.int64))
         if arr.ndim != 1:
             raise ValueError(f"matrix-space points of {side} must be integer indices")
     return arr

@@ -27,7 +27,7 @@ import numpy as np
 
 from .engine import DEFAULT_TOL, ProximityMap
 from .geometry import SetPair, default_eps_prox
-from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric
+from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, frozen_array
 
 
 class InstanceFormatError(ValueError):
@@ -100,26 +100,15 @@ def _number(field: str, value) -> float:
 
 
 def _numbers(value, booleans: bool = True) -> np.ndarray | None:
-    """Nested lists of JSON numbers as one new read-only float64 array, or None.
-
-    numpy types the whole payload in one pass: strings, booleans alone or
-    null leave a non-numeric dtype (ragged rows raise).  Only integers beyond
-    int64 leave an object array, whose entries are then checked one by one.
-    A boolean among numbers reads as 0 or 1, so ``booleans`` scans for them.
-    The array is frozen here, so Metric and SetPair keep it without a copy.
+    """Nested lists of JSON numbers as one new read-only float64 array, by the
+    rule of :func:`~bestprox.metric.frozen_array`, or None.  ``booleans=False``
+    skips its scan for a boolean among the numbers.  The array is frozen
+    here, so Metric and SetPair keep it without a copy.
     """
     try:
-        arr = np.asarray(value)
-        if arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
-            arr = arr.astype(float)
-    except (ValueError, OverflowError):
+        return frozen_array(value, np.float64, booleans)
+    except ValueError:
         return None
-    rows = (row if isinstance(row, list) else (row,) for row in value)
-    if arr.dtype.kind not in "iuf" or (booleans and any(type(v) is bool for row in rows for v in row)):
-        return None
-    arr = arr.astype(float, copy=False)
-    arr.flags.writeable = False
-    return arr
 
 
 def _parse_metric(payload, booleans: bool) -> Metric:
@@ -225,10 +214,14 @@ def load_instance(path) -> Instance:
         payload, booleans = json.loads(text), ("u" in text and "true" in text) or ("f" in text and "false" in text)
     except OSError as err:
         raise InstanceFormatError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError:
+        raise InstanceFormatError(f"cannot read {path}: not UTF-8 text") from None
     except json.JSONDecodeError as err:
         raise InstanceFormatError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from None
+    except RecursionError:
+        raise InstanceFormatError("invalid JSON: nested too deeply") from None
     del text  # not held while the instance is built
     return parse_instance(payload, booleans=booleans)
 

@@ -21,6 +21,7 @@ so concurrent read-only use is safe.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,15 +45,26 @@ EXHAUSTIVE_LIMIT = 200
 TRIANGLE_SLACK = 1e-9
 
 
-def frozen_array(value, dtype) -> np.ndarray:
-    """``value`` as a read-only array of ``dtype``: a read-only array of that
-    dtype that owns its data is kept, anything else is copied and the copy
-    frozen, so a caller's array is never frozen."""
+def frozen_array(value, dtype, booleans: bool = True) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype``, by the package's one
+    numeric rule: integers or floats that ``dtype`` holds safely (no float
+    for an integer dtype), and in a Python sequence no boolean, which numpy
+    reads as 0 or 1 (``booleans=False`` skips that scan).  A read-only array
+    of ``dtype`` that owns its data is kept without a copy or a scan; a
+    caller's array is never frozen, but copied."""
     if isinstance(value, np.ndarray) and value.base is None and not value.flags.writeable and value.dtype == dtype:
         return value
-    value = np.array(value, dtype=dtype)
-    value.flags.writeable = False
-    return value
+    arr = np.asarray(value)
+    if arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
+        with contextlib.suppress(OverflowError):  # integers beyond int64 that fit a float
+            arr = arr.astype(float)
+    if arr.size and (arr.dtype.kind not in "iuf" or not np.can_cast(arr.dtype, dtype)):
+        raise ValueError(f"entries must be integers or floats that {np.dtype(dtype)} holds, got {arr.dtype}")
+    if booleans and not isinstance(value, np.ndarray) and any(type(v) in (bool, np.bool_) for v in np.asarray(value, dtype=object).flat):
+        raise ValueError("entries must be numbers, not booleans")
+    arr = arr.astype(dtype, copy=not isinstance(value, (list, tuple)))  # else arr is new
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

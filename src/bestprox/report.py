@@ -19,8 +19,6 @@ pass or fail, so its preconditions stay visible:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable
 
 import numpy as np
 
@@ -52,9 +50,6 @@ class InstanceAssessment(Checklist):
     induced: InducedMap | None
     certificate: ContractionCertificate | None
     declared_alpha_ok: bool | None
-    # The A0-scope certificate of the single-partner part of the induced map
-    # (all of it when the map exists), computed on first call and then reused.
-    a0_certificate: Callable[[], ContractionCertificate]
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -89,8 +84,9 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
         ),
     ]
 
-    classes = classify_partners(geom, inst.t_map)
-    count = classes.count[geom.a0]
+    # S, kept as the induced map only where it is a self-map of A0.
+    s_map = classify_partners(geom, inst.t_map)
+    count = s_map.count[geom.a0]
     missing, ambiguous = geom.a0[count == 0], geom.a0[count > 1]
     if len(missing):
         i = int(missing[0])
@@ -104,13 +100,8 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
         subset = (True, f"all {len(geom.a0)} images of A0 have proximal partners")
     rows.append(Check("T(A0)-subset-B0", *subset))
 
-    single = InducedMap(geom, inst.t_map, classes)
-    a0_certificate = cache(partial(certify_contraction, single))
-    induced = None
-    certificate = None
-    if not len(missing) and not len(ambiguous):
-        induced = single
-        certificate = certify_contraction(induced, wide=True) if wide else a0_certificate()
+    induced = s_map if not len(missing) and not len(ambiguous) else None
+    certificate = certify_contraction(induced, wide=wide) if induced is not None else None
 
     declared_ok: bool | None = None
     if len(ambiguous):
@@ -138,7 +129,7 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
         contraction = (certificate.alpha_hat < 1.0, detail, certificate.witness)
     else:
         # Partner structure is broken; measure what the well-defined part shows.
-        part = a0_certificate()
+        part = certify_contraction(s_map)
         contraction = (
             False,
             f"not certifiable (T(A0) ⊄ B0); partial alpha over {part.pair_count} "
@@ -153,7 +144,6 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
         certificate=certificate,
         checks=tuple(rows),
         declared_alpha_ok=declared_ok,
-        a0_certificate=a0_certificate,
     )
 
 

@@ -16,7 +16,6 @@ from bestprox import (
     EUCLIDEAN,
     InducedMap,
     Metric,
-    PartnerClasses,
     ProximityMap,
     SetPair,
     classify_partners,
@@ -61,7 +60,7 @@ def scope_map(induced, keys=None):
     """S as the dict {x: table[x]} over ``keys`` (default A0), the form the
     dense references take."""
     keys = induced.geometry.a0 if keys is None else keys
-    return dict(zip(keys.tolist(), induced.classes.table[keys].tolist()))
+    return dict(zip(keys.tolist(), induced.table[keys].tolist()))
 
 
 def with_self_map(geom, t_map, mapping):
@@ -71,7 +70,7 @@ def with_self_map(geom, t_map, mapping):
     count, table = classes.count.copy(), classes.table.copy()
     count[geom.a0] = 1
     table[geom.a0] = [mapping[x] for x in geom.a0.tolist()]
-    return InducedMap(geom, t_map, PartnerClasses(count, table))
+    return InducedMap(geom, t_map, count, table)
 
 
 def tie_heavy_case(kind, rng):

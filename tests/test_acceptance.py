@@ -143,7 +143,7 @@ def test_criterion_4_certificate_soundness(sweep):
         w1, w2 = r.cert.witness
         pts = r.inst.pair.a
         ratio = distance(
-            r.inst.metric, pts[r.induced.classes.table[w1]], pts[r.induced.classes.table[w2]]
+            r.inst.metric, pts[r.induced.table[w1]], pts[r.induced.table[w2]]
         ) / distance(r.inst.metric, pts[w1], pts[w2])
         if abs(ratio - r.cert.alpha_hat) > math.ulp(r.cert.alpha_hat):
             bad_witness.append(r.cfg.seed)

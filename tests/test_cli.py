@@ -1,11 +1,14 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import bestprox
-from bestprox import EXPLICIT_MATRIX, GeneratorConfig, generate_instance, save_instance
+from conftest import tie_heavy_case
+
+from bestprox import EXPLICIT_MATRIX, GeneratorConfig, generate_instance, load_instance, make_instance, save_instance
 from bestprox.cli import main
 
 ASYMMETRIC_TEXT = """
@@ -216,6 +219,12 @@ def test_malformed_file_exits_1(tmp_path, capsys):
         assert f"'{field}'" in err, text
         assert "Traceback" not in err
 
+    # Bytes that are not UTF-8, and nesting deeper than the JSON decoder recurses.
+    for data, problem in ((b"\xff\xfe{", "not UTF-8 text"), (b"[" * 200000, "invalid JSON: nested too deeply")):
+        bad.write_bytes(data)
+        code, _, err = run(capsys, "certify", str(bad))
+        assert (code, problem in err, "Traceback" in err) == (1, True, False), data[:4]
+
 
 def test_usage_errors_exit_1(capsys, tmp_path):
     assert run(capsys, "frobnicate")[0] == 1
@@ -345,3 +354,47 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, *paths], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"{[0] * 6} False"
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # The read end of the pipe is closed before the command starts, so its
+    # first write fails: in the final flush for a report that fits the
+    # stdout buffer (certify), inside print for one that does not (solve).
+    path = str(tmp_path / "inst.json")
+    save_instance(generate_instance(GeneratorConfig(seed=21, a_size=40, alpha_target=0.7, decoy_count=3)), path)
+    env = {**os.environ, "PYTHONPATH": str(Path(bestprox.__file__).parents[1])}
+    for command in ("certify", "solve"):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            argv = [sys.executable, "-m", "bestprox.cli", command, path, "--format", "json"]
+            done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert done.returncode == 1, (command, done.stderr)
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, command
+
+
+def test_only_a_certified_constant_guarantees_a_solve(tmp_path, capsys, halving_instance, nonunique_instance, boundary_instance):
+    # Every solve result is guaranteed only when the checklist passes (the
+    # triangle instance fails only its metric-axioms row), and its trace
+    # carries the report's certified alpha_hat, or null where the checklist
+    # certified none (a missing or ambiguous partner).
+    rng = random.Random(12)
+    triangle = tmp_path / "tri.json"
+    triangle.write_text(TRIANGLE_TEXT)
+    instances = [halving_instance, nonunique_instance, boundary_instance, load_instance(triangle)]
+    for kind in ("grid", "matrix") * 10:
+        geom, t_map = tie_heavy_case(kind, rng)
+        sp = geom.pair
+        instances.append(make_instance(sp.metric, sp.a, sp.b, t_map.image, eps_prox=geom.eps_prox))
+    path = str(tmp_path / "inst.json")
+    seen = set()
+    for inst in instances:
+        save_instance(inst, path)
+        doc = json.loads(run(capsys, "solve", path, "--format", "json")[1])
+        for res in doc["results"].values():
+            assert doc["hypotheses_ok"] or not res["guaranteed"], doc["checks"]
+            assert res["trace"]["alpha_hat"] == doc["alpha_hat"]
+            seen.add((doc["alpha_hat"] is None, res["guaranteed"]))
+    assert seen == {(True, False), (False, False), (False, True)}

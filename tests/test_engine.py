@@ -15,7 +15,6 @@ from bestprox import (
     NOT_CONTRACTION,
     GeneratorConfig,
     HypothesisViolation,
-    InducedMap,
     MaxIterationsExceeded,
     NonUniquePartner,
     ProximityMap,
@@ -55,7 +54,7 @@ def defining_defect(induced) -> float:
     """Reference: max over A0 of | d(S(x), T(x)) - d(A,B) |, the induced-map residual."""
     geom = induced.geometry
     sp = geom.pair
-    partners = sp.a[induced.classes.table[geom.a0]]
+    partners = sp.a[induced.table[geom.a0]]
     images = sp.b[induced.t_map.image[geom.a0]]
     d = paired_distances(sp.metric, partners, images)
     return float(np.abs(d - geom.pair_distance).max(initial=0.0))
@@ -130,7 +129,7 @@ def test_certify_witness_reproduces_alpha(geometric_instance):
     cert = certify_contraction(induced)
     w1, w2 = cert.witness
     ratio = distance(
-        inst.metric, inst.pair.a[induced.classes.table[w1]], inst.pair.a[induced.classes.table[w2]]
+        inst.metric, inst.pair.a[induced.table[w1]], inst.pair.a[induced.table[w2]]
     ) / distance(inst.metric, inst.pair.a[w1], inst.pair.a[w2])
     assert abs(ratio - cert.alpha_hat) <= math.ulp(cert.alpha_hat)
 
@@ -162,8 +161,8 @@ def test_certify_wide_scope(boundary_instance, narrow_a0_instance):
 
 def test_certify_wide_flags_multi_partner_as_infinite(nonunique_instance):
     geom = geom_of(nonunique_instance)
-    # build_induced_map refuses the ambiguity, so wrap the classes by hand
-    induced = InducedMap(geom, nonunique_instance.t_map, classify_partners(geom, nonunique_instance.t_map))
+    # build_induced_map refuses the ambiguity; classify_partners keeps it
+    induced = classify_partners(geom, nonunique_instance.t_map)
     wide = certify_contraction(induced, wide=True)
     assert math.isinf(wide.alpha_hat)
     assert wide.verdict == NOT_CONTRACTION
@@ -213,7 +212,7 @@ def test_certify_wide_matches_pairwise_scan():
         for seed in range(60):
             rng = random.Random(seed)
             geom, t_map = grid_case(rng) if kind == "grid" else tie_heavy_case(kind, rng)
-            cert = certify_contraction(InducedMap(geom, t_map, classify_partners(geom, t_map)), wide=True)
+            cert = certify_contraction(classify_partners(geom, t_map), wide=True)
             expected = wide_scan(geom, t_map)
             assert (cert.alpha_hat, cert.witness, cert.pair_count) == expected, (kind, seed)
             outcomes.add((math.isinf(expected[0]), expected[1] is None))
@@ -234,7 +233,7 @@ def test_row_blocked_certificate_matches_dense_reference(kind):
     seen = set()
     for _ in range(80):
         induced = tie_heavy_induced(kind, rng)
-        sp, a0, count = induced.geometry.pair, induced.geometry.a0, induced.classes.count
+        sp, a0, count = induced.geometry.pair, induced.geometry.a0, induced.count
         keys = {"a0": a0, "full": np.flatnonzero(count)}
         expected = {scope: dense_max_ratio(sp, scope_map(induced, keys[scope])) for scope in keys}
         if not expected["full"][0] > 0.0:
@@ -242,7 +241,7 @@ def test_row_blocked_certificate_matches_dense_reference(kind):
         seen.add((len(a0) > 2, expected["a0"][0] == 0.0))
         for rows in each_block_size():
             for k in keys.values():
-                assert _max_ratio(sp, k, induced.classes.table) == dense_max_ratio(sp, scope_map(induced, k)), rows
+                assert _max_ratio(sp, k, induced.table) == dense_max_ratio(sp, scope_map(induced, k)), rows
             for cert in (certify_contraction(induced), certify_contraction(induced, wide=True)):
                 if cert.scope == "full" and count.max() > 1:
                     continue  # the ambiguity path scans nothing
@@ -304,6 +303,23 @@ def test_banach_detects_two_cycle(swap_instance):
     assert res.trace.stop_reason == CYCLE_DETECTED
     assert res.trace.indices == (0, 1, 0)
     assert not res.guaranteed
+
+
+@pytest.mark.parametrize(
+    "fixture, error, b_index",
+    [("halving_instance", HypothesisViolation, 1), ("nonunique_instance", NonUniquePartner, 0)],
+)
+def test_banach_refuses_a_map_partial_on_a0(request, fixture, error, b_index):
+    # classify_partners may return S partial on A0; iterating it would follow
+    # a -1 entry as an index of A, so every start is refused, at the first
+    # failing point of A0, as build_induced_map refuses the map.
+    inst = request.getfixturevalue(fixture)
+    geom = geom_of(inst)
+    partial = classify_partners(geom, inst.t_map)
+    for start in geom.a0.tolist():
+        with pytest.raises(error) as err:
+            banach_iterate(partial, start, certificate=certify_contraction(partial))
+        assert (err.value.a_index, err.value.b_index) == (b_index, b_index)
 
 
 def test_banach_rejects_start_outside_a0(narrow_a0_instance):
@@ -449,6 +465,17 @@ def test_map_refuses_entries_that_are_not_integers():
             ProximityMap(image)
     with pytest.raises(ValueError, match="integer B indices"):
         make_instance(euclidean_metric(), [(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0), (1.0, 1.0)], [1.9, 0.2])
+    # SetPair and Metric keep points and tables by the same rule; each of
+    # these was once kept, a string read as its number and a boolean as 0 or 1.
+    square = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
+    for build, values in (
+        (lambda v: SetPair(euclidean_metric(), v, [(1.0, 0.0)]), ([["1.5", True]], [[1.5, True]], [[0.0, np.bool_(True)]], [["0", "1"]])),
+        (lambda v: SetPair(matrix_metric(square), v, [3]), ([True, 2], [0, np.bool_(True)], [np.int64(1), True], ["0", "1"])),
+        (matrix_metric, ([["0", True], [1, 0.0]], [[0.0, True], [True, 0.0]], [[0, 1], [1, np.bool_(False)]], [["0", "1"], ["1", "0"]])),
+    ):
+        for value in values:
+            with pytest.raises(ValueError, match="entries must be"):
+                build(value)
 
 
 def test_map_validation_keeps_its_messages():
@@ -532,10 +559,9 @@ def test_verify_names_no_image_where_s_is_undefined(halving_instance, narrow_a0_
     # has one partner); the fixed-point check then reads S(z) = A[None].
     for inst in (halving_instance, narrow_a0_instance):
         geom = geom_of(inst)
-        classes = classify_partners(geom, inst.t_map)
         result = direct_iterate(geom, inst.t_map, 0, alpha_hat=0.0)
         fake = dataclasses.replace(result, index=1, point=inst.pair.a[1])
-        check = verify_result(fake, geom, inst.t_map, induced=InducedMap(geom, inst.t_map, classes)).check("fixed-point")
+        check = verify_result(fake, geom, inst.t_map, induced=classify_partners(geom, inst.t_map)).check("fixed-point")
         assert (check.passed, check.detail) == (False, "S(z) = A[None]")
     # Where S is defined the detail names its image.
     induced = build_induced_map(geom_of(narrow_a0_instance), narrow_a0_instance.t_map)

@@ -127,7 +127,7 @@ def test_generator_constant_map_converges_fast():
     inst = generate_instance(GeneratorConfig(seed=9, alpha_target=0.0, a_size=8))
     geom = proximal_subsets(inst.pair, inst.eps_prox)
     induced = build_induced_map(geom, inst.t_map)
-    assert len(set(induced.classes.table[geom.a0].tolist())) == 1  # constant on A0
+    assert len(set(induced.table[geom.a0].tolist())) == 1  # constant on A0
     for start in geom.a0:
         assert banach_iterate(induced, start).iterations <= 2
 

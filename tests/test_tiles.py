@@ -99,8 +99,8 @@ def test_tiled_scans_match_the_dense_references(case):
         induced = with_self_map(geom, t_map, mapping)
         cert = certify_contraction(induced)
         assert (cert.alpha_hat, cert.witness, cert.pair_count) == alpha, sizes
-        partnered = np.flatnonzero(induced.classes.count)
-        if induced.classes.count.max() > 1:
+        partnered = np.flatnonzero(induced.count)
+        if induced.count.max() > 1:
             continue  # the ambiguity path scans nothing
         cert = certify_contraction(induced, wide=True)
         full, witness, pairs = dense_max_ratio(sp, scope_map(induced, partnered))
