@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 
 from .engine import (
     DEFAULT_MAX_ITER,
@@ -73,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     eps = _Parser(add_help=False, parents=[fmt])
-    eps.add_argument("--eps-prox", type=_flag(partial(checked_tolerance, "eps_prox")), default=None, help="override the instance proximity tolerance")
+    eps.add_argument("--eps-prox", type=_flag(lambda text: checked_tolerance("tolerances.eps_prox", float(text))), default=None, help="override the instance proximity tolerance")
     tol = _Parser(add_help=False, parents=[eps])
-    tol.add_argument("--tol", type=_flag(partial(checked_tolerance, "tol")), default=None, help="convergence tolerance (default 1e-9)")
+    tol.add_argument("--tol", type=_flag(lambda text: checked_tolerance("tolerances.tol", float(text))), default=None, help="convergence tolerance (default 1e-9)")
 
     parser = _Parser(prog="bestprox", description="Best proximity point solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,15 +147,14 @@ def cmd_solve(args) -> int:
                 "partial_indices": list(err.partial_indices),
             }
 
+    # Only the checklist's certificate may cut either walk.
     if args.method in ("induced", "both"):
         if assessment.induced is None:
             failures["induced"] = {"error": "HypothesisViolation", "detail": "induced map cannot be built (see checklist)"}
         else:
             run("induced", lambda: banach_iterate(assessment.induced, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
     if args.method in ("direct", "both"):
-        # Only the checklist's certificate may cut the walk.
-        alpha_hat = assessment.certificate.alpha_hat if assessment.certificate else None
-        run("direct", lambda: direct_iterate(geom, inst.t_map, start, alpha_hat=alpha_hat, tol=tol, max_iter=max_iter))
+        run("direct", lambda: direct_iterate(geom, inst.t_map, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
 
     traces_equal = None
     if args.method == "both" and len(results) == 2:

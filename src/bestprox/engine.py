@@ -17,6 +17,9 @@ Two iteration schemes are provided and must agree step for step:
   induced map nor the partner table of :class:`PairGeometry`, so agreement of
   the two schemes is a real cross-check.
 
+Both take ``certificate=`` (None: uncertified) and measure none themselves;
+its ``verdict`` alone decides whether a walk may stop early and be guaranteed.
+
 The certificate walks A0 x A0 with the tile scan of :mod:`~bestprox.geometry`
 and skips each tile whose ratios its box bounds put below the running maximum,
 or at it when all the tile's pairs come after the witness; ``pair_count``
@@ -236,7 +239,9 @@ def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
         return 0.0, None, 0
     src = sp.a[keys]
     dst = sp.a[table[keys]]
-    best, witness = -math.inf, None
+    # Until a ratio above -inf is seen, the least pair (0, 1) attains the
+    # maximum; a tie at -inf is never taken, as masked entries hold -inf.
+    best, witness = -math.inf, (0, 1)
 
     def skip(lower, upper, lo, clo):
         # Every ratio is at most the images' upper bound over the sources'
@@ -248,15 +253,16 @@ def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
 
     def visit(lo, clo, ratios, den):
         nonlocal best, witness
-        # A ratio beyond the float range is inf; the diagonal j = i is 0/0.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # A ratio beyond the float range is +-inf; the diagonal j = i, masked
+        # below, is 0/0 or, where the table fails identity, x/0.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ratios /= den
         if clo < lo + len(ratios):
             ratios[np.tril_indices(len(ratios), lo - clo, ratios.shape[1])] = -math.inf  # j <= i
         r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
         # A tile's first maximum replaces the witness when it is greater, or
         # equal at an earlier pair, so ties keep the lexicographically first.
-        if ratios[r, c] > best or (ratios[r, c] == best and (lo + r, clo + c) < witness):
+        if ratios[r, c] > best or (ratios[r, c] == best > -math.inf and (lo + r, clo + c) < witness):
             best, witness = float(ratios[r, c]), (lo + r, clo + c)
 
     scan_tiles(sp.metric, [(dst, dst), (src, src)], visit, skip, triangle=True)
@@ -318,15 +324,15 @@ def _resolve_start(geom: PairGeometry, x0) -> int:
     return idx
 
 
-def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
+def _iterate(geom, t_map, step, start_idx, certificate, tol, max_iter):
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     sp = geom.pair
     # Walk the orbit to its fixed point, first repeat, failing step or budget,
-    # then measure every step gap in one kernel call.  Only a certified
-    # constant below 1 (``alpha_hat`` None certifies none) cuts the walk at
+    # then measure every step gap in one kernel call.  Only a certificate
+    # whose verdict is a contraction (None certifies none) cuts the walk at
     # the first gap that already guarantees d(x_k, z) <= tol, bounds the
     # error a priori and guarantees the result.  The cut stops exactly where
     # a step-by-step test of the gap would have stopped.
@@ -349,7 +355,8 @@ def _iterate(geom, t_map, step, start_idx, alpha_hat, tol, max_iter):
             break
         visited.add(nxt)
     gaps = paired_distances(sp.metric, sp.a[indices[:-1]], sp.a[indices[1:]]).tolist()
-    contracts = alpha_hat is not None and alpha_hat < 1.0
+    alpha_hat = certificate.alpha_hat if certificate is not None else None
+    contracts = certificate is not None and certificate.verdict == CONTRACTION
     if contracts:
         threshold = tol * (1.0 - alpha_hat) / max(alpha_hat, tol)
         first = next((k for k, gap in enumerate(gaps) if gap <= threshold), None)
@@ -398,7 +405,7 @@ def banach_iterate(
     """Picard iteration x_{k+1} = S(x_k) on the prebuilt induced map.
 
     Stops at an exact fixed point (finite spaces reach one), or when the step
-    gap guarantees d(x_k, z) <= tol under the certified constant, or when a
+    gap guarantees d(x_k, z) <= tol under ``certificate`` (None: never), or when a
     revisited point reveals a cycle (possible only without a contraction
     certificate; the result is then stamped unguaranteed).  Exhausting the
     budget raises :class:`MaxIterationsExceeded` with the full trace.  A map
@@ -406,10 +413,7 @@ def banach_iterate(
     """
     geom = _total(induced).geometry
     start = _resolve_start(geom, x0)
-    cert = certificate if certificate is not None else certify_contraction(induced)
-    return _iterate(
-        geom, induced.t_map, lambda i: int(induced.table[i]), start, cert.alpha_hat, tol, max_iter
-    )
+    return _iterate(geom, induced.t_map, lambda i: int(induced.table[i]), start, certificate, tol, max_iter)
 
 
 def direct_iterate(
@@ -417,18 +421,18 @@ def direct_iterate(
     t_map: ProximityMap,
     x0,
     *,
-    alpha_hat: float | None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    certificate: ContractionCertificate | None = None,
 ) -> BestProximityResult:
     """Iterate by solving d(x_{k+1}, T(x_k)) = d(A,B) afresh at every step.
 
     No partner table is read: each successor is found by one kernel scan of A
     for the points within eps_prox of d(A,B) from the current image, raising
     at the offending step (with the iterate prefix attached) if there is none
-    or several.  ``alpha_hat`` is the induced map's certified constant, which
-    stops both schemes at the same step, or None where none is certified: the
-    walk is then never cut short and never guaranteed.  On instances where
+    or several.  ``certificate`` is the induced map's, as for
+    :func:`banach_iterate`, so both schemes stop at the same step; None runs
+    uncertified, never cut short and never guaranteed.  On instances where
     the induced map exists this produces the exact same index sequence as
     :func:`banach_iterate`.
     """
@@ -442,7 +446,7 @@ def direct_iterate(
         d = pairwise_distances(sp.metric, sp.a, sp.b[img : img + 1])[:, 0]
         return _unique_partner(i, img, tuple(np.flatnonzero(d <= cut).tolist()))
 
-    return _iterate(geom, t_map, step, start, alpha_hat, tol, max_iter)
+    return _iterate(geom, t_map, step, start, certificate, tol, max_iter)
 
 
 def verify_result(

@@ -13,6 +13,8 @@ unambiguous and diff-able::
       "alpha": 0.5                                 # optional declared constant
     }
 
+Each rule of a field lives in the library code that owns it; the parser
+reads the JSON, converts its arrays and names the field a refusal concerns.
 Saving is canonical (sorted keys, fixed indentation, normalized floats), so
 load/save round-trips are idempotent byte for byte.
 """
@@ -51,18 +53,30 @@ class Instance:
     ) -> "Instance":
         out = self
         if eps_prox is not None:
-            out = replace(out, eps_prox=checked_tolerance("eps_prox", eps_prox))
+            out = replace(out, eps_prox=checked_tolerance("tolerances.eps_prox", eps_prox))
         if tol is not None:
-            out = replace(out, tol=checked_tolerance("tol", tol))
+            out = replace(out, tol=checked_tolerance("tolerances.tol", tol))
         return out
 
 
-def checked_tolerance(name: str, value) -> float:
-    """``value`` as a float: ``tol`` must be finite and > 0, ``eps_prox`` finite and >= 0."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0 or (value == 0 and name == "tol"):
-        bound = "> 0" if name == "tol" else ">= 0"
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+def _fail(field: str, problem: str) -> InstanceFormatError:
+    return InstanceFormatError(f"field {field!r}: {problem}")
+
+
+def checked_tolerance(field: str, value) -> float:
+    """``value`` of the instance field ``field`` (``tolerances.tol``,
+    ``tolerances.eps_prox`` or ``alpha``) as a float, by one number rule: an
+    int or a float, not a boolean, that fits a float, finite and >= 0, and
+    > 0 for ``tolerances.tol``.  A refusal names the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _fail(field, f"must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise _fail(field, "integer too large for a float") from None
+    strict = field == "tolerances.tol"
+    if not math.isfinite(value) or value < 0 or (value == 0 and strict):
+        raise _fail(field, f"must be a finite number {'> 0' if strict else '>= 0'}, got {value!r}")
     return value
 
 
@@ -76,39 +90,20 @@ def make_instance(
     tol: float = DEFAULT_TOL,
     alpha_declared: float | None = None,
 ) -> Instance:
-    """Assemble and validate an instance from in-memory pieces."""
+    """Assemble and validate an instance from in-memory pieces.  A refusal of
+    T, a tolerance or ``alpha_declared`` is an :class:`InstanceFormatError`
+    naming the field of the file format, as a file's would."""
     pair = SetPair(metric, a, b)
-    t_map = ProximityMap(t_image)
-    t_map.validate(pair)
-    eps_prox = checked_tolerance("eps_prox", default_eps_prox(metric) if eps_prox is None else eps_prox)
-    return Instance(pair, t_map, eps_prox, checked_tolerance("tol", tol), alpha_declared)
-
-
-def _fail(field: str, problem: str) -> InstanceFormatError:
-    return InstanceFormatError(f"field {field!r}: {problem}")
-
-
-def _number(field: str, value) -> float:
-    """A JSON number as a float; booleans, strings, null and integers too
-    large for a float are refused with the field's name."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(field, f"must be a number, got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
-        raise _fail(field, "integer too large for a float") from None
-
-
-def _numbers(value, booleans: bool = True) -> np.ndarray | None:
-    """Nested lists of JSON numbers as one new read-only float64 array, by the
-    rule of :func:`~bestprox.metric.frozen_array`, or None.  ``booleans=False``
-    skips its scan for a boolean among the numbers.  The array is frozen
-    here, so Metric and SetPair keep it without a copy.
-    """
-    try:
-        return frozen_array(value, np.float64, booleans)
-    except ValueError:
-        return None
+        t_map = ProximityMap(t_image)
+        t_map.validate(pair)
+    except ValueError as err:
+        raise _fail("T", str(err)) from None
+    eps_prox = checked_tolerance("tolerances.eps_prox", default_eps_prox(metric) if eps_prox is None else eps_prox)
+    tol = checked_tolerance("tolerances.tol", tol)
+    if alpha_declared is not None:
+        alpha_declared = checked_tolerance("alpha", alpha_declared)
+    return Instance(pair, t_map, eps_prox, tol, alpha_declared)
 
 
 def _parse_metric(payload, booleans: bool) -> Metric:
@@ -119,39 +114,43 @@ def _parse_metric(payload, booleans: bool) -> Metric:
         if "matrix" in payload:
             raise _fail("metric.matrix", "euclidean metric takes no matrix")
         return Metric(EUCLIDEAN)
-    if kind == EXPLICIT_MATRIX:
-        matrix = payload.get("matrix")
-        if not isinstance(matrix, list) or not matrix:
-            raise _fail("metric.matrix", "required nonempty array of rows")
-        table = _numbers(matrix, booleans)
-        if table is None:
-            raise _fail("metric.matrix", "must be rows of one length of numbers that fit a float")
-        try:
-            return Metric(EXPLICIT_MATRIX, table)
-        except ValueError as err:
-            raise _fail("metric.matrix", str(err)) from None
-    raise _fail("metric.kind", f"must be {EUCLIDEAN!r} or {EXPLICIT_MATRIX!r}, got {kind!r}")
+    if kind != EXPLICIT_MATRIX:
+        raise _fail("metric.kind", f"must be {EUCLIDEAN!r} or {EXPLICIT_MATRIX!r}, got {kind!r}")
+    try:
+        table = frozen_array(payload.get("matrix"), np.float64, booleans)
+    except ValueError:
+        raise _fail("metric.matrix", "must be rows of one length of numbers that fit a float") from None
+    try:
+        return Metric(EXPLICIT_MATRIX, table)
+    except ValueError as err:
+        raise _fail("metric.matrix", str(err)) from None
 
 
-def _parse_points(metric: Metric, payload, field: str, booleans: bool):
+def _parse_points(metric: Metric, payload, field: str, booleans: bool) -> np.ndarray:
+    """The points of ``field`` as one array, which SetPair keeps without a
+    copy; else the first item that is not a point of the space is named."""
     if not isinstance(payload, list) or not payload:
         raise _fail(field, "must be a nonempty array of points")
-    if metric.kind != EUCLIDEAN:
-        for pos, item in enumerate(payload):
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise _fail(f"{field}[{pos}]", f"matrix-space point must be an index, got {item!r}")
-        return payload
-    points = _numbers(payload, booleans)
-    if points is None:
+    if metric.kind == EUCLIDEAN:
         dim = len(payload[0]) if isinstance(payload[0], list) else 0
-        pos = next((pos for pos, item in enumerate(payload) if not _is_point(item, dim)), 0)
-        raise _fail(f"{field}[{pos}]", f"not a numeric point of dimension {dim}: {payload[pos]!r}")
-    return points
+        dtype, shape, what = np.float64, (dim,), f"a numeric point of dimension {dim}"
+    else:
+        dtype, shape, what = np.int64, (), "an index into the distance table"
+    try:
+        points = frozen_array(payload, dtype, booleans)
+        if points.shape[1:] == shape:
+            return points
+    except ValueError:
+        pass
+    pos = next((pos for pos, item in enumerate(payload) if not _is_point(item, dtype, shape)), 0)
+    raise _fail(f"{field}[{pos}]", f"not {what}: {payload[pos]!r}")
 
 
-def _is_point(item, dim: int) -> bool:
-    point = _numbers(item) if isinstance(item, list) else None
-    return point is not None and point.shape == (dim,)
+def _is_point(item, dtype, shape: tuple) -> bool:
+    try:
+        return frozen_array(item, dtype).shape == shape
+    except ValueError:
+        return False
 
 
 def parse_instance(payload, *, booleans: bool = True) -> Instance:
@@ -168,39 +167,20 @@ def parse_instance(payload, *, booleans: bool = True) -> Instance:
     metric = _parse_metric(payload["metric"], booleans)
     a = _parse_points(metric, payload["A"], "A", booleans)
     b = _parse_points(metric, payload["B"], "B", booleans)
-    t_raw = payload["T"]
-    if not isinstance(t_raw, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) for v in t_raw
-    ):
-        raise _fail("T", "must be an array of B indices")
-
     tolerances = payload.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise _fail("tolerances", "must be an object")
-    eps_prox = tolerances.get("eps_prox")
-    if eps_prox is not None:
-        eps_prox = _number("tolerances.eps_prox", eps_prox)
-    tol = _number("tolerances.tol", tolerances.get("tol", DEFAULT_TOL))
-
-    alpha = payload.get("alpha")
-    if alpha is not None:
-        alpha = _number("alpha", alpha)
-        if not (math.isfinite(alpha) and alpha >= 0):
-            raise _fail("alpha", f"must be a finite nonnegative number, got {alpha!r}")
-
     try:
         return make_instance(
             metric,
             a,
             b,
-            t_raw,
-            eps_prox=eps_prox,
-            tol=tol,
-            alpha_declared=alpha,
+            payload["T"],
+            eps_prox=tolerances.get("eps_prox"),
+            tol=tolerances.get("tol", DEFAULT_TOL),
+            alpha_declared=payload.get("alpha"),
         )
     except (TypeError, ValueError) as err:
-        if isinstance(err, InstanceFormatError):
-            raise
         raise InstanceFormatError(str(err)) from None
 
 

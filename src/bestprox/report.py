@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    CONTRACTION,
     ContractionCertificate,
     InducedMap,
     BestProximityResult,
@@ -126,7 +127,7 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
                 f"; declared alpha {inst.alpha_declared!r} "
                 + ("confirmed" if declared_ok else "CONTRADICTED by alpha_hat")
             )
-        contraction = (certificate.alpha_hat < 1.0, detail, certificate.witness)
+        contraction = (certificate.verdict == CONTRACTION, detail, certificate.witness)
     else:
         # Partner structure is broken; measure what the well-defined part shows.
         part = certify_contraction(s_map)

@@ -78,7 +78,7 @@ def sweep():
         ban = banach_iterate(induced, geom.a0[0], tol=inst.tol, certificate=cert)
         brute = brute_force_solve(inst.pair, inst.t_map, eps_prox=inst.eps_prox)
         solver_seconds += time.perf_counter() - t0
-        direct = direct_iterate(geom, inst.t_map, geom.a0[0], tol=inst.tol, alpha_hat=cert.alpha_hat)
+        direct = direct_iterate(geom, inst.t_map, geom.a0[0], tol=inst.tol, certificate=cert)
         records.append(Record(cfg, inst, geom, induced, cert, ban, direct, brute))
     return records, solver_seconds
 

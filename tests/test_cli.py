@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import bestprox
@@ -167,6 +168,24 @@ def test_metric_fixtures_rejected_with_witnesses(tmp_path, capsys):
     code, out, _ = run(capsys, "certify", str(tri))
     assert code == 2
     assert "triangle fails: witness (0, 2, 1)" in out
+
+
+# Tables that fail the axioms, on which the certificate's ratio scan once
+# broke: the only ratio is -1e308 / 1e-308 = -inf, and a masked diagonal
+# entry of the second is 1/0 (d(2, 2) = 1 fails identity).
+NEGATIVE_RATIO_TEXT = '{"metric": {"kind": "explicit-matrix", "matrix": [[0, 1e-308, 5, 1], [-1e308, 0, 1, 5], [5, 1, 0, 5], [1, 5, 5, 0]]}, "A": [0, 1], "B": [2, 3], "T": [0, 1]}'
+NONZERO_DIAGONAL_TEXT = '{"metric": {"kind": "explicit-matrix", "matrix": [[0, 2, 2, 5, 5], [2, 0, 2, 5, 5], [2, 2, 1, 1, 5], [5, 5, 1, 0, 5], [5, 5, 5, 5, 0]]}, "A": [0, 1, 2], "B": [3, 4], "T": [0, 0, 0]}'
+
+
+def test_tables_failing_the_axioms_exit_2_without_traceback_or_warning(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    for text in (NEGATIVE_RATIO_TEXT, NONZERO_DIAGONAL_TEXT):
+        path.write_text(text)
+        for argv in (("certify",), ("certify", "--wide"), ("solve",)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+                code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+            assert (code, err) == (2, ""), (text, argv)
 
 
 def test_malformed_file_exits_1(tmp_path, capsys):

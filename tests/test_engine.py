@@ -271,7 +271,7 @@ def test_certificate_memory_stays_within_the_block_budget():
 
 def test_banach_geometric_converges(geometric_instance):
     induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
-    res = banach_iterate(induced, 2)
+    res = banach_iterate(induced, 2, certificate=certify_contraction(induced))
     assert res.point.tolist() == [0.0, 0.0]
     assert res.iterations <= 3
     assert res.residual == 0.0
@@ -336,12 +336,12 @@ def test_start_accepts_any_integer_but_bool(geometric_instance, swap_instance):
     for inst in (geometric_instance, swap_instance):  # one euclidean, one matrix space
         geom = geom_of(inst)
         induced = build_induced_map(geom, inst.t_map)
-        alpha_hat = certify_contraction(induced).alpha_hat
+        cert = certify_contraction(induced)
         for start in (np.int64(1), np.int32(1), np.uint8(1)):
             assert banach_iterate(induced, start).trace.indices == banach_iterate(induced, 1).trace.indices
             assert (
-                direct_iterate(geom, inst.t_map, start, alpha_hat=alpha_hat).trace.indices
-                == direct_iterate(geom, inst.t_map, 1, alpha_hat=alpha_hat).trace.indices
+                direct_iterate(geom, inst.t_map, start, certificate=cert).trace.indices
+                == direct_iterate(geom, inst.t_map, 1, certificate=cert).trace.indices
             )
         with pytest.raises(ValueError, match="outside A"):
             banach_iterate(induced, np.int64(99))
@@ -376,7 +376,7 @@ def test_direct_matches_banach_on_geometric(geometric_instance):
     induced = build_induced_map(geom, geometric_instance.t_map)
     cert = certify_contraction(induced)
     left = banach_iterate(induced, 2, certificate=cert)
-    right = direct_iterate(geom, geometric_instance.t_map, 2, alpha_hat=cert.alpha_hat)
+    right = direct_iterate(geom, geometric_instance.t_map, 2, certificate=cert)
     assert left.trace.indices == right.trace.indices
     assert left.trace.step_gaps == right.trace.step_gaps
     assert left.trace.a_priori_bounds == right.trace.a_priori_bounds
@@ -384,7 +384,7 @@ def test_direct_matches_banach_on_geometric(geometric_instance):
 
 def test_direct_fixed_start(geometric_instance):
     geom = geom_of(geometric_instance)
-    res = direct_iterate(geom, geometric_instance.t_map, 0, alpha_hat=1 / 3)
+    res = direct_iterate(geom, geometric_instance.t_map, 0)
     assert res.iterations == 1
     assert res.index == 0
 
@@ -392,8 +392,7 @@ def test_direct_fixed_start(geometric_instance):
 def test_direct_halving_fails_at_offending_step(halving_instance):
     geom = geom_of(halving_instance)
     with pytest.raises(HypothesisViolation) as exc:
-        # 0.5: the ratio of the one pair of A0 points with a single partner
-        direct_iterate(geom, halving_instance.t_map, 2, alpha_hat=0.5)
+        direct_iterate(geom, halving_instance.t_map, 2)
     # one good step (0,1) -> (0,1/2), then the image (1,1/4) is unpartnered
     assert exc.value.partial_indices == (2, 1)
     assert exc.value.a_index == 1
@@ -402,7 +401,7 @@ def test_direct_halving_fails_at_offending_step(halving_instance):
 def test_direct_nonunique_fails_immediately(nonunique_instance):
     geom = geom_of(nonunique_instance)
     with pytest.raises(NonUniquePartner) as exc:
-        direct_iterate(geom, nonunique_instance.t_map, 0, alpha_hat=0.0)
+        direct_iterate(geom, nonunique_instance.t_map, 0)
     assert exc.value.partial_indices == (0,)
     assert exc.value.partners == (0, 1)
 
@@ -410,17 +409,17 @@ def test_direct_nonunique_fails_immediately(nonunique_instance):
 def test_direct_ignores_tampered_partner_table(geometric_instance):
     inst = geometric_instance
     geom = geom_of(inst)
-    alpha = certify_contraction(build_induced_map(geom, inst.t_map)).alpha_hat
+    cert = certify_contraction(build_induced_map(geom, inst.t_map))
     # T(A[2]) = B[1], whose true partner is A[1]; claim A[2] instead.
     assert geom.partners_in_a(1) == (1,)
     partners = geom.partners.copy()
     partners[geom.offsets[1]] = 2
     tampered = dataclasses.replace(geom, partners=partners)
     banach = banach_iterate(build_induced_map(tampered, inst.t_map), 2)
-    direct = direct_iterate(tampered, inst.t_map, 2, alpha_hat=alpha)
+    direct = direct_iterate(tampered, inst.t_map, 2, certificate=cert)
     assert banach.trace.indices == (2, 2)
     assert direct.trace.indices == (2, 1, 0, 0)
-    assert direct.trace.indices == direct_iterate(geom, inst.t_map, 2, alpha_hat=alpha).trace.indices
+    assert direct.trace.indices == direct_iterate(geom, inst.t_map, 2, certificate=cert).trace.indices
 
 
 # --- the map T ---------------------------------------------------------------------
@@ -559,7 +558,7 @@ def test_verify_names_no_image_where_s_is_undefined(halving_instance, narrow_a0_
     # has one partner); the fixed-point check then reads S(z) = A[None].
     for inst in (halving_instance, narrow_a0_instance):
         geom = geom_of(inst)
-        result = direct_iterate(geom, inst.t_map, 0, alpha_hat=0.0)
+        result = direct_iterate(geom, inst.t_map, 0)
         fake = dataclasses.replace(result, index=1, point=inst.pair.a[1])
         check = verify_result(fake, geom, inst.t_map, induced=classify_partners(geom, inst.t_map)).check("fixed-point")
         assert (check.passed, check.detail) == (False, "S(z) = A[None]")

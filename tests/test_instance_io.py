@@ -7,11 +7,15 @@ import pytest
 
 from bestprox import instance
 from bestprox import (
+    EUCLIDEAN,
+    EXPLICIT_MATRIX,
     GeneratorConfig,
     InstanceFormatError,
     dumps_instance,
     generate_instance,
     load_instance,
+    make_instance,
+    Metric,
     parse_instance,
     save_instance,
 )
@@ -192,6 +196,54 @@ def test_loaded_coordinates_are_the_parsers_read_only_arrays(tmp_path):
         assert kept is parsed  # kept without a copy
         assert kept.dtype == np.float64 and kept.base is None
         assert kept.flags.writeable is False
+
+
+# Each value the file parser refuses for a tolerance or alpha, as the keyword
+# of make_instance that holds the field.
+REFUSED_NUMBERS = [True, False, "1e-3", "0.5", HUGE, NAN, INF, -INF, -1.0, -1]
+NUMBER_FIELDS = {"tolerances.eps_prox": "eps_prox", "tolerances.tol": "tol", "alpha": "alpha_declared"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    # A null eps_prox or alpha means the default or none; a null tol is refused.
+    [(field, value) for field in sorted(NUMBER_FIELDS) for value in REFUSED_NUMBERS] + [("tolerances.tol", None)],
+    ids=lambda v: "10**400" if v is HUGE else repr(v),
+)
+def test_library_refuses_the_numbers_the_parser_refuses(field, value):
+    payload = json.loads(GEOMETRIC_TEXT)
+    if field == "alpha":
+        payload["alpha"] = value
+    else:
+        payload["tolerances"] = {field.split(".")[1]: value}
+    inst = parse_instance(json.loads(GEOMETRIC_TEXT))
+    pieces = (inst.metric, inst.pair.a, inst.pair.b, inst.t_map.image)
+    refusals = [
+        lambda: parse_instance(payload),
+        lambda: make_instance(*pieces, **{NUMBER_FIELDS[field]: value}),
+    ]
+    if field != "alpha" and value is not None:  # None overrides nothing
+        refusals.append(lambda: inst.with_tolerances(**{NUMBER_FIELDS[field]: value}))
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=re.escape(f"field {field!r}: ")):
+            refuse()
+
+
+@pytest.mark.parametrize("number", [0, 2**70, None], ids=["0", "2**70", "defaults"])
+def test_every_accepted_instance_round_trips_byte_for_byte(tmp_path, number):
+    # None keeps the defaults (and no alpha); tol must be > 0, so it is not 0.
+    matrix = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
+    numbers = {} if number is None else {"eps_prox": number, "alpha_declared": number}
+    if number:
+        numbers["tol"] = number
+    path = tmp_path / "inst.json"
+    for pieces in (
+        (Metric(EUCLIDEAN), [(0, 0), (0, 0.25), (0, 1)], [(1, 0), (1, 0.25), (1, 1)], [0, 0, 1]),
+        (Metric(EXPLICIT_MATRIX, matrix), [0, 1], [2, 3], [1, 0]),
+    ):
+        inst = make_instance(*pieces, **numbers)
+        save_instance(inst, path)
+        assert dumps_instance(load_instance(path)) == path.read_text() == dumps_instance(inst)
 
 
 def test_integers_that_fit_a_float_are_accepted():
