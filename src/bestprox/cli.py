@@ -147,12 +147,10 @@ def cmd_solve(args) -> int:
                 "partial_indices": list(err.partial_indices),
             }
 
-    # Only the checklist's certificate may cut either walk.
+    # Only the checklist's certificate may cut either walk.  A partial S is
+    # refused by banach_iterate itself, naming the first failing point of A0.
     if args.method in ("induced", "both"):
-        if assessment.induced is None:
-            failures["induced"] = {"error": "HypothesisViolation", "detail": "induced map cannot be built (see checklist)"}
-        else:
-            run("induced", lambda: banach_iterate(assessment.induced, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
+        run("induced", lambda: banach_iterate(assessment.s_map, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
     if args.method in ("direct", "both"):
         run("direct", lambda: direct_iterate(geom, inst.t_map, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
 

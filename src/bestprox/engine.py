@@ -251,8 +251,7 @@ def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
         bound = upper[0] / lower[1] if lower[1] else math.inf if upper[0] else 0.0
         return bound < best or (bound == best and (lo, clo) > witness)
 
-    def visit(lo, clo, ratios, den):
-        nonlocal best, witness
+    for lo, clo, ratios, den in scan_tiles(sp.metric, [(dst, dst), (src, src)], skip, triangle=True):
         # A ratio beyond the float range is +-inf; the diagonal j = i, masked
         # below, is 0/0 or, where the table fails identity, x/0.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -264,8 +263,6 @@ def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
         # equal at an earlier pair, so ties keep the lexicographically first.
         if ratios[r, c] > best or (ratios[r, c] == best > -math.inf and (lo + r, clo + c) < witness):
             best, witness = float(ratios[r, c]), (lo + r, clo + c)
-
-    scan_tiles(sp.metric, [(dst, dst), (src, src)], visit, skip, triangle=True)
     return best, (int(keys[witness[0]]), int(keys[witness[1]])), n * (n - 1) // 2
 
 
@@ -281,26 +278,26 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
     sp, a0 = induced.geometry.pair, induced.geometry.a0
     count, table = induced.count, induced.table
     if not wide:
-        alpha, witness, pairs = _max_ratio(sp, a0[count[a0] == 1], table)
-        verdict = CONTRACTION if alpha < 1.0 else NOT_CONTRACTION
-        return ContractionCertificate(alpha, witness, pairs, verdict, scope="a0")
-
-    partnered = np.flatnonzero(count)
-    sizes = count[partnered]
-    if (sizes > 1).any():
-        # The pairwise scan in lexicographic order stops at the first point
-        # with several partners, at position k among the partnered points,
-        # having counted one ratio per partner of the point at position j
-        # for each of the min(j, k) earlier points.
-        k = int(np.argmax(sizes > 1))
-        pairs = int(sizes @ np.minimum(np.arange(len(sizes)), k))
-        first = int(partnered[k])
-        return ContractionCertificate(math.inf, (first, first), pairs, NOT_CONTRACTION, scope="full")
-    alpha, witness, pairs = _max_ratio(sp, partnered, table)
-    if not alpha > 0.0:
-        witness = None  # no ratio beats the scan's initial 0.0
-    verdict = CONTRACTION if alpha < 1.0 else NOT_CONTRACTION
-    return ContractionCertificate(alpha, witness, pairs, verdict, scope="full")
+        scope, (alpha, witness, pairs) = "a0", _max_ratio(sp, a0[count[a0] == 1], table)
+    else:
+        scope, partnered = "full", np.flatnonzero(count)
+        sizes = count[partnered]
+        if (sizes > 1).any():
+            # The pairwise scan in lexicographic order stops at the first point
+            # with several partners, at position k among the partnered points,
+            # having counted one ratio per partner of the point at position j
+            # for each of the min(j, k) earlier points.
+            k = int(np.argmax(sizes > 1))
+            first = int(partnered[k])
+            alpha, witness, pairs = math.inf, (first, first), int(sizes @ np.minimum(np.arange(len(sizes)), k))
+        else:
+            alpha, witness, pairs = _max_ratio(sp, partnered, table)
+            if not alpha > 0.0:
+                witness = None  # no ratio beats the scan's initial 0.0
+    # A constant below 0 certifies nothing: only a table that fails the
+    # metric axioms gives one.
+    verdict = CONTRACTION if 0.0 <= alpha < 1.0 else NOT_CONTRACTION
+    return ContractionCertificate(alpha, witness, pairs, verdict, scope=scope)
 
 
 def _resolve_start(geom: PairGeometry, x0) -> int:

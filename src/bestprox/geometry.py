@@ -6,16 +6,20 @@ A belongs to A0 when some point of B realizes that minimum with it, up to the
 roots on coordinate spaces motivate the small default there).
 
 d(A,B), A0, B0 and the partner relation all come from one pass over A x B,
-walked, as the certificate is, by :func:`scan_tiles` in row blocks (sized in
-bytes by :func:`row_blocks`) times column tiles: each tile lowers a running
-minimum and keeps its entries within eps_prox of it, and the kept entries are
-cut at the final d(A,B) + eps_prox.  On euclidean spaces a tile is skipped
+walked, as the certificate is, by one ``for`` loop over the tiles that
+:func:`scan_tiles` yields, in row blocks (sized in bytes by
+:func:`row_blocks`) times column tiles: each tile lowers a running minimum
+and keeps its entries within eps_prox of it, and the kept entries are cut at
+the final d(A,B) + eps_prox.  On euclidean spaces a tile is skipped
 when the axis-aligned boxes of its rows and columns lie farther apart than
 that running cut.  The bound is exact: the kernel's paired form adds the
 squared per-axis box gaps (spans, for an upper bound) in the one in-order sum
 that builds the cross table, and rounding is monotone, so it brackets every
 entry bit for bit.
 Matrix spaces are not pruned.
+
+The check for points at distance 0 within A or B walks the same driver, one
+row block at a time, and stops after the first block that holds a hit.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, frozen_array, paired_distances, pairwise_distances, table_indices
+from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, frozen_array, paired_distances, pairwise_distances
 
 # Bytes of float64 tables that one row block of a distance scan may hold,
 # counted as 12 (rows, width) tables.  The kernel keeps two alive (its sum and
@@ -109,9 +113,12 @@ def _point_array(metric: Metric, pts, side: str) -> np.ndarray:
         if len(bad):
             raise ValueError(f"non-finite coordinate in {side}[{bad[0]}]")
     else:
-        arr = table_indices(metric, frozen_array(pts, np.int64))
+        arr = frozen_array(pts, np.int64)
         if arr.ndim != 1:
             raise ValueError(f"matrix-space points of {side} must be integer indices")
+        bad = np.flatnonzero((arr < 0) | (arr >= len(metric.matrix)))
+        if len(bad):
+            raise ValueError(f"index {arr[bad[0]]} in {side}[{bad[0]}] out of range for {len(metric.matrix)}-point space")
     return arr
 
 
@@ -123,32 +130,34 @@ def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:
     repeats = np.flatnonzero(earlier != np.arange(len(pts)))
     if len(repeats):
         raise DuplicatePointError(side, int(earlier[repeats[0]]), int(repeats[0]))
-    if metric.kind == EXPLICIT_MATRIX:
-        # Distinct indices at table distance 0: the first hit in row-major
-        # order, found one row block at a time.
-        for lo, hi in row_blocks(len(pts), len(pts)):
-            d = pairwise_distances(metric, pts[lo:hi], pts)
-            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-            hits = np.argwhere(d == 0.0)
-            if len(hits):
-                i, j = sorted((int(hits[0, 0]) + lo, int(hits[0, 1])))
-                raise DuplicatePointError(side, i, j)
-        return
-    # Distinct points are at kernel distance 0 only when every coordinate
-    # difference squares to 0, so they share one run of such steps on each
-    # sorted axis.  Only points sharing every run are compared, by the kernel.
-    order = np.argsort(pts, axis=0)
-    steps = np.diff(np.take_along_axis(pts, order, axis=0), axis=0)
-    if not ((steps != 0.0) & (steps * steps == 0.0)).any():
-        return
-    runs = np.zeros(pts.shape, dtype=np.int64)
-    np.put_along_axis(runs, order[1:], np.cumsum(steps * steps != 0.0, axis=0), axis=0)
-    _, group, counts = np.unique(runs, axis=0, return_inverse=True, return_counts=True)
-    shared = np.flatnonzero(counts[group.reshape(-1)] > 1)
-    hits = np.argwhere(np.tril(pairwise_distances(metric, pts[shared], pts[shared]) == 0.0, -1))
-    if len(hits):
-        j, i = shared[hits[0]].tolist()
-        raise DuplicatePointError(side, i, j)
+    shared = np.arange(len(pts))
+    if metric.kind == EUCLIDEAN:
+        # Distinct points are at kernel distance 0 only when every coordinate
+        # difference squares to 0, so they share one run of such steps on
+        # each sorted axis.  Only points sharing every run are compared.
+        order = np.argsort(pts, axis=0)
+        steps = np.diff(np.take_along_axis(pts, order, axis=0), axis=0)
+        if not ((steps != 0.0) & (steps * steps == 0.0)).any():
+            return
+        runs = np.zeros(pts.shape, dtype=np.int64)
+        np.put_along_axis(runs, order[1:], np.cumsum(steps * steps != 0.0, axis=0), axis=0)
+        _, group, counts = np.unique(runs, axis=0, return_inverse=True, return_counts=True)
+        shared = np.flatnonzero(counts[group.reshape(-1)] > 1)
+    # Distinct points at distance 0: each row j is checked against every
+    # column i, i < j on euclidean spaces and i != j in a table, which may be
+    # asymmetric.  Rows come in order, so the first row block with a hit holds
+    # the least such (j, i); the witness is that pair, sorted.
+    hit, cand = None, pts[shared]
+    for lo, clo, d in scan_tiles(metric, [(cand, cand)], lambda lower, *_: lower[0] > 0.0):
+        if hit is not None and lo > hit[0]:
+            break
+        j, i = np.nonzero(d == 0.0)
+        j, i = j + lo, i + clo
+        k = np.flatnonzero(i != j if metric.kind == EXPLICIT_MATRIX else i < j)
+        if len(k) and (hit is None or (j[k[0]], i[k[0]]) < hit):
+            hit = (int(j[k[0]]), int(i[k[0]]))
+    if hit is not None:
+        raise DuplicatePointError(side, *sorted(shared[list(hit)].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,16 +199,19 @@ def _box_bounds(metric: Metric, pts: np.ndarray, q_lo: np.ndarray, q_hi: np.ndar
     return [paired_distances(metric, x, np.zeros_like(x)).tolist() for x in (gap, span)]
 
 
-def scan_tiles(metric: Metric, operands, visit, skip, *, triangle: bool = False) -> None:
+def scan_tiles(metric: Metric, operands, skip, *, triangle: bool = False):
     """Walk the tables d(P[i], Q[j]) of each (P, Q) in ``operands``, of one
-    shape, tile by tile: ``visit(lo, clo, *tables)`` gets each tile computed,
+    shape, tile by tile, yielding each tile computed as ``(lo, clo, *tables)``,
     its entry (r, c) being (lo + r, clo + c).  With ``triangle`` only tiles
     holding an entry j > i are walked; the caller masks the rest.  Euclidean
     tiles are skipped where ``skip(lower, upper, lo, clo)`` holds for the box
-    bounds of each operand and the tile's first entry (lo, clo); matrix tiles
-    span the full width and are never skipped.
+    bounds of each operand and the tile's first entry (lo, clo); it is asked
+    only when the loop asks for that tile, so it sees what the loop body has
+    just updated.  Matrix tiles span the full width and are never skipped.
     """
     n, m = (len(x) for x in operands[0])
+    if not m:
+        return
     boxed = metric.kind == EUCLIDEAN
     width = min(_TILE_COLS, m) if boxed else m
     starts = range(0, m, width)
@@ -211,7 +223,7 @@ def scan_tiles(metric: Metric, operands, visit, skip, *, triangle: bool = False)
         for t in range((lo + 1) // width if triangle else 0, len(starts)):
             clo = max(starts[t], lo + 1) if triangle else starts[t]
             if not (boxed and skip([b[t] for b in lower], [b[t] for b in upper], lo, clo)):
-                visit(lo, clo, *(pairwise_distances(metric, p[lo:hi], q[clo : starts[t] + width]) for p, q in operands))
+                yield lo, clo, *(pairwise_distances(metric, p[lo:hi], q[clo : starts[t] + width]) for p, q in operands)
 
 
 def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry:
@@ -231,16 +243,12 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
     # whose every entry lies beyond the running cut holds none of them.
     dist = np.inf
     rows, cols, vals = [], [], []
-
-    def visit(lo, clo, block):
-        nonlocal dist
+    for lo, clo, block in scan_tiles(sp.metric, [(sp.a, sp.b)], lambda lower, *_: lower[0] > dist + eps_prox):
         dist = min(dist, float(block.min()))
         r, c = np.nonzero(block <= dist + eps_prox)
         rows.append(r + lo)
         cols.append(c + clo)
         vals.append(block[r, c])
-
-    scan_tiles(sp.metric, [(sp.a, sp.b)], visit, lambda lower, *_: lower[0] > dist + eps_prox)
     keep = np.concatenate(vals) <= dist + eps_prox
     rows, cols = np.concatenate(rows)[keep], np.concatenate(cols)[keep]
     # Within each column the hits come in ascending row order, so a stable

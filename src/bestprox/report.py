@@ -13,7 +13,7 @@ pass or fail, so its preconditions stay visible:
 * B approximatively compact with respect to A (trivial at finite scale);
 * A0 and B0 nonempty;
 * T maps A0 into B0;
-* T is a proximal contraction: unique partners and alpha_hat < 1.
+* T is a proximal contraction: unique partners and 0 <= alpha_hat < 1.
 """
 
 from __future__ import annotations
@@ -45,12 +45,17 @@ SOLVE_METHODS = ("induced", "direct")
 
 @dataclass(frozen=True)
 class InstanceAssessment(Checklist):
-    """The hypothesis checklist (``checks``) and what was computed for it."""
+    """The hypothesis checklist (``checks``) and what was computed for it.
+    ``s_map`` is S, maybe partial on A0; ``induced`` is S where it is a self-map of A0."""
 
     geometry: PairGeometry
-    induced: InducedMap | None
+    s_map: InducedMap
     certificate: ContractionCertificate | None
     declared_alpha_ok: bool | None
+
+    @property
+    def induced(self) -> InducedMap | None:
+        return self.s_map if (self.s_map.count[self.geometry.a0] == 1).all() else None
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -85,7 +90,8 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
         ),
     ]
 
-    # S, kept as the induced map only where it is a self-map of A0.
+    # S from the one partner classification; it is certified only where it
+    # is a self-map of A0.
     s_map = classify_partners(geom, inst.t_map)
     count = s_map.count[geom.a0]
     missing, ambiguous = geom.a0[count == 0], geom.a0[count > 1]
@@ -101,8 +107,7 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
         subset = (True, f"all {len(geom.a0)} images of A0 have proximal partners")
     rows.append(Check("T(A0)-subset-B0", *subset))
 
-    induced = s_map if not len(missing) and not len(ambiguous) else None
-    certificate = certify_contraction(induced, wide=wide) if induced is not None else None
+    certificate = certify_contraction(s_map, wide=wide) if not len(missing) and not len(ambiguous) else None
 
     declared_ok: bool | None = None
     if len(ambiguous):
@@ -141,7 +146,7 @@ def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment
 
     return InstanceAssessment(
         geometry=geom,
-        induced=induced,
+        s_map=s_map,
         certificate=certificate,
         checks=tuple(rows),
         declared_alpha_ok=declared_ok,

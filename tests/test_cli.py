@@ -186,6 +186,23 @@ def test_tables_failing_the_axioms_exit_2_without_traceback_or_warning(tmp_path,
                 warnings.simplefilter("error")  # a numpy RuntimeWarning raises
                 code, _, err = run(capsys, argv[0], str(path), *argv[1:])
             assert (code, err) == (2, ""), (text, argv)
+    # alpha_hat = -inf certifies nothing: the row fails, no walk is cut, and
+    # no a-priori bound (once 0 * -inf = NaN) is written.  alpha_hat itself
+    # is still written as -Infinity, so only NaN is refused here.
+    path.write_text(NEGATIVE_RATIO_TEXT)
+    code, out, _ = run(capsys, "solve", str(path), "--format", "json")
+    doc = json.loads(out, parse_constant=_refuse_nan)
+    row = next(c for c in doc["checks"] if c["name"] == "proximal-contraction")
+    assert (code, doc["alpha_hat"], row["passed"], doc["contraction_verdict"]) == (2, -float("inf"), False, "not-contraction")
+    assert set(doc["results"]) == {"induced", "direct"}
+    for res in doc["results"].values():
+        assert (res["stop_reason"], res["trace"]["indices"], res["trace"]["a_priori_bounds"]) == ("cycle-detected", [0, 1, 0], [])
+
+
+def _refuse_nan(token):
+    if token == "NaN":
+        raise ValueError("NaN in a JSON report")
+    return float(token)
 
 
 def test_malformed_file_exits_1(tmp_path, capsys):

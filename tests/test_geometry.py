@@ -162,6 +162,17 @@ def test_matrix_duplicate_witness_is_the_first_zero_in_row_major_order():
             assert exc.value.indices == indices, rows
 
 
+def test_euclidean_duplicate_witness_is_the_least_later_point():
+    # A[1], A[4] and A[2], A[3] are at kernel distance 0 (1e-200 squares to
+    # 0).  The least j with an earlier point at distance 0 is 3, so the
+    # witness is (2, 3), where the row-major rule of a table gives (1, 4).
+    a = [(0.0, 0.0), (5.0, 0.0), (9.0, 0.0), (9.0, 1e-200), (5.0, 1e-200)]
+    for rows in each_block_size():
+        with pytest.raises(DuplicatePointError) as exc:
+            euclid_pair(a, [(20.0, 20.0)])
+        assert exc.value.indices == (2, 3), rows
+
+
 def test_points_and_matrix_are_read_only_arrays():
     sp = euclid_pair([(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0)])
     m = matrix_metric([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
@@ -209,6 +220,21 @@ def test_matrix_duplicate_scan_memory_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert len(sp.a) == 1500
+    assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget
+
+
+def test_euclidean_duplicate_scan_memory_stays_within_the_block_budget():
+    # 4000 distinct points (k * 1e-200, 0), all at kernel distance 0 from
+    # each other: one table over all of them peaked at 260 MB.
+    a = np.column_stack([np.arange(4000) * 1e-200, np.zeros(4000)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DuplicatePointError) as exc:
+            euclid_pair(a, [(1.0, 0.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.indices == (0, 1)
     assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget
 
 

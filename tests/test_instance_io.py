@@ -139,6 +139,8 @@ def test_tolerance_overrides():
         (lambda p: p.update(B=[[1, 0], [1, 0.25], [False, 1]]), "'B[2]': not a numeric point"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, True], [True, 0]]}), "'metric.matrix': must be rows"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 0.5], [False, 0]]}), "'metric.matrix': must be rows"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, A=[0, 5], T=[0, 0]), "index 5 in A[1] out of range"),
+        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[1, -1]), "index -1 in B[1] out of range"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):
