@@ -29,7 +29,7 @@ from .engine import (
 from .instance import Instance, InstanceFormatError, checked_tolerance, load_instance, save_instance
 from .metric import EUCLIDEAN, EXPLICIT_MATRIX
 from .oracle import GeneratorConfig, brute_force_solve, generate_instance
-from .report import SOLVE_METHODS, assess_instance, assessment_payload, render_text, result_payload
+from .report import SOLVE_METHODS, assess_instance, assessment_payload, render_text, result_payload, strict_payload
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -112,8 +112,9 @@ def _load(args) -> Instance:
 
 def _emit(args, payload: dict) -> None:
     # The JSON payload is the report; the text report is rendered from it alone.
+    payload = strict_payload(payload)
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(render_text(payload))
 

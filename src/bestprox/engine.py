@@ -364,7 +364,8 @@ def _iterate(geom, t_map, step, start_idx, certificate, tol, max_iter):
         failure.partial_indices = tuple(indices)
         raise failure
     images = sp.b[t_map.image[indices]]
-    residuals = np.abs(paired_distances(sp.metric, sp.a[indices], images) - geom.pair_distance)
+    with np.errstate(over="ignore"):  # a gap beyond the float range is inf
+        residuals = np.abs(paired_distances(sp.metric, sp.a[indices], images) - geom.pair_distance)
     bounds: tuple[float, ...] = ()
     if contracts and gaps:
         scale = gaps[0] / (1.0 - alpha_hat)

@@ -15,6 +15,10 @@ unambiguous and diff-able::
 
 Each rule of a field lives in the library code that owns it; the parser
 reads the JSON, converts its arrays and names the field a refusal concerns.
+A distance table is decoded one row at a time straight into one read-only
+float64 array, never as n² Python numbers, so loading peaks at about the file
+text plus one table; a table that is not square rows of numbers is read as
+:func:`json.loads` reads it, and refused by the same rule.
 Saving is canonical (sorted keys, fixed indentation, normalized floats), so
 load/save round-trips are idempotent byte for byte.
 """
@@ -184,6 +188,80 @@ def parse_instance(payload, *, booleans: bool = True) -> Instance:
         raise InstanceFormatError(str(err)) from None
 
 
+_WS = json.decoder.WHITESPACE.match
+
+
+class _TableDecoder(json.JSONDecoder):
+    """The stdlib decoder, which reads the value of a ``"matrix"`` key row by
+    row into one read-only float64 array.  The stdlib's Python object parser
+    walks the objects, the C scanner reads every other value (and each row of
+    a table), and numpy converts the rows, so the grammar, the error messages
+    and the numbers are those of :func:`json.loads`.  A table that is not
+    square rows of ints or floats is read whole by the C scanner instead."""
+
+    def __init__(self):
+        super().__init__()
+        self._scan = json.scanner.c_make_scanner(self)
+        self.scan_once = self._value
+
+    def _value(self, s: str, idx: int):
+        if s[idx : idx + 1] == "{":
+            return json.decoder.JSONObject((s, idx + 1), self.strict, self._value, self.object_hook, self.object_pairs_hook)
+        if s[idx : idx + 1] == "[" and self._is_matrix_value(s, idx):
+            try:
+                return self._table(s, idx + 1)
+            except (ValueError, StopIteration):
+                pass
+        return self._scan(s, idx)
+
+    @staticmethod
+    def _is_matrix_value(s: str, idx: int) -> bool:
+        # Only object values and the top-level value are scanned here, so
+        # the last quote before this '[' closes its key, if it has one.  The
+        # key is "matrix" unless that text ends a longer key, whose quote
+        # before it is then escaped.
+        close = s.rfind('"', 0, idx)
+        return close > 7 and s.startswith('"matrix"', close - 7) and s[close - 8] != "\\"
+
+    def _table(self, s: str, idx: int):
+        start = idx - 1
+        row, idx = self._scan(s, _WS(s, idx).end())
+        n = len(row) if type(row) is list else 0
+        # n rows of n numbers take at least 2n² characters: a longer first
+        # row is no table, and allocating for it could ask for terabytes.
+        if not n or 2 * n * n > len(s) - start:
+            raise ValueError("not a table")
+        table = np.empty((n, n))
+        for i in range(n):
+            if i:
+                idx = _WS(s, idx).end()
+                if s[idx : idx + 1] != ",":
+                    raise ValueError("not a table")
+                row, idx = self._scan(s, _WS(s, idx + 1).end())
+            row = np.asarray(row)
+            if row.dtype.kind not in "iuf" or row.shape != (n,):
+                raise ValueError("not a table")
+            table[i] = row
+        idx = _WS(s, idx).end()
+        if s[idx : idx + 1] != "]":
+            raise ValueError("not a table")
+        table.flags.writeable = False
+        return table, idx + 1
+
+
+def _decode(text: str, booleans: bool):
+    """``json.loads(text)``, but with a distance table as one array.  Where
+    booleans may occur, which numpy would read as numbers, or the objects
+    nest deeper than the Python walk can recurse, ``json.loads`` reads the
+    whole text."""
+    if not booleans:
+        try:
+            return json.loads(text, cls=_TableDecoder)
+        except RecursionError:
+            pass
+    return json.loads(text)
+
+
 def load_instance(path) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -191,7 +269,8 @@ def load_instance(path) -> Instance:
         # Without a true or false token the payload holds no boolean.  Each
         # word is looked for only where its letter u (or f) occurs: one
         # character is found by a far faster scan, and matrix files hold neither.
-        payload, booleans = json.loads(text), ("u" in text and "true" in text) or ("f" in text and "false" in text)
+        booleans = ("u" in text and "true" in text) or ("f" in text and "false" in text)
+        payload = _decode(text, booleans)
     except OSError as err:
         raise InstanceFormatError(f"cannot read {path}: {err}") from None
     except UnicodeDecodeError:

@@ -1,7 +1,8 @@
 """Hypothesis checklist and the reports of the CLI commands.
 
 A command's report is one payload dict, built from :func:`assessment_payload`
-and :func:`result_payload`.  The CLI prints it as JSON, or as text through
+and :func:`result_payload`, with a non-finite float written as a string
+(:func:`strict_payload`).  The CLI prints it as JSON, or as text through
 :func:`render_text`, which reads nothing but the payload: the text report is a
 function of the JSON report, so every value it shows is a JSON field.
 
@@ -18,6 +19,7 @@ pass or fail, so its preconditions stay visible:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,11 +217,30 @@ def result_payload(result: BestProximityResult) -> dict:
     }
 
 
+def strict_payload(value):
+    """``value`` with each non-finite float written as the string ``"inf"``,
+    ``"-inf"`` or ``"nan"``: RFC 8259 JSON has no number for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if isinstance(value, dict):
+        return {key: strict_payload(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict_payload(item) for item in value]
+    return value
+
+
+def format_number(x) -> str:
+    """A number of the payload as the text report shows it: ``repr`` of a
+    float, and a non-finite float, which :func:`strict_payload` wrote as a
+    string, as that string (``inf``, not ``'inf'``)."""
+    return x if isinstance(x, str) else repr(x)
+
+
 def format_point(p) -> str:
     """A point as the JSON report holds it: a list of coordinates, or an int
     naming a point of a distance table."""
     if isinstance(p, list):
-        return "(" + ", ".join(repr(c) for c in p) + ")"
+        return "(" + ", ".join(format_number(c) for c in p) + ")"
     return f"#{p}"
 
 
@@ -227,8 +248,8 @@ def render_assessment(doc: dict) -> list[str]:
     return [
         f"metric: {doc['metric']['kind']}",
         f"|A| = {doc['sizes']['A']}, |B| = {doc['sizes']['B']}",
-        f"pair distance d(A,B) = {doc['pair_distance']!r}",
-        f"|A0| = {doc['a0_size']}, |B0| = {doc['b0_size']} (eps_prox = {doc['eps_prox']!r})",
+        f"pair distance d(A,B) = {format_number(doc['pair_distance'])}",
+        f"|A0| = {doc['a0_size']}, |B0| = {doc['b0_size']} (eps_prox = {format_number(doc['eps_prox'])})",
         "hypothesis checklist:",
         *(f"  [{'PASS' if row['passed'] else 'FAIL'}] {row['name']}: {row['detail']}" for row in doc["checks"]),
     ]
@@ -236,12 +257,12 @@ def render_assessment(doc: dict) -> list[str]:
 
 def render_result(label: str, res: dict) -> list[str]:
     trace = res["trace"]
-    steps = [f"  step {k}: A[{i}], residual {r!r}" for k, (i, r) in enumerate(zip(trace["indices"], trace["residuals"]))]
+    steps = [f"  step {k}: A[{i}], residual {format_number(r)}" for k, (i, r) in enumerate(zip(trace["indices"], trace["residuals"]))]
     if len(steps) > 2 * TRACE_HEAD_TAIL:
         steps[TRACE_HEAD_TAIL:-TRACE_HEAD_TAIL] = [f"  ... {len(steps) - 2 * TRACE_HEAD_TAIL} steps elided ..."]
     return [
         f"result ({label}): A[{res['index']}] = {format_point(res['point'])}",
-        f"  residual |d(z,T(z)) - d(A,B)| = {res['residual']!r}",
+        f"  residual |d(z,T(z)) - d(A,B)| = {format_number(res['residual'])}",
         f"  iterations = {res['iterations']} ({res['stop_reason']})",
         f"  guaranteed: {'yes' if res['guaranteed'] else 'no (unguaranteed best effort)'}",
         f"  trace ({len(trace['indices'])} points, stop: {trace['stop_reason']}):",
@@ -278,10 +299,10 @@ def render_text(doc: dict) -> str:
     lines = [f"instance: {doc['instance']}"]
     if doc["command"] == "oracle":
         lines += [
-            f"min over A of d(x, T(x)) = {doc['min_value']!r}",
+            f"min over A of d(x, T(x)) = {format_number(doc['min_value'])}",
             f"argmin indices: {doc['argmin_indices']}",
             "argmin points: " + ", ".join(format_point(p) for p in doc["argmin_points"]),
-            f"pair distance d(A,B) = {doc['pair_distance']!r}",
+            f"pair distance d(A,B) = {format_number(doc['pair_distance'])}",
             f"minimum attains d(A,B): {'yes (best proximity point exists)' if doc['is_best_proximity'] else 'no'}",
         ]
     else:

@@ -11,6 +11,7 @@ from conftest import tie_heavy_case
 
 from bestprox import EXPLICIT_MATRIX, GeneratorConfig, generate_instance, load_instance, make_instance, save_instance
 from bestprox.cli import main
+from bestprox.report import render_text
 
 ASYMMETRIC_TEXT = """
 {
@@ -175,11 +176,14 @@ def test_metric_fixtures_rejected_with_witnesses(tmp_path, capsys):
 # entry of the second is 1/0 (d(2, 2) = 1 fails identity).
 NEGATIVE_RATIO_TEXT = '{"metric": {"kind": "explicit-matrix", "matrix": [[0, 1e-308, 5, 1], [-1e308, 0, 1, 5], [5, 1, 0, 5], [1, 5, 5, 0]]}, "A": [0, 1], "B": [2, 3], "T": [0, 1]}'
 NONZERO_DIAGONAL_TEXT = '{"metric": {"kind": "explicit-matrix", "matrix": [[0, 2, 2, 5, 5], [2, 0, 2, 5, 5], [2, 2, 1, 1, 5], [5, 5, 1, 0, 5], [5, 5, 5, 5, 0]]}, "A": [0, 1, 2], "B": [3, 4], "T": [0, 0, 0]}'
+# d(A,B) = -1e308 and each d(z, T(z)) = 1e308, so every residual of the walk
+# 0 -> 1 -> 0 is beyond the float range: inf.
+OVERFLOW_RESIDUAL_TEXT = '{"metric": {"kind": "explicit-matrix", "matrix": [[0, 5, -1e308, 1e308], [5, 0, 1e308, -1e308], [-1e308, 1e308, 0, 5], [1e308, -1e308, 5, 0]]}, "A": [0, 1], "B": [2, 3], "T": [1, 0]}'
 
 
 def test_tables_failing_the_axioms_exit_2_without_traceback_or_warning(tmp_path, capsys):
     path = tmp_path / "inst.json"
-    for text in (NEGATIVE_RATIO_TEXT, NONZERO_DIAGONAL_TEXT):
+    for text in (NEGATIVE_RATIO_TEXT, NONZERO_DIAGONAL_TEXT, OVERFLOW_RESIDUAL_TEXT):
         path.write_text(text)
         for argv in (("certify",), ("certify", "--wide"), ("solve",)):
             with warnings.catch_warnings():
@@ -187,22 +191,49 @@ def test_tables_failing_the_axioms_exit_2_without_traceback_or_warning(tmp_path,
                 code, _, err = run(capsys, argv[0], str(path), *argv[1:])
             assert (code, err) == (2, ""), (text, argv)
     # alpha_hat = -inf certifies nothing: the row fails, no walk is cut, and
-    # no a-priori bound (once 0 * -inf = NaN) is written.  alpha_hat itself
-    # is still written as -Infinity, so only NaN is refused here.
+    # no a-priori bound (once 0 * -inf = NaN) is written.
     path.write_text(NEGATIVE_RATIO_TEXT)
     code, out, _ = run(capsys, "solve", str(path), "--format", "json")
-    doc = json.loads(out, parse_constant=_refuse_nan)
+    doc = json.loads(out, parse_constant=_refuse_constant)
     row = next(c for c in doc["checks"] if c["name"] == "proximal-contraction")
-    assert (code, doc["alpha_hat"], row["passed"], doc["contraction_verdict"]) == (2, -float("inf"), False, "not-contraction")
+    assert (code, doc["alpha_hat"], row["passed"], doc["contraction_verdict"]) == (2, "-inf", False, "not-contraction")
     assert set(doc["results"]) == {"induced", "direct"}
     for res in doc["results"].values():
         assert (res["stop_reason"], res["trace"]["indices"], res["trace"]["a_priori_bounds"]) == ("cycle-detected", [0, 1, 0], [])
 
 
-def _refuse_nan(token):
-    if token == "NaN":
-        raise ValueError("NaN in a JSON report")
-    return float(token)
+def _refuse_constant(token):
+    raise ValueError(f"{token} in a JSON report")
+
+
+# A[2] lies outside A0 and its image has two partners, so the certificate
+# over all of A (--wide) has an infinite ratio.
+TWO_PARTNER_TEXT = '{"metric": {"kind": "euclidean"}, "A": [[0, 0], [0, 2], [0, 10]], "B": [[1, 0], [1, 2], [0, 1]], "T": [0, 1, 2]}'
+
+
+def test_reports_are_strict_json(tmp_path, capsys):
+    # RFC 8259 has no NaN or Infinity: a non-finite float is written as a
+    # string, and the text report, rendered from it, shows it as before
+    # (inf, not 'inf').
+    path = tmp_path / "inst.json"
+    texts = {}
+    for text, argv, alpha_hat in (
+        (NEGATIVE_RATIO_TEXT, ("solve",), "-inf"),
+        (TWO_PARTNER_TEXT, ("certify", "--wide"), "inf"),
+        (OVERFLOW_RESIDUAL_TEXT, ("solve",), 1.0),
+    ):
+        path.write_text(text)
+        code, out, _ = run(capsys, argv[0], str(path), *argv[1:], "--format", "json")
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert doc["alpha_hat"] == alpha_hat, argv
+        texts[text] = run(capsys, argv[0], str(path), *argv[1:])[1]
+        assert render_text(doc) + "\n" == texts[text]
+        assert "'" not in texts[text], argv
+    assert doc["results"]["induced"]["residual"] == "inf"
+    assert doc["results"]["induced"]["trace"]["residuals"] == ["inf"] * 3
+    assert "  residual |d(z,T(z)) - d(A,B)| = inf\n" in texts[OVERFLOW_RESIDUAL_TEXT]
+    assert "    step 2: A[0], residual inf\n" in texts[OVERFLOW_RESIDUAL_TEXT]
+    assert "[FAIL] proximal-contraction: alpha_hat = inf over" in texts[TWO_PARTNER_TEXT]
 
 
 def test_malformed_file_exits_1(tmp_path, capsys):

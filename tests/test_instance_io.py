@@ -1,9 +1,12 @@
 import json
 import re
+import tracemalloc
 from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bestprox import instance
 from bestprox import (
@@ -288,3 +291,159 @@ def test_declared_alpha_round_trips(tmp_path):
     path = tmp_path / "a.json"
     save_instance(inst, path)
     assert load_instance(path).alpha_declared == 0.3
+
+
+# The decoder reads a distance table row by row into one array; every other
+# table is read as json.loads reads it.  Each text below is the value of
+# "matrix" (or, where it starts with '{', the whole metric object).
+DEEP = '{"a": ' * 600 + "0" + "}" * 600
+TABLE_TEXTS = {
+    "compact": "[[0,1,2],[1,0,1],[2,1,0]]",
+    "indent": json.dumps([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]], indent=2),
+    "whitespace": " [ [0 ,\t1]\n,\r\n[ 1,0 ]\t]\n",
+    "empty": "[]",
+    "empty-row": "[[]]",
+    "ragged": "[[0, 1], [1]]",
+    "ragged-row-0": "[[[0.0, 0.0], [1.0]], [1, 0]]",
+    "non-square": "[[0, 1, 2], [1, 0, 2]]",
+    "tall": "[[0, 1], [1, 0], [2, 2]]",
+    "trailing-comma": "[[0, 1], [1, 0],]",
+    "trailing-comma-in-row": "[[0, 1,], [1, 0]]",
+    "missing-comma": "[[0, 1] [1, 0]]",
+    "wrong-delimiter": "[[0, 1]; [1, 0]]",
+    "unclosed": "[[0, 1], [1, 0]",
+    "unclosed-row": "[[0, 1], [1, 0",
+    "nan": "[[0, NaN], [NaN, 0]]",
+    "infinity": "[[0, Infinity], [1, 0]]",
+    "1e400": "[[0, 1e400], [1, 0]]",
+    "400-digits": f"[[0, 1{'0' * 399}], [1, 0]]",
+    "2**63+1": f"[[0, {2**63 + 1}], [{2**63 + 1}, 0]]",
+    "2**63+1-and-negative": f"[[0, {2**63 + 1}], [-1, 0]]",
+    "true": "[[0, true], [1, 0]]",
+    "string": '[[0, "1"], ["1", 0]]',
+    "null": "[[0, null], [1, 0]]",
+    "nested-row": "[[0, [1]], [1, 0]]",
+    "object-row": "[{}, [1, 0]]",
+    "number-row": "[0, 1]",
+    # One row of 200001 zeros: as the first row of a square table it would
+    # ask for 320 GB, so it is no table before anything is allocated.
+    "one-long-row": "[[" + "0," * 200000 + "0]]",
+    "duplicate-key": '{"kind": "explicit-matrix", "matrix": [[0, 5], [5, 0]], "matrix": [[0, 1], [1, 0]]}',
+    "escaped-key": '{"kind": "explicit-matrix", "m\\u0061trix": [[0, 1], [1, 0]]}',
+    "decoy-key": '{"kind": "explicit-matrix", "a\\"matrix": [[0, 1], [1, 0]], "matrix": [[0, 2], [2, 0]]}',
+    "only-decoy-key": '{"kind": "explicit-matrix", "a\\"matrix": [[0, 1], [1, 0]]}',
+    "euclidean": '{"kind": "euclidean", "matrix": [[0, 1], [1, 0]]}',
+}
+
+
+def _document(table_text: str, extra: str = "") -> str:
+    metric = table_text if table_text.startswith("{") else f'{{"kind": "explicit-matrix", "matrix": {table_text}}}'
+    return f'{{"metric": {metric}, "A": [0], "B": [1], "T": [0]{extra}}}'
+
+
+def _outcome(build):
+    try:
+        inst = build()
+    except (ValueError, RecursionError) as err:
+        return type(err), str(err)
+    table = inst.metric.matrix
+    return table.dtype, table.shape, table.tobytes(), inst.alpha_declared, inst.eps_prox, inst.tol
+
+
+def _via_json_loads(text: str) -> instance.Instance:
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InstanceFormatError(f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from None
+    return parse_instance(payload)
+
+
+@pytest.mark.parametrize("extra", ["", f', "x": {DEEP}'], ids=["flat", "nested-600"])
+@pytest.mark.parametrize("name", sorted(TABLE_TEXTS))
+def test_table_decoder_agrees_with_json_loads(tmp_path, name, extra):
+    text = _document(TABLE_TEXTS[name], extra)
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert _outcome(lambda: load_instance(path)) == _outcome(lambda: _via_json_loads(text))
+
+
+# Fields beside the table, each appended to a document holding the compact
+# table.  The C scanner reads every number outside a table, so a digit that is
+# not ASCII, which the Python number pattern of json.scanner would accept, is
+# refused as json.loads refuses it.
+OBJECT_FIELDS = {
+    "alpha": '"alpha": 0.5',
+    "alpha-arabic-indic-digit": '"alpha": 0.\u0665',
+    "tol-arabic-indic-digit": '"tolerances": {"tol": 1\u0660}',
+    "tolerances": '"tolerances": {"tol": 1e-6, "eps_prox": 0}',
+    "alpha-nan": '"alpha": NaN',
+    "alpha-minus-infinity": '"alpha": -Infinity',
+    "alpha-escaped-string": '"alpha": "\\u0030"',
+    "matrix-inside-an-array": '"x": [{"matrix": [[0]]}]',
+    "missing-value": '"alpha": }',
+    "unquoted-key": "alpha: 0.5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_FIELDS))
+def test_object_fields_are_read_as_json_loads_reads_them(tmp_path, name):
+    text = _document(TABLE_TEXTS["compact"], ", " + OBJECT_FIELDS[name])
+    path = tmp_path / "inst.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(lambda: load_instance(path)) == _outcome(lambda: _via_json_loads(text))
+
+
+def test_square_tables_are_decoded_as_one_array():
+    for name in ("compact", "indent", "whitespace", "nan", "1e400", "2**63+1"):
+        table = instance._decode(_document(TABLE_TEXTS[name]), False)["metric"]["matrix"]
+        assert type(table) is np.ndarray and table.dtype == np.float64, name
+        assert table.base is None and not table.flags.writeable, name
+
+
+def test_loading_a_table_peaks_near_its_array(tmp_path):
+    # The text plus one float64 table, not n² Python ints: about 2x the table.
+    n = 600
+    table = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    path = tmp_path / "table.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"metric": {"kind": "explicit-matrix", "matrix": table.tolist()}, "A": [0], "B": [1], "T": [0]}, fh, separators=(",", ":"))
+    tracemalloc.start()
+    try:
+        inst = load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.metric.matrix.tolist() == table.tolist()
+    assert peak < 3 * n * n * 8, peak / (n * n * 8)
+
+
+_WHITESPACE = st.text(alphabet=" \t\n\r", max_size=2)
+_ENTRIES = {
+    "ints": st.integers(-(2**70), 2**70),
+    "floats": st.floats(allow_nan=False, allow_infinity=False),
+    "mixed": st.one_of(st.integers(-(2**40), 2**40), st.floats(allow_nan=False, allow_infinity=False)),
+}
+
+
+@st.composite
+def spaced_tables(draw):
+    """A random square table written as JSON with random whitespace between its tokens."""
+    n = draw(st.integers(2, 5))
+    entries = _ENTRIES[draw(st.sampled_from(sorted(_ENTRIES)))]
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+    def token(text: str) -> str:
+        return draw(_WHITESPACE) + text + draw(_WHITESPACE)
+
+    matrix = token("[") + ",".join(token("[") + ",".join(token(json.dumps(v)) for v in row) + token("]") for row in rows) + token("]")
+    return _document(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaced_tables())
+def test_spaced_tables_load_bitwise(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("spaced") / "inst.json"
+    path.write_text(text)
+    want = np.asarray(json.loads(text)["metric"]["matrix"], float)
+    table = load_instance(path).metric.matrix
+    assert table.dtype == np.float64 and table.tobytes() == want.tobytes()
