@@ -17,8 +17,11 @@ Each rule of a field lives in the library code that owns it; the parser
 reads the JSON, converts its arrays and names the field a refusal concerns.
 A distance table is decoded one row at a time straight into one read-only
 float64 array, never as n² Python numbers, so loading peaks at about the file
-text plus one table; a table that is not square rows of numbers is read as
-:func:`json.loads` reads it, and refused by the same rule.
+text plus one table.  numpy's text parser reads a row of ASCII canonical
+non-negative JSON integers below 10**18, with JSON whitespace only after a
+comma or at the row's ends, and the C scanner of :mod:`json` every other row,
+with the same values and messages; a table that is not square rows of numbers
+is read as :func:`json.loads` reads it, and refused by the same rule.
 Saving is canonical (sorted keys, fixed indentation, normalized floats), so
 load/save round-trips are idempotent byte for byte.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,15 +193,42 @@ def parse_instance(payload, *, booleans: bool = True) -> Instance:
 
 
 _WS = json.decoder.WHITESPACE.match
+_TENS = 10 ** np.arange(1, 18, dtype=np.int64)  # an integer below 10**18 has 1 + #{10**k <= it} digits
+# Each byte of a row as its kind: a digit as "0", JSON whitespace as " ", a
+# comma as itself and any other byte as "x".
+_KINDS = b"".join(b"0" if c in b"0123456789" else b" " if c in b" \t\n\r" else b"," if c in b"," else b"x" for c in range(256))
+_INTEGER_START = re.compile(r"\[[ \t\n\r]*[0-9]+[ \t\n\r]*[,\]]").match
+
+
+def _integer_row(text: str):
+    """``text``, the inside of a table row, as an int64 array when it is ASCII
+    canonical non-negative JSON integers below 10**18 between commas, with
+    JSON whitespace only after a comma or at its ends; else None.  numpy's
+    parser is laxer than JSON: it reads ``01`` as 1 and a blank field as 0,
+    clamps an overflow to 2**63 - 1, and numpy 1 returns the values before
+    unmatched text (``1 2``) with a warning.  So numpy reads only digit runs
+    between single commas, one value a field, and the row is kept only with
+    as many digit characters as its values have digits: a leading zero adds
+    one, and as ``_TENS`` stops at 10**17, so does a value at or above 10**18."""
+    kinds = text.encode().translate(_KINDS).strip() if text.isascii() else b"x"
+    fields = kinds.translate(None, b" ")
+    if b"x" in kinds or b"0 " in kinds or b",," in b"," + fields + b",":
+        return None
+    row = np.fromstring(text, dtype=np.int64, sep=",")
+    digits = len(fields) - (row.size - 1)  # the fields less their commas
+    return row if row.size + np.searchsorted(_TENS, row, side="right").sum() == digits else None
 
 
 class _TableDecoder(json.JSONDecoder):
     """The stdlib decoder, which reads the value of a ``"matrix"`` key row by
     row into one read-only float64 array.  The stdlib's Python object parser
-    walks the objects, the C scanner reads every other value (and each row of
-    a table), and numpy converts the rows, so the grammar, the error messages
-    and the numbers are those of :func:`json.loads`.  A table that is not
-    square rows of ints or floats is read whole by the C scanner instead."""
+    walks the objects and the C scanner reads every other value.  numpy's
+    text parser reads a row of ASCII canonical non-negative JSON integers
+    below 10**18, with JSON whitespace only after a comma or at the row's
+    ends (:func:`_integer_row`), and the C scanner every other row, so the
+    grammar, the error messages and the numbers are those of
+    :func:`json.loads`.  A table that is not square rows of ints or floats is
+    read whole by the C scanner instead."""
 
     def __init__(self):
         super().__init__()
@@ -225,8 +256,8 @@ class _TableDecoder(json.JSONDecoder):
 
     def _table(self, s: str, idx: int):
         start = idx - 1
-        row, idx = self._scan(s, _WS(s, idx).end())
-        n = len(row) if type(row) is list else 0
+        row, idx = self._row(s, _WS(s, idx).end())
+        n = len(row) if type(row) in (list, np.ndarray) else 0
         # n rows of n numbers take at least 2n² characters: a longer first
         # row is no table, and allocating for it could ask for terabytes.
         if not n or 2 * n * n > len(s) - start:
@@ -237,7 +268,7 @@ class _TableDecoder(json.JSONDecoder):
                 idx = _WS(s, idx).end()
                 if s[idx : idx + 1] != ",":
                     raise ValueError("not a table")
-                row, idx = self._scan(s, _WS(s, idx + 1).end())
+                row, idx = self._row(s, _WS(s, idx + 1).end())
             row = np.asarray(row)
             if row.dtype.kind not in "iuf" or row.shape != (n,):
                 raise ValueError("not a table")
@@ -247,6 +278,14 @@ class _TableDecoder(json.JSONDecoder):
             raise ValueError("not a table")
         table.flags.writeable = False
         return table, idx + 1
+
+    def _row(self, s: str, idx: int):
+        # A row's text ends at its first ']', so one holding '[' is no integer
+        # row; nor is one whose first entry is not, which rejects a row of
+        # floats before its text is copied.
+        close = s.find("]", idx) if _INTEGER_START(s, idx) else -1
+        row = _integer_row(s[idx + 1 : close]) if close > 0 else None
+        return self._scan(s, idx) if row is None else (row, close + 1)
 
 
 def _decode(text: str, booleans: bool):

@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -333,6 +334,29 @@ TABLE_TEXTS = {
     "decoy-key": '{"kind": "explicit-matrix", "a\\"matrix": [[0, 1], [1, 0]], "matrix": [[0, 2], [2, 0]]}',
     "only-decoy-key": '{"kind": "explicit-matrix", "a\\"matrix": [[0, 1], [1, 0]]}',
     "euclidean": '{"kind": "euclidean", "matrix": [[0, 1], [1, 0]]}',
+    # Integer rows, which numpy's parser reads when they are canonical JSON.
+    "leading-zero": "[[0, 01], [1, 0]]",
+    "double-zero": "[[00, 1], [1, 0]]",
+    "minus-zero": "[[-0, 1], [1, -0]]",
+    "negative": "[[0, -1], [1, 0]]",
+    "plus-one": "[[0, +1], [1, 0]]",
+    "10**18-1": f"[[0, {10**18 - 1}], [{10**18 - 1}, 0]]",
+    "10**18": f"[[0, {10**18}], [{10**18}, 0]]",
+    "2**63-1": f"[[0, {2**63 - 1}], [{2**63 - 1}, 0]]",
+    "10**19-1": f"[[0, {10**19 - 1}], [{10**19 - 1}, 0]]",
+    "vertical-tab": "[[0,\v1], [1, 0]]",
+    "form-feed": "[[0, 1\f], [1, 0]]",
+    "no-comma": "[[0, 1 2], [1, 0]]",
+    "minus-space": "[[0, - 1], [1, 0]]",
+    "arabic-indic-digit": "[[0, 1], [\u0661, 0]]",
+    "float-in-integer-row": "[[0, 1.0], [1, 0]]",
+    "exponent-in-integer-row": "[[0, 1e2], [100, 0]]",
+    "integer-indent": json.dumps([[0, 1, 2], [1, 0, 1], [2, 1, 0]], indent=2),
+    "alternating-rows": "[[0, 1, 2], [1.0, 0.0, 1.5], [2, 1, 0], [2.5, 1e0, 0.0]]",
+    # numpy reads a blank field as 0, one value for no digit, which a leading
+    # zero elsewhere in the row would balance in the digit count.
+    "blank-field-and-leading-zero": "[[0, 1], [ ,01]]",
+    "leading-zero-and-blank-field": "[[0, 1], [01,\t]]",
 }
 
 
@@ -363,8 +387,50 @@ def _via_json_loads(text: str) -> instance.Instance:
 def test_table_decoder_agrees_with_json_loads(tmp_path, name, extra):
     text = _document(TABLE_TEXTS[name], extra)
     path = tmp_path / "inst.json"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert _outcome(lambda: load_instance(path)) == _outcome(lambda: _via_json_loads(text))
+
+
+def _row_reads(table_text: str) -> int:
+    """How many rows of ``table_text`` the decoder hands to the C scanner."""
+    decoder = instance._TableDecoder()
+    scan, reads = decoder._scan, []
+    decoder._scan = lambda s, idx: reads.append(idx) or scan(s, idx)
+    table, end = decoder._table(table_text, 1)
+    assert end == len(table_text) and table.tolist() == json.loads(table_text)
+    return len(reads)
+
+
+def test_only_rows_that_are_not_canonical_integers_reach_the_c_scanner():
+    n = 40
+    ints = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) * 12345
+    assert _row_reads(json.dumps(ints.tolist())) == 0
+    assert _row_reads(json.dumps(ints.tolist(), indent=2)) == 0
+    assert _row_reads(json.dumps((ints / 8).tolist())) == n
+    mixed = [row if i % 2 else [float(v) for v in row] for i, row in enumerate(ints.tolist())]
+    assert _row_reads(json.dumps(mixed)) == n // 2
+    # Whitespace before a comma is JSON, but numpy reads only rows without it.
+    assert _row_reads(json.dumps(ints.tolist(), separators=(" ,", ":"))) == n
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\n", "\r", " \n  "], ids=repr)
+def test_a_row_numpy_would_read_only_in_part_never_reaches_numpy(tmp_path, monkeypatch, space):
+    # Whitespace between two digits is unmatched text to numpy: numpy 2
+    # raises, but numpy 1 warns and returns the values before it.  So under
+    # either, such a row goes to the C scanner without reaching numpy, and
+    # no warning escapes, even where warnings are shown rather than raised.
+    real, read = np.fromstring, []
+    monkeypatch.setattr(np, "fromstring", lambda text, **kw: read.append(text) or real(text, **kw))
+    text = _document(f"[[0, 1], [1, 0{space}0]]")
+    path = tmp_path / "inst.json"
+    path.write_bytes(text.encode())
+    # Read back as load_instance reads it, where a lone \r is a line break.
+    want = _outcome(lambda: _via_json_loads(path.read_text()))
+    assert want[0] is InstanceFormatError
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        assert _outcome(lambda: load_instance(path)) == want
+    assert shown == [] and read == ["0, 1"]
 
 
 # Fields beside the table, each appended to a document holding the compact
@@ -420,6 +486,8 @@ def test_loading_a_table_peaks_near_its_array(tmp_path):
 _WHITESPACE = st.text(alphabet=" \t\n\r", max_size=2)
 _ENTRIES = {
     "ints": st.integers(-(2**70), 2**70),
+    # Canonical integer rows, values above 2**53 and at or above 10**18.
+    "naturals": st.integers(0, 2**70),
     "floats": st.floats(allow_nan=False, allow_infinity=False),
     "mixed": st.one_of(st.integers(-(2**40), 2**40), st.floats(allow_nan=False, allow_infinity=False)),
 }
@@ -447,3 +515,33 @@ def test_spaced_tables_load_bitwise(tmp_path_factory, text):
     want = np.asarray(json.loads(text)["metric"]["matrix"], float)
     table = load_instance(path).metric.matrix
     assert table.dtype == np.float64 and table.tobytes() == want.tobytes()
+
+
+# Tokens that JSON reads differently from numpy's text parser, each put in
+# place of one entry of a canonical integer table ("" leaves a blank field).
+_NON_CANONICAL = {
+    "leading-zero": lambda v: f"0{v}",
+    "minus-zero": lambda v: "-0",
+    "plus": lambda v: f"+{v}",
+    "blank-field": lambda v: "",
+    "trailing-comma": lambda v: f"{v},",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_non_canonical_integers_are_read_as_json_loads_reads_them(tmp_path_factory, data):
+    # One or two swapped tokens: two can balance each other in numpy's count
+    # of values and digits (a blank field and a leading zero in one row).
+    n = data.draw(st.integers(2, 5))
+    entries = st.one_of(st.integers(0, 9), st.integers(0, 2**70))
+    rows = [[json.dumps(data.draw(entries)) for _ in range(n)] for _ in range(n)]
+    i = data.draw(st.integers(0, n - 1))
+    for swap in data.draw(st.lists(st.sampled_from(sorted(_NON_CANONICAL)), min_size=1, max_size=2)):
+        j = n - 1 if swap == "trailing-comma" else data.draw(st.integers(0, n - 1))
+        rows[i][j] = _NON_CANONICAL[swap](rows[i][j])
+    text = _document("[" + ",".join("[" + ",".join(data.draw(_WHITESPACE) + t + data.draw(_WHITESPACE) for t in row) + "]" for row in rows) + "]")
+    path = tmp_path_factory.mktemp("swap") / "inst.json"
+    path.write_text(text)
+    # Read back as load_instance reads it, where a lone \r is a line break.
+    assert _outcome(lambda: load_instance(path)) == _outcome(lambda: _via_json_loads(path.read_text()))
