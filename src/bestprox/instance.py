@@ -15,14 +15,11 @@ unambiguous and diff-able::
 
 Each rule of a field lives in the library code that owns it; the parser
 reads the JSON, converts its arrays and names the field a refusal concerns.
-A distance table is decoded one row at a time straight into one read-only
-float64 array, never as n² Python numbers, so loading peaks at about the file
-text plus one table.  numpy's text parser reads a row of ASCII canonical
-non-negative JSON integers below 10**18, with JSON whitespace only after a
-comma or at the row's ends, and the C scanner of :mod:`json` every other row,
-with the same values and messages; a table that is not square rows of numbers
-is read as :func:`json.loads` reads it, and refused by the same rule.
-Saving is canonical (sorted keys, fixed indentation, normalized floats), so
+One :class:`_TableDecoder` pass reads every file, and decodes a distance
+table one row at a time straight into one read-only float64 array, never as
+n² Python numbers, so loading peaks at about the file text plus one table.
+Saving is canonical (sorted keys, fixed indentation, normalized floats, a
+table one row to a line, as integers where every entry is integral), so
 load/save round-trips are idempotent byte for byte.
 """
 
@@ -32,6 +29,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -222,22 +220,23 @@ def _integer_row(text: str):
 class _TableDecoder(json.JSONDecoder):
     """The stdlib decoder, which reads the value of a ``"matrix"`` key row by
     row into one read-only float64 array.  The stdlib's Python object parser
-    walks the objects and the C scanner reads every other value.  numpy's
-    text parser reads a row of ASCII canonical non-negative JSON integers
-    below 10**18, with JSON whitespace only after a comma or at the row's
-    ends (:func:`_integer_row`), and the C scanner every other row, so the
-    grammar, the error messages and the numbers are those of
-    :func:`json.loads`.  A table that is not square rows of ints or floats is
-    read whole by the C scanner instead."""
+    walks the document and its member objects, as deep as a table sits, and
+    the C scanner reads every other value.  numpy's text parser reads a row of
+    ASCII canonical non-negative JSON integers below 10**18, with JSON
+    whitespace only after a comma or at the row's ends (:func:`_integer_row`),
+    and the C scanner every other row, so the grammar, the error messages and
+    the numbers are those of :func:`json.loads`.  A table that is not square
+    rows of ints or floats is read whole by the C scanner instead."""
 
     def __init__(self):
         super().__init__()
         self._scan = json.scanner.c_make_scanner(self)
-        self.scan_once = self._value
+        self.scan_once = partial(self._value, depth=0)
 
-    def _value(self, s: str, idx: int):
-        if s[idx : idx + 1] == "{":
-            return json.decoder.JSONObject((s, idx + 1), self.strict, self._value, self.object_hook, self.object_pairs_hook)
+    def _value(self, s: str, idx: int, depth: int):
+        if depth < 2 and s[idx : idx + 1] == "{":
+            scan = partial(self._value, depth=depth + 1)
+            return json.decoder.JSONObject((s, idx + 1), self.strict, scan, self.object_hook, self.object_pairs_hook)
         if s[idx : idx + 1] == "[" and self._is_matrix_value(s, idx):
             try:
                 return self._table(s, idx + 1)
@@ -285,20 +284,14 @@ class _TableDecoder(json.JSONDecoder):
         # floats before its text is copied.
         close = s.find("]", idx) if _INTEGER_START(s, idx) else -1
         row = _integer_row(s[idx + 1 : close]) if close > 0 else None
-        return self._scan(s, idx) if row is None else (row, close + 1)
-
-
-def _decode(text: str, booleans: bool):
-    """``json.loads(text)``, but with a distance table as one array.  Where
-    booleans may occur, which numpy would read as numbers, or the objects
-    nest deeper than the Python walk can recurse, ``json.loads`` reads the
-    whole text."""
-    if not booleans:
-        try:
-            return json.loads(text, cls=_TableDecoder)
-        except RecursionError:
-            pass
-    return json.loads(text)
+        if row is not None:
+            return row, close + 1
+        row, end = self._scan(s, idx)
+        # numpy reads a boolean as a number, so a row holding one is no table
+        # row.  The u of true and the s of false occur in no number or constant.
+        if s.find("u", idx, end) >= 0 or s.find("s", idx, end) >= 0:
+            raise ValueError("not a table")
+        return row, end
 
 
 def load_instance(path) -> Instance:
@@ -309,7 +302,7 @@ def load_instance(path) -> Instance:
         # word is looked for only where its letter u (or f) occurs: one
         # character is found by a far faster scan, and matrix files hold neither.
         booleans = ("u" in text and "true" in text) or ("f" in text and "false" in text)
-        payload = _decode(text, booleans)
+        payload = json.loads(text, cls=_TableDecoder)
     except OSError as err:
         raise InstanceFormatError(f"cannot read {path}: {err}") from None
     except UnicodeDecodeError:
@@ -324,11 +317,22 @@ def load_instance(path) -> Instance:
     return parse_instance(payload, booleans=booleans)
 
 
+def _table_rows(table: np.ndarray) -> list:
+    """The rows of a distance table as lists of ints when every entry is a
+    whole number below 2**53 in magnitude other than -0.0, so that each int
+    reads back as the same float bit for bit, else as lists of floats."""
+    if (np.abs(table) < 2**53).all():
+        ints = table.astype(np.int64)
+        if np.array_equal(ints.astype(np.float64).view(np.int64), table.view(np.int64)):
+            return ints.tolist()
+    return table.tolist()
+
+
 def instance_payload(inst: Instance) -> dict:
     """The canonical JSON-able form of an instance."""
     metric: dict = {"kind": inst.metric.kind}
     if inst.metric.kind == EXPLICIT_MATRIX:
-        metric["matrix"] = inst.metric.matrix.tolist()
+        metric["matrix"] = _table_rows(inst.metric.matrix)
     payload = {
         "metric": metric,
         "A": inst.pair.a.tolist(),
@@ -342,7 +346,16 @@ def instance_payload(inst: Instance) -> dict:
 
 
 def dumps_instance(inst: Instance) -> str:
-    return json.dumps(instance_payload(inst), indent=2, sort_keys=True) + "\n"
+    """The canonical text of an instance: sorted keys and an indent of 2, with
+    a distance table written one row to a line."""
+    payload = instance_payload(inst)
+    rows = payload["metric"].get("matrix")
+    if rows is None:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # The table's place is held by the only empty array of the document.
+    payload["metric"]["matrix"] = []
+    table = ",\n".join("      " + json.dumps(row) for row in rows)
+    return json.dumps(payload, indent=2, sort_keys=True).replace('"matrix": []', f'"matrix": [\n{table}\n    ]') + "\n"
 
 
 def save_instance(inst: Instance, path) -> None:

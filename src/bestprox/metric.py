@@ -60,7 +60,7 @@ def frozen_array(value, dtype, booleans: bool = True) -> np.ndarray:
             arr = arr.astype(float)
     if arr.size and (arr.dtype.kind not in "iuf" or not np.can_cast(arr.dtype, dtype)):
         raise ValueError(f"entries must be integers or floats that {np.dtype(dtype)} holds, got {arr.dtype}")
-    if booleans and not isinstance(value, np.ndarray) and any(type(v) in (bool, np.bool_) for v in np.asarray(value, dtype=object).flat):
+    if booleans and not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):
         raise ValueError("entries must be numbers, not booleans")
     arr = arr.astype(dtype, copy=not isinstance(value, (list, tuple)))  # else arr is new
     arr.flags.writeable = False

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import re
 import tracemalloc
@@ -19,6 +20,7 @@ from bestprox import (
     generate_instance,
     load_instance,
     make_instance,
+    matrix_metric,
     Metric,
     parse_instance,
     save_instance,
@@ -298,6 +300,9 @@ def test_declared_alpha_round_trips(tmp_path):
 # table is read as json.loads reads it.  Each text below is the value of
 # "matrix" (or, where it starts with '{', the whole metric object).
 DEEP = '{"a": ' * 600 + "0" + "}" * 600
+# Each sweep runs on three documents: as written, beside a boolean (so the
+# text holds a true token), and beside an object nested 600 deep.
+DOCUMENTS = {"flat": "", "note-true": ', "note": true', "nested-600": f', "x": {DEEP}'}
 TABLE_TEXTS = {
     "compact": "[[0,1,2],[1,0,1],[2,1,0]]",
     "indent": json.dumps([[0, 1.5, 2], [1.5, 0, 1], [2, 1, 0]], indent=2),
@@ -370,8 +375,8 @@ def _outcome(build):
         inst = build()
     except (ValueError, RecursionError) as err:
         return type(err), str(err)
-    table = inst.metric.matrix
-    return table.dtype, table.shape, table.tobytes(), inst.alpha_declared, inst.eps_prox, inst.tol
+    arrays = (inst.metric.matrix, inst.pair.a, inst.pair.b, inst.t_map.image)
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays], inst.alpha_declared, inst.eps_prox, inst.tol
 
 
 def _via_json_loads(text: str) -> instance.Instance:
@@ -382,7 +387,7 @@ def _via_json_loads(text: str) -> instance.Instance:
     return parse_instance(payload)
 
 
-@pytest.mark.parametrize("extra", ["", f', "x": {DEEP}'], ids=["flat", "nested-600"])
+@pytest.mark.parametrize("extra", list(DOCUMENTS.values()), ids=list(DOCUMENTS))
 @pytest.mark.parametrize("name", sorted(TABLE_TEXTS))
 def test_table_decoder_agrees_with_json_loads(tmp_path, name, extra):
     text = _document(TABLE_TEXTS[name], extra)
@@ -453,34 +458,104 @@ OBJECT_FIELDS = {
 
 @pytest.mark.parametrize("name", sorted(OBJECT_FIELDS))
 def test_object_fields_are_read_as_json_loads_reads_them(tmp_path, name):
-    text = _document(TABLE_TEXTS["compact"], ", " + OBJECT_FIELDS[name])
+    path = tmp_path / "inst.json"
+    for extra in DOCUMENTS.values():
+        text = _document(TABLE_TEXTS["compact"], ", " + OBJECT_FIELDS[name] + extra)
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(lambda: load_instance(path)) == _outcome(lambda: _via_json_loads(text)), extra[:10]
+
+
+# A, B and T in a euclidean and in a matrix space; each text of POINT_TEXTS
+# replaces one of the three fields.
+POINT_DOCUMENTS = {
+    "euclidean": {"metric": '{"kind": "euclidean"}', "A": "[[0, 0], [0, 1]]", "B": "[[1, 0], [1, 1]]", "T": "[0, 1]"},
+    "matrix": {"metric": '{"kind": "explicit-matrix", "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}', "A": "[0, 1]", "B": "[2]", "T": "[0, 0]"},
+}
+POINT_TEXTS = {
+    "ragged": "[[0, 0], [1]]",
+    "mixed-dimensions": "[[0, 0], 1]",
+    "other-dimension": "[[0, 0, 0], [1, 1, 1]]",
+    "true": "[[0, true], [1, 1]]",
+    "true-index": "[0, true]",
+    "null": "[[0, null], [1, 1]]",
+    "null-index": "[0, null]",
+    "nested-rows": "[[0, [1]], [1, 1]]",
+    "400-digits": f"[[0, 1{'0' * 399}], [1, 1]]",
+    "400-digit-index": f"[0, 1{'0' * 399}]",
+    "matrix-space-rows": "[[0], [1]]",
+}
+
+
+@pytest.mark.parametrize("extra", list(DOCUMENTS.values()), ids=list(DOCUMENTS))
+@pytest.mark.parametrize("name", sorted(POINT_TEXTS))
+@pytest.mark.parametrize("field", ["A", "B", "T"])
+@pytest.mark.parametrize("kind", sorted(POINT_DOCUMENTS))
+def test_point_fields_are_read_as_json_loads_reads_them(tmp_path, kind, field, name, extra):
+    fields = {**POINT_DOCUMENTS[kind], field: POINT_TEXTS[name]}
+    text = "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + extra + "}"
     path = tmp_path / "inst.json"
     path.write_text(text, encoding="utf-8")
     assert _outcome(lambda: load_instance(path)) == _outcome(lambda: _via_json_loads(text))
 
 
-def test_square_tables_are_decoded_as_one_array():
-    for name in ("compact", "indent", "whitespace", "nan", "1e400", "2**63+1"):
-        table = instance._decode(_document(TABLE_TEXTS[name]), False)["metric"]["matrix"]
-        assert type(table) is np.ndarray and table.dtype == np.float64, name
-        assert table.base is None and not table.flags.writeable, name
+def test_square_tables_are_decoded_as_one_array(tmp_path, monkeypatch):
+    # Beside a boolean or a deeply nested object too, which once sent the
+    # whole file to json.loads and so built n² Python numbers.
+    real, payloads = instance.parse_instance, []
+    monkeypatch.setattr(instance, "parse_instance", lambda payload, **kw: payloads.append(payload) or real(payload, **kw))
+    path = tmp_path / "inst.json"
+    deep_700 = '{"a": ' * 700 + "0" + "}" * 700
+    for extra in [*DOCUMENTS.values(), f', "x": {deep_700}']:
+        for name in ("compact", "indent", "whitespace", "nan", "1e400", "2**63+1"):
+            path.write_text(_document(TABLE_TEXTS[name], extra))
+            with contextlib.suppress(InstanceFormatError):  # a non-finite table is decoded, then refused
+                load_instance(path)
+            table = payloads[-1]["metric"]["matrix"]
+            assert type(table) is np.ndarray and table.dtype == np.float64, (name, extra[:10])
+            assert table.base is None and not table.flags.writeable, (name, extra[:10])
 
 
 def test_loading_a_table_peaks_near_its_array(tmp_path):
-    # The text plus one float64 table, not n² Python ints: about 2x the table.
+    # The text plus one float64 table, not n² Python ints: about 2x the table,
+    # beside a boolean too.
     n = 600
     table = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     path = tmp_path / "table.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"metric": {"kind": "explicit-matrix", "matrix": table.tolist()}, "A": [0], "B": [1], "T": [0]}, fh, separators=(",", ":"))
-    tracemalloc.start()
-    try:
-        inst = load_instance(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert inst.metric.matrix.tolist() == table.tolist()
-    assert peak < 3 * n * n * 8, peak / (n * n * 8)
+    for extra in ({}, {"note": True}):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"metric": {"kind": "explicit-matrix", "matrix": table.tolist()}, "A": [0], "B": [1], "T": [0], **extra}, fh, separators=(",", ":"))
+        tracemalloc.start()
+        try:
+            inst = load_instance(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.metric.matrix.tolist() == table.tolist()
+        assert peak < 3 * n * n * 8, (extra, peak / (n * n * 8))
+
+
+def _saved_table_text(inst) -> str:
+    """The text of the table in ``dumps_instance(inst)``, from '[' to ']'."""
+    text = dumps_instance(inst)
+    start = text.index('"matrix": ') + len('"matrix": ')
+    return text[start : text.index("\n    ]", start) + len("\n    ]")]
+
+
+def test_saved_integral_tables_are_integer_rows(tmp_path):
+    # One row to a line; as integers when every entry is a whole number below
+    # 2**53 other than -0.0, so the table takes numpy's row reader when
+    # loaded again, else as floats.
+    n = 40
+    ints = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) * 12345.0
+    path = tmp_path / "inst.json"
+    for table, integers in ((ints, True), (ints / 8, False), (ints * 2.0**40, False), (np.where(ints == 0, -0.0, ints), False)):
+        inst = make_instance(matrix_metric(table), [0], [1], [0])
+        rows = _saved_table_text(inst)
+        assert rows.count("\n") == n + 1
+        assert all(type(v) is int for row in json.loads(rows) for v in row) == integers
+        assert _row_reads(rows) == (0 if integers else n)
+        save_instance(inst, path)
+        assert load_instance(path).metric.matrix.tobytes() == table.tobytes()
 
 
 _WHITESPACE = st.text(alphabet=" \t\n\r", max_size=2)
