@@ -15,16 +15,18 @@ unambiguous and diff-able::
 
 Each rule of a field lives in the library code that owns it; the parser
 reads the JSON, converts its arrays and names the field a refusal concerns.
-One :class:`_TableDecoder` pass reads every file, and decodes a distance
-table one row at a time straight into one read-only float64 array, never as
-n² Python numbers, so loading peaks at about the file text plus one table.
-Saving is canonical (sorted keys, fixed indentation, normalized floats, a
-table one row to a line, as integers where every entry is integral), so
-load/save round-trips are idempotent byte for byte.
+So a boolean among numbers is refused by one rule, with no switch, that of
+:func:`~bestprox.metric.frozen_array`.  One :class:`_TableDecoder` pass reads
+every file, and decodes a distance table one row at a time straight into one
+read-only float64 array, never as n² Python numbers, so loading peaks at about
+the file text plus one table.  Saving is canonical (keys sorted, indent 2, one
+array entry to a line, a point or a table row on one line, a table as integers
+where every entry is integral), so load/save round-trips are byte-stable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -112,7 +114,7 @@ def make_instance(
     return Instance(pair, t_map, eps_prox, tol, alpha_declared)
 
 
-def _parse_metric(payload, booleans: bool) -> Metric:
+def _parse_metric(payload) -> Metric:
     if not isinstance(payload, dict):
         raise _fail("metric", "must be an object")
     kind = payload.get("kind")
@@ -123,7 +125,7 @@ def _parse_metric(payload, booleans: bool) -> Metric:
     if kind != EXPLICIT_MATRIX:
         raise _fail("metric.kind", f"must be {EUCLIDEAN!r} or {EXPLICIT_MATRIX!r}, got {kind!r}")
     try:
-        table = frozen_array(payload.get("matrix"), np.float64, booleans)
+        table = frozen_array(payload.get("matrix"), np.float64)
     except ValueError:
         raise _fail("metric.matrix", "must be rows of one length of numbers that fit a float") from None
     try:
@@ -132,7 +134,7 @@ def _parse_metric(payload, booleans: bool) -> Metric:
         raise _fail("metric.matrix", str(err)) from None
 
 
-def _parse_points(metric: Metric, payload, field: str, booleans: bool) -> np.ndarray:
+def _parse_points(metric: Metric, payload, field: str) -> np.ndarray:
     """The points of ``field`` as one array, which SetPair keeps without a
     copy; else the first item that is not a point of the space is named."""
     if not isinstance(payload, list) or not payload:
@@ -142,37 +144,34 @@ def _parse_points(metric: Metric, payload, field: str, booleans: bool) -> np.nda
         dtype, shape, what = np.float64, (dim,), f"a numeric point of dimension {dim}"
     else:
         dtype, shape, what = np.int64, (), "an index into the distance table"
-    try:
-        points = frozen_array(payload, dtype, booleans)
+    with contextlib.suppress(ValueError):
+        points = frozen_array(payload, dtype)
         if points.shape[1:] == shape:
             return points
-    except ValueError:
-        pass
     pos = next((pos for pos, item in enumerate(payload) if not _is_point(item, dtype, shape)), 0)
     raise _fail(f"{field}[{pos}]", f"not {what}: {payload[pos]!r}")
 
 
 def _is_point(item, dtype, shape: tuple) -> bool:
-    try:
+    with contextlib.suppress(ValueError):
         return frozen_array(item, dtype).shape == shape
-    except ValueError:
-        return False
+    return False
 
 
-def parse_instance(payload, *, booleans: bool = True) -> Instance:
+def parse_instance(payload) -> Instance:
     """Build an Instance from a decoded JSON object, with field diagnostics.
 
-    Booleans among the numbers of a point or a matrix row are refused;
-    ``booleans=False`` skips that scan for a payload known to hold none.
+    Booleans among the numbers of a point or a matrix row are refused, by the
+    one rule of :func:`~bestprox.metric.frozen_array`.
     """
     if not isinstance(payload, dict):
         raise InstanceFormatError("top-level value must be an object")
     for required in ("metric", "A", "B", "T"):
         if required not in payload:
             raise _fail(required, "missing")
-    metric = _parse_metric(payload["metric"], booleans)
-    a = _parse_points(metric, payload["A"], "A", booleans)
-    b = _parse_points(metric, payload["B"], "B", booleans)
+    metric = _parse_metric(payload["metric"])
+    a = _parse_points(metric, payload["A"], "A")
+    b = _parse_points(metric, payload["B"], "B")
     tolerances = payload.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise _fail("tolerances", "must be an object")
@@ -297,12 +296,7 @@ class _TableDecoder(json.JSONDecoder):
 def load_instance(path) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        # Without a true or false token the payload holds no boolean.  Each
-        # word is looked for only where its letter u (or f) occurs: one
-        # character is found by a far faster scan, and matrix files hold neither.
-        booleans = ("u" in text and "true" in text) or ("f" in text and "false" in text)
-        payload = json.loads(text, cls=_TableDecoder)
+            payload = json.loads(fh.read(), cls=_TableDecoder)
     except OSError as err:
         raise InstanceFormatError(f"cannot read {path}: {err}") from None
     except UnicodeDecodeError:
@@ -313,8 +307,7 @@ def load_instance(path) -> Instance:
         ) from None
     except RecursionError:
         raise InstanceFormatError("invalid JSON: nested too deeply") from None
-    del text  # not held while the instance is built
-    return parse_instance(payload, booleans=booleans)
+    return parse_instance(payload)
 
 
 def _table_rows(table: np.ndarray) -> list:
@@ -346,16 +339,20 @@ def instance_payload(inst: Instance) -> dict:
 
 
 def dumps_instance(inst: Instance) -> str:
-    """The canonical text of an instance: sorted keys and an indent of 2, with
-    a distance table written one row to a line."""
-    payload = instance_payload(inst)
-    rows = payload["metric"].get("matrix")
-    if rows is None:
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    # The table's place is held by the only empty array of the document.
-    payload["metric"]["matrix"] = []
-    table = ",\n".join("      " + json.dumps(row) for row in rows)
-    return json.dumps(payload, indent=2, sort_keys=True).replace('"matrix": []', f'"matrix": [\n{table}\n    ]') + "\n"
+    """The canonical text of an instance: keys sorted, indent 2, one object
+    member or array entry to a line, and a point or a table row on one line."""
+    return _layout(instance_payload(inst), "\n") + "\n"
+
+
+def _layout(value, indent: str) -> str:
+    # An array of the payload holds numbers or arrays, never objects, so
+    # json.dumps writes each entry, a table row with the C encoder.
+    inner = indent + "  "
+    if isinstance(value, dict):
+        return "{" + inner + f",{inner}".join(f"{json.dumps(key)}: {_layout(item, inner)}" for key, item in sorted(value.items())) + indent + "}"
+    if isinstance(value, list):
+        return "[" + inner + f",{inner}".join(map(json.dumps, value)) + indent + "]"
+    return json.dumps(value)
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -45,13 +46,13 @@ EXHAUSTIVE_LIMIT = 200
 TRIANGLE_SLACK = 1e-9
 
 
-def frozen_array(value, dtype, booleans: bool = True) -> np.ndarray:
+def frozen_array(value, dtype) -> np.ndarray:
     """``value`` as a read-only array of ``dtype``, by the package's one
     numeric rule: integers or floats that ``dtype`` holds safely (no float
     for an integer dtype), and in a Python sequence no boolean, which numpy
-    reads as 0 or 1 (``booleans=False`` skips that scan).  A read-only array
-    of ``dtype`` that owns its data is kept without a copy or a scan; a
-    caller's array is never frozen, but copied."""
+    reads as 0 or 1.  An ndarray is judged by its dtype alone.  A read-only
+    array of ``dtype`` that owns its data is kept without a copy; a caller's
+    array is never frozen, but copied."""
     if isinstance(value, np.ndarray) and value.base is None and not value.flags.writeable and value.dtype == dtype:
         return value
     arr = np.asarray(value)
@@ -60,8 +61,13 @@ def frozen_array(value, dtype, booleans: bool = True) -> np.ndarray:
             arr = arr.astype(float)
     if arr.size and (arr.dtype.kind not in "iuf" or not np.can_cast(arr.dtype, dtype)):
         raise ValueError(f"entries must be integers or floats that {np.dtype(dtype)} holds, got {arr.dtype}")
-    if booleans and not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):
-        raise ValueError("entries must be numbers, not booleans")
+    if not isinstance(value, np.ndarray):
+        # numpy reads a boolean as 0 or 1.  The items of a 1-D sequence and
+        # the rows' items of a 2-D one are walked as they are, which is far
+        # cheaper than an object array; only a deeper nesting needs one.
+        entries = value if arr.ndim == 1 else chain.from_iterable(value) if arr.ndim == 2 else np.asarray(value, dtype=object).flat
+        if not {bool, np.bool_}.isdisjoint(map(type, entries)):
+            raise ValueError("entries must be numbers, not booleans")
     arr = arr.astype(dtype, copy=not isinstance(value, (list, tuple)))  # else arr is new
     arr.flags.writeable = False
     return arr

@@ -468,9 +468,33 @@ def test_map_refuses_entries_that_are_not_integers():
     # these was once kept, a string read as its number and a boolean as 0 or 1.
     square = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
     for build, values in (
-        (lambda v: SetPair(euclidean_metric(), v, [(1.0, 0.0)]), ([["1.5", True]], [[1.5, True]], [[0.0, np.bool_(True)]], [["0", "1"]])),
-        (lambda v: SetPair(matrix_metric(square), v, [3]), ([True, 2], [0, np.bool_(True)], [np.int64(1), True], ["0", "1"])),
-        (matrix_metric, ([["0", True], [1, 0.0]], [[0.0, True], [True, 0.0]], [[0, 1], [1, np.bool_(False)]], [["0", "1"], ["1", "0"]])),
+        (
+            lambda v: SetPair(euclidean_metric(), v, [(1.0, 0.0)]),
+            (
+                [["1.5", True]],
+                [[1.5, True]],
+                [[0.0, np.bool_(True)]],
+                [["0", "1"]],
+                [(0.0, 1.0), (1.5, True)],
+                ([0.0, 1.0], [False, 2.0]),
+                [np.array([0.0, 1.0]), np.array([True, False])],
+                [[[0.0, True]], [[1.0, 0.0]]],
+            ),
+        ),
+        (lambda v: SetPair(matrix_metric(square), v, [3]), ([True, 2], [0, np.bool_(True)], [np.int64(1), True], ["0", "1"], (0, True))),
+        (
+            matrix_metric,
+            (
+                [["0", True], [1, 0.0]],
+                [[0.0, True], [True, 0.0]],
+                [[0, 1], [1, np.bool_(False)]],
+                [["0", "1"], ["1", "0"]],
+                [(0, True), (1, 0)],
+                ([0, 1], [False, 0]),
+                [np.array([0.0, 1.0]), np.array([True, False])],
+                [[[0, True]], [[1, 0]]],
+            ),
+        ),
     ):
         for value in values:
             with pytest.raises(ValueError, match="entries must be"):

@@ -158,11 +158,12 @@ def test_parse_errors_name_the_field(mutate, fragment):
 
 
 def test_booleans_in_rows_are_refused_when_loaded(tmp_path):
-    # load_instance scans for booleans only when the text holds a true or
-    # false token; it must still find them in points and matrix rows.
+    # One rule refuses a boolean wherever it sits, in points and matrix rows,
+    # also in a file that holds no other true or false.
     path = tmp_path / "bool.json"
     for text, field in (
         (GEOMETRIC_TEXT.replace("[0, 0.25]", "[0, true]"), "'A[1]'"),
+        (GEOMETRIC_TEXT.replace("[1, 1]", "[1, true]"), "'B[2]'"),
         ('{"metric": {"kind": "explicit-matrix", "matrix": [[0, false], [1, 0]]}, "A": [0], "B": [1], "T": [0]}', "'metric.matrix'"),
     ):
         path.write_text(text)
@@ -539,6 +540,37 @@ def _saved_table_text(inst) -> str:
     text = dumps_instance(inst)
     start = text.index('"matrix": ') + len('"matrix": ')
     return text[start : text.index("\n    ]", start) + len("\n    ]")]
+
+
+def test_saved_files_write_a_point_or_a_row_on_one_line():
+    inst = make_instance(Metric(EUCLIDEAN), [(0, 0, 0), (0, 0.25, 1e-300)], [(1, 0, 2**60)], [0, 0])
+    text = dumps_instance(inst)
+    assert '\n  "A": [\n    [0.0, 0.0, 0.0],\n    [0.0, 0.25, 1e-300]\n  ],\n' in text
+    assert '\n  "B": [\n    [1.0, 0.0, 1.152921504606847e+18]\n  ],\n' in text
+    inst = make_instance(matrix_metric([[0, 1.5], [1.5, 0]]), [0], [1], [0])
+    assert dumps_instance(inst) == """{
+  "A": [
+    0
+  ],
+  "B": [
+    1
+  ],
+  "T": [
+    0
+  ],
+  "metric": {
+    "kind": "explicit-matrix",
+    "matrix": [
+      [0.0, 1.5],
+      [1.5, 0.0]
+    ]
+  },
+  "tolerances": {
+    "eps_prox": 0.0,
+    "tol": 1e-09
+  }
+}
+"""
 
 
 def test_saved_integral_tables_are_integer_rows(tmp_path):
