@@ -50,9 +50,9 @@ def frozen_array(value, dtype) -> np.ndarray:
     """``value`` as a read-only array of ``dtype``, by the package's one
     numeric rule: integers or floats that ``dtype`` holds safely (no float
     for an integer dtype), and in a Python sequence no boolean, which numpy
-    reads as 0 or 1.  An ndarray is judged by its dtype alone.  A read-only
-    array of ``dtype`` that owns its data is kept without a copy; a caller's
-    array is never frozen, but copied."""
+    reads as 0 or 1, nor a 0-d boolean array.  An ndarray is judged by its
+    dtype alone.  A read-only array of ``dtype`` that owns its data is kept
+    without a copy; a caller's array is never frozen, but copied."""
     if isinstance(value, np.ndarray) and value.base is None and not value.flags.writeable and value.dtype == dtype:
         return value
     arr = np.asarray(value)
@@ -62,11 +62,17 @@ def frozen_array(value, dtype) -> np.ndarray:
     if arr.size and (arr.dtype.kind not in "iuf" or not np.can_cast(arr.dtype, dtype)):
         raise ValueError(f"entries must be integers or floats that {np.dtype(dtype)} holds, got {arr.dtype}")
     if not isinstance(value, np.ndarray):
-        # numpy reads a boolean as 0 or 1.  The items of a 1-D sequence and
-        # the rows' items of a 2-D one are walked as they are, which is far
-        # cheaper than an object array; only a deeper nesting needs one.
-        entries = value if arr.ndim == 1 else chain.from_iterable(value) if arr.ndim == 2 else np.asarray(value, dtype=object).flat
-        if not {bool, np.bool_}.isdisjoint(map(type, entries)):
+        # numpy reads a boolean as 0 or 1, also one held in a 0-d array.  The
+        # items of a 1-D sequence and the rows' items of a 2-D one are walked
+        # as they are, which is far cheaper than an object array; only a
+        # deeper nesting needs one.
+        def entries():
+            return value if arr.ndim == 1 else chain.from_iterable(value) if arr.ndim == 2 else np.asarray(value, dtype=object).flat
+
+        kinds = set(map(type, entries()))
+        if any(issubclass(kind, np.ndarray) for kind in kinds):  # a 0-d array is judged by its dtype
+            kinds.update(v.dtype.type for v in entries() if isinstance(v, np.ndarray))
+        if not kinds.isdisjoint((bool, np.bool_)):
             raise ValueError("entries must be numbers, not booleans")
     arr = arr.astype(dtype, copy=not isinstance(value, (list, tuple)))  # else arr is new
     arr.flags.writeable = False

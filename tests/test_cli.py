@@ -442,6 +442,27 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
         assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, command
 
 
+def test_each_exit_code_reaches_the_shell(tmp_path):
+    # main() returns each code in-process; a child process run outside the
+    # checkout must end with it, through entrypoint and sys.exit.
+    save_instance(generate_instance(GeneratorConfig(seed=5, a_size=50, alpha_target=0.8)), tmp_path / "budget.json")
+    (tmp_path / "bad.json").write_bytes(b"\xff")
+    (tmp_path / "neg.json").write_text(NEGATIVE_RATIO_TEXT)
+    env = {**os.environ, "PYTHONPATH": str(Path(bestprox.__file__).parents[1])}
+    for argv, code, err in (
+        (("generate", "inst.json", "--seed", "3"), 0, ""),
+        (("certify", "inst.json"), 0, ""),
+        (("certify", "bad.json"), 1, "not UTF-8 text"),
+        (("solve", "neg.json"), 2, ""),
+        (("solve", "budget.json", "--max-iter", "1"), 3, ""),
+    ):
+        argv = [sys.executable, "-m", "bestprox.cli", *argv]
+        done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (argv, done.stderr)
+        assert "Traceback" not in done.stderr, argv
+        assert err in done.stderr if err else not done.stderr, (argv, done.stderr)
+
+
 def test_only_a_certified_constant_guarantees_a_solve(tmp_path, capsys, halving_instance, nonunique_instance, boundary_instance):
     # Every solve result is guaranteed only when the checklist passes (the
     # triangle instance fails only its metric-axioms row), and its trace

@@ -9,6 +9,7 @@ import pytest
 from conftest import dense_max_ratio, each_block_size, scope_map, tie_heavy_case, with_self_map
 
 from bestprox.engine import _max_ratio
+from bestprox.metric import frozen_array
 from bestprox import (
     CONTRACTION,
     CYCLE_DETECTED,
@@ -450,6 +451,7 @@ def test_map_refuses_entries_that_are_not_integers():
         [True, False],
         [0, True],
         [np.int64(0), np.bool_(True)],
+        [0, np.array(True)],  # a 0-d array is judged by its dtype
         np.array([1.0, 0.0]),
         np.array([True, False]),
         np.array([0, 1], dtype=object),
@@ -479,9 +481,10 @@ def test_map_refuses_entries_that_are_not_integers():
                 ([0.0, 1.0], [False, 2.0]),
                 [np.array([0.0, 1.0]), np.array([True, False])],
                 [[[0.0, True]], [[1.0, 0.0]]],
+                [[0.0, np.array(True)], [0.0, 2.0]],
             ),
         ),
-        (lambda v: SetPair(matrix_metric(square), v, [3]), ([True, 2], [0, np.bool_(True)], [np.int64(1), True], ["0", "1"], (0, True))),
+        (lambda v: SetPair(matrix_metric(square), v, [3]), ([True, 2], [0, np.bool_(True)], [np.int64(1), True], ["0", "1"], (0, True), [0, np.array(True)])),
         (
             matrix_metric,
             (
@@ -493,8 +496,10 @@ def test_map_refuses_entries_that_are_not_integers():
                 ([0, 1], [False, 0]),
                 [np.array([0.0, 1.0]), np.array([True, False])],
                 [[[0, True]], [[1, 0]]],
+                [[1, 0], [0, np.array(True)]],
             ),
         ),
+        (lambda v: frozen_array(v, np.int64), ([np.array(True), 1], [[np.array(False), 1]], [[[np.array(True), 1]]])),
     ):
         for value in values:
             with pytest.raises(ValueError, match="entries must be"):

@@ -224,18 +224,26 @@ def test_matrix_duplicate_scan_memory_stays_within_the_block_budget():
 
 
 def test_euclidean_duplicate_scan_memory_stays_within_the_block_budget():
-    # 4000 distinct points (k * 1e-200, 0), all at kernel distance 0 from
-    # each other: one table over all of them peaked at 260 MB.
-    a = np.column_stack([np.arange(4000) * 1e-200, np.zeros(4000)])
-    tracemalloc.start()
-    try:
-        with pytest.raises(DuplicatePointError) as exc:
-            euclid_pair(a, [(1.0, 0.0)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert exc.value.indices == (0, 1)
-    assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget
+    # n distinct points (k * 1e-200, 0), all at kernel distance 0 from each
+    # other: one table over 4000 of them peaked at 260 MB, and one over all
+    # 32000 would need 8 GB.  The 32000 points come as the rows of a loaded
+    # file, listed before the trace starts: euclid_pair's 32000 row views
+    # would add 3.7 MiB of the test's own to the check's 5.8 MiB.
+    a = np.column_stack([np.arange(32000) * 1e-200, np.zeros(32000)])
+    rows = a.tolist()
+    for n, build in (
+        (4000, lambda: euclid_pair(a[:4000], [(1.0, 0.0)])),
+        (32000, lambda: SetPair(euclidean_metric(), rows, [(1.0, 0.0)])),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DuplicatePointError) as exc:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.indices == (0, 1), n
+        assert peak < 8 * 2**20, (n, peak)  # twice the 4 MiB block budget
 
 
 def test_empty_sets_rejected():
