@@ -7,16 +7,17 @@ roots on coordinate spaces motivate the small default there).
 
 d(A,B), A0, B0 and the partner relation all come from one pass over A x B,
 walked, as the certificate is, by one ``for`` loop over the tiles that
-:func:`scan_tiles` yields, in row blocks (sized in bytes by
-:func:`row_blocks`) times column tiles: each tile lowers a running minimum
-and keeps its entries within eps_prox of it, and the kept entries are cut at
-the final d(A,B) + eps_prox.  On euclidean spaces a tile is skipped
+:func:`scan_tiles` yields, one grid on every metric: row blocks times column
+tiles of at most ``_TILE_COLS`` columns, each tile holding at most
+``_TILE_ENTRIES`` entries.  Each tile lowers a running minimum and keeps its
+entries within eps_prox of it, and the kept entries are cut at the final
+d(A,B) + eps_prox.  On euclidean spaces a tile is skipped
 when the axis-aligned boxes of its rows and columns lie farther apart than
 that running cut.  The bound is exact: the kernel's paired form adds the
 squared per-axis box gaps (spans, for an upper bound) in the one in-order sum
 that builds the cross table, and rounding is monotone, so it brackets every
 entry bit for bit.
-Matrix spaces are not pruned.
+Matrix spaces walk the same tiles but skip none.
 
 The check for points at distance 0 within A or B walks the same driver, one
 row block at a time, and stops after the first block that holds a hit.
@@ -30,18 +31,13 @@ import numpy as np
 
 from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, frozen_array, paired_distances, pairwise_distances
 
-# Bytes of float64 tables that one row block of a distance scan may hold,
-# counted as 12 (rows, width) tables.  The kernel keeps two alive (its sum and
-# one scratch buffer) and a scan a few more, so 12 overstates a block; it is
-# kept so that block and tile shapes are those measured.  A block of a few MiB
-# stays in cache: at d = 16 on a 2-vCPU host, blocks of 64-128 rows ran twice
-# as fast as blocks of 1024 rows.
-_BLOCK_BYTES = 4 << 20
-_BLOCK_ARRAYS = 12
-# Cap on the rows of one block; the tests lower it to force many blocks.
-_MAX_ROWS = 4096
-# Columns of one tile of a euclidean scan; the tests lower it too.
+# The one tile grid of every distance scan: a tile is _TILE_COLS columns wide,
+# or as wide as the scan when it has fewer, and holds at most _TILE_ENTRIES
+# entries, so a narrow scan takes tall row blocks.  A 170 x 256 float64 tile
+# (340 KiB) stays in cache: at d = 16 on a 2-vCPU host, blocks of 64-128 rows
+# ran twice as fast as blocks of 1024 rows.  The tests lower both.
 _TILE_COLS = 256
+_TILE_ENTRIES = 170 * 256
 
 DEFAULT_EPS_EUCLIDEAN = 1e-9
 DEFAULT_EPS_MATRIX = 0.0
@@ -185,12 +181,6 @@ class PairGeometry:
         return tuple(self.partners[self.offsets[b_index] : self.offsets[b_index + 1]].tolist())
 
 
-def row_blocks(n: int, width: int):
-    """Bounds (lo, hi) of the row blocks of an n-row scan ``width`` entries wide."""
-    rows = max(1, min(_MAX_ROWS, _BLOCK_BYTES // (8 * _BLOCK_ARRAYS * max(width, 1))))
-    return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
-
-
 def _box_bounds(metric: Metric, pts: np.ndarray, q_lo: np.ndarray, q_hi: np.ndarray) -> list[list[float]]:
     """[least, greatest] distance from the box of ``pts`` to each box [q_lo[t], q_hi[t]]."""
     p_lo, p_hi = pts.min(axis=0), pts.max(axis=0)
@@ -207,17 +197,19 @@ def scan_tiles(metric: Metric, operands, skip, *, triangle: bool = False):
     tiles are skipped where ``skip(lower, upper, lo, clo)`` holds for the box
     bounds of each operand and the tile's first entry (lo, clo); it is asked
     only when the loop asks for that tile, so it sees what the loop body has
-    just updated.  Matrix tiles span the full width and are never skipped.
+    just updated.  Matrix tiles are never skipped.
     """
     n, m = (len(x) for x in operands[0])
     if not m:
         return
-    boxed = metric.kind == EUCLIDEAN
-    width = min(_TILE_COLS, m) if boxed else m
+    width = min(_TILE_COLS, m)
+    rows = max(1, _TILE_ENTRIES // width)
     starts = range(0, m, width)
+    boxed = metric.kind == EUCLIDEAN
     if boxed:
         boxes = [(np.minimum.reduceat(q, starts), np.maximum.reduceat(q, starts)) for _, q in operands]
-    for lo, hi in row_blocks(n - triangle, width):  # a triangle's last row is empty
+    for lo in range(0, n - triangle, rows):  # a triangle's last row is empty
+        hi = min(lo + rows, n - triangle)
         if boxed:
             lower, upper = zip(*(_box_bounds(metric, p[lo:hi], *box) for (p, _), box in zip(operands, boxes)))
         for t in range((lo + 1) // width if triangle else 0, len(starts)):

@@ -29,13 +29,14 @@ from bestprox import (
 
 
 def each_block_size():
-    """Run the caller's body with the tiled distance scans (A x B and the
-    certificate) at 1, 2 and 3 rows per block times 1, 2 and 3 columns per
-    tile (euclidean spaces only; a matrix scan is one tile wide), so they span
-    many tiles, and at the default sizes (yielded as None).  Import it with
-    ``from conftest import each_block_size``."""
+    """Run the caller's body with the tiled distance scans (A x B, the
+    certificate and the duplicate check) at 1, 2 and 3 rows per block times
+    1, 2 and 3 columns per tile, on euclidean spaces and tables alike, so they
+    span many tiles, and at the default sizes (yielded as None).  A tile
+    holds rows x cols entries, so a scan narrower than cols takes taller
+    blocks.  Import it with ``from conftest import each_block_size``."""
     for rows, cols in itertools.product((1, 2, 3), repeat=2):
-        with mock.patch.object(geometry, "_MAX_ROWS", rows), mock.patch.object(geometry, "_TILE_COLS", cols):
+        with mock.patch.object(geometry, "_TILE_ENTRIES", rows * cols), mock.patch.object(geometry, "_TILE_COLS", cols):
             yield rows, cols
     yield None
 

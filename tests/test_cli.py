@@ -286,6 +286,16 @@ def test_malformed_file_exits_1(tmp_path, capsys):
         assert f"'{field}'" in err, text
         assert "Traceback" not in err
 
+    # Refusals that name no field.
+    for text, problem in (
+        ('{"metric": {"kind": "euclidean"}, "A": [[], []], "B": [[1, 0]], "T": [0, 0]}', "points of A must be coordinate vectors of dimension >= 1"),
+        ("[1, 2]", "top-level value must be an object"),
+        (euclid % ("[[0, 0], [0, 1]]", ', "tolerances": 5'), "field 'tolerances': must be an object"),
+    ):
+        bad.write_text(text)
+        code, _, err = run(capsys, "certify", str(bad))
+        assert (code, problem in err, "Traceback" in err) == (1, True, False), text
+
     # Bytes that are not UTF-8, and nesting deeper than the JSON decoder recurses.
     for data, problem in ((b"\xff\xfe{", "not UTF-8 text"), (b"[" * 200000, "invalid JSON: nested too deeply")):
         bad.write_bytes(data)
@@ -361,6 +371,28 @@ def test_max_iter_exhaustion_exits_3(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", path, "--max-iter", "1")
     assert code == 3
     assert "max-iterations" in out
+
+
+def test_converged_but_unverified_solve_exits_3(tmp_path, capsys):
+    # Both walks settle at A[1] under a certified constant and agree step for
+    # step, but d(A[1], T(A[1])) misses d(A,B) = 1 by about 1e-3 > tol.
+    path = tmp_path / "inst.json"
+    instance = {
+        "metric": {"kind": "euclidean"},
+        "A": [[0, 0], [0, 5]],
+        "B": [[1, 0], [1.001, 5]],
+        "T": [1, 1],
+        "tolerances": {"eps_prox": 0.01, "tol": 1e-9},
+    }
+    path.write_text(json.dumps(instance))
+    code, out, _ = run(capsys, "solve", str(path), "--format", "json")
+    payload = json.loads(out)
+    assert code == payload["exit_code"] == 3
+    assert (payload["failures"], payload["traces_equal"]) == ({}, True)
+    assert payload["verified"] == {"induced": False, "direct": False}
+    for res in payload["results"].values():
+        assert (res["stop_reason"], res["guaranteed"], res["index"]) == ("converged", True, 1)
+        assert 1e-9 < res["residual"] < 1.1e-3
 
 
 def test_oracle_command(tmp_path, capsys, geometric_instance):

@@ -254,7 +254,7 @@ def test_row_blocked_certificate_matches_dense_reference(kind):
 def test_certificate_memory_stays_within_the_block_budget():
     # 3000 keys whose images all coincide: every ratio is 0 and the witness
     # is the first pair.  Two dense 3000 x 3000 tables and a triangle index
-    # peaked at 412 MB; the row-blocked scan holds one block at a time.
+    # peaked at 412 MB; the tiled scan holds one tile at a time.
     n = 3000
     sp = SetPair(euclidean_metric(), [(0.0, float(k)) for k in range(n)], [(1.0, 0.0)])
     tracemalloc.start()
@@ -264,7 +264,7 @@ def test_certificate_memory_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert result == (0.0, (0, 1), n * (n - 1) // 2)
-    assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget
+    assert peak < 8 * 2**20, peak  # a tile holds 340 KiB; the rest is the scan's own arrays
 
 
 # --- Banach iteration -----------------------------------------------------------

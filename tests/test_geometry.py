@@ -9,7 +9,6 @@ import pytest
 from conftest import dense_proximal_subsets, each_block_size, tie_heavy_case
 from hypothesis import given, reject, settings
 
-from bestprox import geometry
 from bestprox import (
     DuplicatePointError,
     SetPair,
@@ -78,6 +77,8 @@ def test_proximal_subsets_huge_tolerance_takes_everything():
     geom = proximal_subsets(euclid_pair(a, b), eps_prox=100.0)
     assert geom.a0.tolist() == [0, 1]
     assert geom.b0.tolist() == [0, 1]
+    with pytest.raises(ValueError, match="eps_prox must be >= 0"):
+        proximal_subsets(euclid_pair(a, b), -1.0)
 
 
 def test_default_eps_depends_on_kind():
@@ -210,7 +211,7 @@ def test_points_are_kept_only_when_read_only_and_owned():
 
 def test_matrix_duplicate_scan_memory_stays_within_the_block_budget():
     # |A| = 1500 distinct indices: the whole 1500 x 1500 sub-table and its
-    # mask peaked at 20 MB; the row-blocked scan holds one block at a time.
+    # mask peaked at 20 MB; the tiled scan holds one tile at a time.
     coords = np.arange(2000, dtype=float)
     m = matrix_metric(np.abs(coords[:, None] - coords))
     tracemalloc.start()
@@ -220,7 +221,7 @@ def test_matrix_duplicate_scan_memory_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert len(sp.a) == 1500
-    assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget
+    assert peak < 8 * 2**20, peak  # a tile holds 340 KiB; the rest is the scan's own arrays
 
 
 def test_euclidean_duplicate_scan_memory_stays_within_the_block_budget():
@@ -243,7 +244,7 @@ def test_euclidean_duplicate_scan_memory_stays_within_the_block_budget():
         finally:
             tracemalloc.stop()
         assert exc.value.indices == (0, 1), n
-        assert peak < 8 * 2**20, (n, peak)  # twice the 4 MiB block budget
+        assert peak < 8 * 2**20, (n, peak)  # a tile holds 340 KiB; the rest is the scan's own arrays
 
 
 def test_empty_sets_rejected():
@@ -254,6 +255,9 @@ def test_empty_sets_rejected():
 def test_mixed_dimensions_rejected():
     with pytest.raises(ValueError, match="dimension"):
         euclid_pair([(0.0, 0.0)], [(1.0, 0.0, 0.0)])
+    m = matrix_metric([[float(abs(i - j)) for j in range(3)] for i in range(3)])
+    with pytest.raises(ValueError, match="matrix-space points of A must be integer indices"):
+        SetPair(m, [[0], [1]], [2])
 
 
 def test_matrix_overlap_gives_zero_distance():
@@ -360,22 +364,10 @@ def test_running_cut_drops_early_near_ties():
         assert [geom.partners_in_a(j) for j in range(len(b))] == [(), (2, 3)]
 
 
-def test_row_blocks_are_sized_in_bytes():
-    # A block holds at most _BLOCK_BYTES in _BLOCK_ARRAYS float64 tables of
-    # its width, never fewer than one row, and the blocks tile the rows.
-    budget = geometry._BLOCK_BYTES // (8 * geometry._BLOCK_ARRAYS)
-    for n, width in ((10, 1), (5000, 1200), (100, 32000), (3, 10**9)):
-        blocks = list(geometry.row_blocks(n, width))
-        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
-        assert blocks[-1][1] == n
-        rows = blocks[0][1] - blocks[0][0]
-        assert rows == max(1, min(n, geometry._MAX_ROWS, budget // width))
-
-
 def test_product_scan_memory_stays_within_the_block_budget():
     # |A| = 2000, |B| = 1200 in 16-D: a (rows, |B|, 16) difference tensor of
     # 1024-row blocks peaked at 157 MB; the per-axis kernel holds a few
-    # (rows, |B|) tables of one byte-sized block.
+    # (rows, 256) tables of one tile.
     rng = np.random.default_rng(0)
     sp = euclid_pair(rng.standard_normal((2000, 16)), rng.standard_normal((1200, 16)) + 10.0)
     tracemalloc.start()
@@ -385,4 +377,4 @@ def test_product_scan_memory_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert len(geom.a0) >= 1
-    assert peak < 8 * 2**20, peak  # twice the 4 MiB block budget
+    assert peak < 8 * 2**20, peak  # a tile holds 340 KiB; the rest is the scan's own arrays

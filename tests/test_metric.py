@@ -9,6 +9,7 @@ from hypothesis import given
 from bestprox import (
     EUCLIDEAN,
     EXPLICIT_MATRIX,
+    Checklist,
     Metric,
     distance,
     euclidean_metric,
@@ -44,12 +45,16 @@ def test_distance_matrix_lookup():
 def test_distance_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         distance(euclidean_metric(), (0.0,), (0.0, 1.0))
+    with pytest.raises(ValueError, match="paired distances need equal counts"):
+        paired_distances(euclidean_metric(), [(0.0,)], [(0.0,), (1.0,)])
 
 
 def test_distance_index_out_of_range():
     m = matrix_metric([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="out of range"):
         distance(m, 0, 2)
+    with pytest.raises(ValueError, match="must be integer indices, got float64"):
+        pairwise_distances(m, [0.5], [1])
 
 
 def test_metric_kind_checked():
@@ -75,6 +80,8 @@ def test_validate_flags_asymmetry():
     row = report.check("symmetry")
     assert not row.passed
     assert row.witness == (0, 1)
+    with pytest.raises(KeyError):
+        Checklist(()).check("absent")
 
 
 def test_validate_flags_triangle_violation():

@@ -137,6 +137,13 @@ def test_generator_respects_a_size_cap():
     assert len(inst.pair.a) == 4
     single = generate_instance(GeneratorConfig(seed=2, a_size=1, alpha_target=0.9))
     assert len(single.pair.a) == 1
+    # A one-point table ladder: its lone point is a best proximity point.
+    table = generate_instance(GeneratorConfig(seed=2, space_kind=EXPLICIT_MATRIX, a_size=1, alpha_target=0.9))
+    assert (len(table.pair.a), len(table.pair.b)) == (1, 3)
+    geom = proximal_subsets(table.pair, table.eps_prox)
+    result = banach_iterate(build_induced_map(geom, table.t_map), 0, tol=table.tol)
+    assert (result.index, result.trace.stop_reason, result.residual) == (0, "converged", 0.0)
+    assert brute_force_solve(table.pair, table.t_map, eps_prox=table.eps_prox).is_best_proximity
 
 
 def test_generator_deterministic_byte_for_byte():

@@ -182,3 +182,16 @@ def test_matrix_spaces_compute_every_entry(kernel_entries):
     kernel_entries.clear()
     pairs = _max_ratio(sp, np.arange(len(a)), np.zeros(len(a), np.int64))[2]
     assert sum(kernel_entries) / 2 >= pairs
+    # A table walks the tile grid of a euclidean scan: its tiles start at
+    # every column tile and hold each entry of the table once.
+    p, q = sp.a[:7], sp.b[:5]
+    table = pairwise_distances(m, p, q)
+    for sizes in each_block_size():
+        seen, starts = np.zeros(table.shape, np.int64), set()
+        for lo, clo, tile in geometry.scan_tiles(m, [(p, q)], None):  # a table asks no skip
+            rows, cols = slice(lo, lo + tile.shape[0]), slice(clo, clo + tile.shape[1])
+            assert (tile == table[rows, cols]).all(), sizes
+            seen[rows, cols] += 1
+            starts.add(clo)
+        assert (seen == 1).all(), sizes
+        assert sorted(starts) == list(range(0, len(q), sizes[1] if sizes else len(q))), sizes
