@@ -17,11 +17,12 @@ Each rule of a field lives in the library code that owns it; the parser
 reads the JSON, converts its arrays and names the field a refusal concerns.
 So a boolean among numbers is refused by one rule, with no switch, that of
 :func:`~bestprox.metric.frozen_array`.  One :class:`_TableDecoder` pass reads
-every file, and decodes a distance table one row at a time straight into one
-read-only float64 array, never as n² Python numbers, so loading peaks at about
-the file text plus one table.  Saving is canonical (keys sorted, indent 2, one
-array entry to a line, a point or a table row on one line, a table as integers
-where every entry is integral), so load/save round-trips are byte-stable.
+every file.  It decodes an array two objects deep, where ``metric.matrix``
+sits, one row at a time straight into one read-only float64 array, never as n²
+Python numbers, so loading peaks at about the file text plus one table.  Saving
+is canonical (keys sorted, indent 2, one array entry to a line, a point or a
+table row on one line, a table as integers where every entry is integral), so
+load/save round-trips are byte-stable.
 """
 
 from __future__ import annotations
@@ -217,15 +218,16 @@ def _integer_row(text: str):
 
 
 class _TableDecoder(json.JSONDecoder):
-    """The stdlib decoder, which reads the value of a ``"matrix"`` key row by
-    row into one read-only float64 array.  The stdlib's Python object parser
-    walks the document and its member objects, as deep as a table sits, and
-    the C scanner reads every other value.  numpy's text parser reads a row of
-    ASCII canonical non-negative JSON integers below 10**18, with JSON
-    whitespace only after a comma or at the row's ends (:func:`_integer_row`),
-    and the C scanner every other row, so the grammar, the error messages and
-    the numbers are those of :func:`json.loads`.  A table that is not square
-    rows of ints or floats is read whole by the C scanner instead."""
+    """The stdlib decoder, which reads an array two objects deep, the value of
+    a member of a member object as ``metric.matrix`` is, row by row into one
+    read-only float64 array, whatever its key's spelling.  The stdlib's Python
+    object parser walks the document and its member objects, and the C scanner
+    reads every other value.  numpy's text parser reads a row of ASCII
+    canonical non-negative JSON integers below 10**18, with JSON whitespace
+    only after a comma or at the row's ends (:func:`_integer_row`), and the C
+    scanner every other row, so the grammar, the error messages and the numbers
+    are those of :func:`json.loads`.  An array there that is not square rows of
+    ints or floats is read whole by the C scanner instead."""
 
     def __init__(self):
         super().__init__()
@@ -236,21 +238,12 @@ class _TableDecoder(json.JSONDecoder):
         if depth < 2 and s[idx : idx + 1] == "{":
             scan = partial(self._value, depth=depth + 1)
             return json.decoder.JSONObject((s, idx + 1), self.strict, scan, self.object_hook, self.object_pairs_hook)
-        if s[idx : idx + 1] == "[" and self._is_matrix_value(s, idx):
+        if depth == 2 and s[idx : idx + 1] == "[":
             try:
                 return self._table(s, idx + 1)
             except (ValueError, StopIteration):
                 pass
         return self._scan(s, idx)
-
-    @staticmethod
-    def _is_matrix_value(s: str, idx: int) -> bool:
-        # Only object values and the top-level value are scanned here, so
-        # the last quote before this '[' closes its key, if it has one.  The
-        # key is "matrix" unless that text ends a longer key, whose quote
-        # before it is then escaped.
-        close = s.rfind('"', 0, idx)
-        return close > 7 and s.startswith('"matrix"', close - 7) and s[close - 8] != "\\"
 
     def _table(self, s: str, idx: int):
         start = idx - 1

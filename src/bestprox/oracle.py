@@ -37,8 +37,9 @@ from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, paired_distances
 ORBIT_TRUNCATION = 1e-6
 
 # Matrix-family ladders are built on an exact dyadic integer grid; alpha is
-# quantized to ALPHA_GRID-ths and ladder length is bounded so every table
-# entry stays an exact float64.
+# quantized to ALPHA_GRID-ths, ladder length is bounded, and a gap that would
+# take an entry to 2**53 grid units is refused, so every table entry stays an
+# exact float64.
 ALPHA_GRID = 16
 _MATRIX_MAX_LADDER = 12
 
@@ -180,16 +181,16 @@ def _generate_matrix(cfg: GeneratorConfig, rng: random.Random) -> Instance:
 
     scale = 2.0 ** (-grid_bits)
     gap_grid = cfg.slab_gap * 2**grid_bits
-    # Table entries reach about four gaps (A to the farthest decoy); twice
-    # that staying finite keeps every entry a finite float.
-    if not math.isfinite(8.0 * gap_grid):
-        raise ValueError(f"slab_gap {cfg.slab_gap!r} too large: the matrix table entries would not be finite")
-    gap_int = max(1, round(gap_grid))
+    gap_int = max(1, round(min(gap_grid, 2**53)))  # an infinite gap_grid is refused below
     span_int = max(ints) - min(ints)
 
     n_ladder = len(ints)
     n_decoys = max(cfg.decoy_count, cfg.b_size - n_ladder)
     far_base = 3 * (span_int + gap_int)
+    # The largest entry, from A's height-0 point to the last decoy, stays
+    # below 2**53 grid units, so every entry is an exact float64.
+    if gap_int + far_base + n_decoys - 1 >= 2**53:
+        raise ValueError(f"slab_gap {cfg.slab_gap!r} too large for alpha_target {cfg.alpha_target!r}: a table entry would not be an exact float")
     decoy_ints = [far_base + j for j in range(n_decoys)]
 
     # Taxicab embedding: A at x = 0, B at x = gap_int, all on one integer

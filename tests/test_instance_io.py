@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import re
 import tracemalloc
@@ -452,6 +453,11 @@ OBJECT_FIELDS = {
     "alpha-minus-infinity": '"alpha": -Infinity',
     "alpha-escaped-string": '"alpha": "\\u0030"',
     "matrix-inside-an-array": '"x": [{"matrix": [[0]]}]',
+    # A table's place, not its key, picks the row decoder: a top-level
+    # "matrix" is read by the C scanner, a table under another member object
+    # by the row decoder.
+    "top-level-matrix": '"matrix": [[0, 1], [1, 0]]',
+    "table-under-another-member": '"x": {"y": [[0, 1], [1, 0]]}',
     "missing-value": '"alpha": }',
     "unquoted-key": "alpha: 0.5",
 }
@@ -507,7 +513,7 @@ def test_square_tables_are_decoded_as_one_array(tmp_path, monkeypatch):
     path = tmp_path / "inst.json"
     deep_700 = '{"a": ' * 700 + "0" + "}" * 700
     for extra in [*DOCUMENTS.values(), f', "x": {deep_700}']:
-        for name in ("compact", "indent", "whitespace", "nan", "1e400", "2**63+1"):
+        for name in ("compact", "indent", "whitespace", "nan", "1e400", "2**63+1", "escaped-key"):
             path.write_text(_document(TABLE_TEXTS[name], extra))
             with contextlib.suppress(InstanceFormatError):  # a non-finite table is decoded, then refused
                 load_instance(path)
@@ -518,13 +524,13 @@ def test_square_tables_are_decoded_as_one_array(tmp_path, monkeypatch):
 
 def test_loading_a_table_peaks_near_its_array(tmp_path):
     # The text plus one float64 table, not n² Python ints: about 2x the table,
-    # beside a boolean too.
+    # beside a boolean too, and with the key written with an escape.
     n = 600
     table = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     path = tmp_path / "table.json"
-    for extra in ({}, {"note": True}):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"metric": {"kind": "explicit-matrix", "matrix": table.tolist()}, "A": [0], "B": [1], "T": [0], **extra}, fh, separators=(",", ":"))
+    for extra, key in itertools.product(({}, {"note": True}), ('"matrix"', '"m\\u0061trix"')):
+        text = json.dumps({"metric": {"kind": "explicit-matrix", "matrix": table.tolist()}, "A": [0], "B": [1], "T": [0], **extra}, separators=(",", ":"))
+        path.write_text(text.replace('"matrix"', key), encoding="utf-8")
         tracemalloc.start()
         try:
             inst = load_instance(path)
@@ -532,7 +538,18 @@ def test_loading_a_table_peaks_near_its_array(tmp_path):
         finally:
             tracemalloc.stop()
         assert inst.metric.matrix.tolist() == table.tolist()
-        assert peak < 3 * n * n * 8, (extra, peak / (n * n * 8))
+        assert peak < 3 * n * n * 8, (extra, key, peak / (n * n * 8))
+
+
+def test_a_table_is_picked_by_its_place_not_its_key():
+    # An array that is the value of a member of a member object is tried as a
+    # table, however its key is spelled; the same text anywhere else is read
+    # by the C scanner, as json.loads reads it.
+    text = '{"matrix": [[0, 1], [1, 0]], "x": {"y": [[0, 1], [1, 0]], "m\\u0061trix": [[0, 2], [2, 0]]}, "z": [{"matrix": [[0]]}]}'
+    doc = json.loads(text, cls=instance._TableDecoder)
+    assert [type(doc["matrix"]), type(doc["z"][0]["matrix"])] == [list, list]
+    assert [type(doc["x"]["y"]), type(doc["x"]["matrix"])] == [np.ndarray, np.ndarray]
+    assert doc["x"]["matrix"].tolist() == [[0, 2], [2, 0]]
 
 
 def _saved_table_text(inst) -> str:

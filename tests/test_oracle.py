@@ -7,6 +7,7 @@ from bestprox import (
     EUCLIDEAN,
     EXPLICIT_MATRIX,
     GeneratorConfig,
+    assess_instance,
     banach_iterate,
     brute_force_solve,
     build_induced_map,
@@ -176,6 +177,26 @@ def test_generator_honors_slab_gap(kind, gap):
     assert geom.pair_distance == gap
     cert = certify_contraction(build_induced_map(geom, inst.t_map))
     assert cert.alpha_hat <= 0.8 + 1e-12
+
+
+@pytest.mark.parametrize("kind", [EUCLIDEAN, EXPLICIT_MATRIX])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.9, 0.99])
+def test_generator_keeps_its_promise_or_refuses_the_gap(kind, alpha):
+    # A gap is either refused, naming slab_gap, or yields an instance that
+    # passes its own certificate with the origin (the last point of A) as the
+    # unique argmin.  A table entry at 2**53 grid units or more would round,
+    # and the triangle inequality could then fail.
+    gaps = [0.5, 1.0] + [m * 10.0**k for k in range(1, 16) for m in (1, 3)]
+    for pos, gap in enumerate(gaps):
+        cfg = GeneratorConfig(seed=pos % 4, space_kind=kind, alpha_target=alpha, slab_gap=gap)
+        try:
+            inst = generate_instance(cfg)
+        except ValueError as err:
+            assert "slab_gap" in str(err) and gap > 1.0, (gap, err)
+            continue
+        assert assess_instance(inst).passed, gap
+        sol = brute_force_solve(inst.pair, inst.t_map, eps_prox=inst.eps_prox)
+        assert sol.is_best_proximity and sol.argmin_indices == (len(inst.pair.a) - 1,), gap
 
 
 def test_generator_config_validation():
