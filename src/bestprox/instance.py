@@ -72,13 +72,19 @@ def _fail(field: str, problem: str) -> InstanceFormatError:
     return InstanceFormatError(f"field {field!r}: {problem}")
 
 
+# A refused value as its message names it: an array or an object by its JSON
+# kind alone, as _TableDecoder may read an array in either as a float64 table.
+def _shown(value) -> str:
+    return "an array" if isinstance(value, (list, np.ndarray)) else "an object" if isinstance(value, dict) else repr(value)
+
+
 def checked_tolerance(field: str, value) -> float:
     """``value`` of the instance field ``field`` (``tolerances.tol``,
     ``tolerances.eps_prox`` or ``alpha``) as a float, by one number rule: an
     int or a float, not a boolean, that fits a float, finite and >= 0, and
     > 0 for ``tolerances.tol``.  A refusal names the field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(field, f"must be a number, got {value!r}")
+        raise _fail(field, f"must be a number, got {_shown(value)}")
     try:
         value = float(value)
     except OverflowError:
@@ -119,12 +125,12 @@ def _parse_metric(payload) -> Metric:
     if not isinstance(payload, dict):
         raise _fail("metric", "must be an object")
     kind = payload.get("kind")
+    if not isinstance(kind, str) or kind not in (EUCLIDEAN, EXPLICIT_MATRIX):
+        raise _fail("metric.kind", f"must be {EUCLIDEAN!r} or {EXPLICIT_MATRIX!r}, got {_shown(kind)}")
     if kind == EUCLIDEAN:
         if "matrix" in payload:
             raise _fail("metric.matrix", "euclidean metric takes no matrix")
         return Metric(EUCLIDEAN)
-    if kind != EXPLICIT_MATRIX:
-        raise _fail("metric.kind", f"must be {EUCLIDEAN!r} or {EXPLICIT_MATRIX!r}, got {kind!r}")
     try:
         table = frozen_array(payload.get("matrix"), np.float64)
     except ValueError:
@@ -227,7 +233,7 @@ class _TableDecoder(json.JSONDecoder):
     only after a comma or at the row's ends (:func:`_integer_row`), and the C
     scanner every other row, so the grammar, the error messages and the numbers
     are those of :func:`json.loads`.  An array there that is not square rows of
-    ints or floats is read whole by the C scanner instead."""
+    numbers goes whole to the C scanner; a square one is a table under any key."""
 
     def __init__(self):
         super().__init__()

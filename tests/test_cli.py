@@ -279,6 +279,7 @@ def test_malformed_file_exits_1(tmp_path, capsys):
         (euclid % ("[[0, 0], [0, true]]", ""), "A[1]"),
         (matrix % "[[0, true], [true, 0]]", "metric.matrix"),
         (matrix % "[[0, 1.5], [false, 0]]", "metric.matrix"),
+        ('{"metric": {"kind": [[0, 1], [1, 0]]}, "A": [0], "B": [1], "T": [0]}', "metric.kind"),
     ):
         bad.write_text(text)
         code, _, err = run(capsys, "certify", str(bad))

@@ -341,6 +341,9 @@ TABLE_TEXTS = {
     "decoy-key": '{"kind": "explicit-matrix", "a\\"matrix": [[0, 1], [1, 0]], "matrix": [[0, 2], [2, 0]]}',
     "only-decoy-key": '{"kind": "explicit-matrix", "a\\"matrix": [[0, 1], [1, 0]]}',
     "euclidean": '{"kind": "euclidean", "matrix": [[0, 1], [1, 0]]}',
+    # A square array under "kind" is read as a table too, then refused.
+    "kind-table": '{"kind": [[0, 1], [1, 0]]}',
+    "kind-one-entry-table": '{"kind": [[0]]}',
     # Integer rows, which numpy's parser reads when they are canonical JSON.
     "leading-zero": "[[0, 01], [1, 0]]",
     "double-zero": "[[00, 1], [1, 0]]",
@@ -458,6 +461,10 @@ OBJECT_FIELDS = {
     # by the row decoder.
     "top-level-matrix": '"matrix": [[0, 1], [1, 0]]',
     "table-under-another-member": '"x": {"y": [[0, 1], [1, 0]]}',
+    # Square arrays beside the table, read as tables too, then refused.
+    "tol-table": '"tolerances": {"tol": [[0, 1], [1, 0]]}',
+    "eps-prox-one-entry-table": '"tolerances": {"eps_prox": [[0]]}',
+    "alpha-object-holding-a-table": '"alpha": {"a": [[0, 1], [1, 0]]}',
     "missing-value": '"alpha": }',
     "unquoted-key": "alpha: 0.5",
 }
