@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .engine import (
     DEFAULT_MAX_ITER,
@@ -92,15 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", parents=[eps], help="brute-force minimize d(x, T(x)) over A")
     p_oracle.add_argument("instance")
 
-    p_gen = sub.add_parser("generate", parents=[fmt], help="write a solvable random instance")
+    # Each generator flag is stored under its GeneratorConfig field, and only
+    # when given, so the config's defaults are the only ones.
+    p_gen = sub.add_parser("generate", parents=[fmt], argument_default=argparse.SUPPRESS, help="write a solvable random instance")
     p_gen.add_argument("out_path")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--alpha", type=float, default=0.5)
-    p_gen.add_argument("--a-size", type=int, default=12)
-    p_gen.add_argument("--b-size", type=int, default=0)
-    p_gen.add_argument("--decoys", type=int, default=2)
-    p_gen.add_argument("--gap", type=float, default=1.0)
-    p_gen.add_argument("--kind", choices=(EUCLIDEAN, EXPLICIT_MATRIX), default=EUCLIDEAN)
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--alpha", type=float, dest="alpha_target", metavar="ALPHA")
+    p_gen.add_argument("--a-size", type=int)
+    p_gen.add_argument("--b-size", type=int)
+    p_gen.add_argument("--decoys", type=int, dest="decoy_count", metavar="DECOYS")
+    p_gen.add_argument("--gap", type=float, dest="slab_gap", metavar="GAP")
+    p_gen.add_argument("--kind", choices=(EUCLIDEAN, EXPLICIT_MATRIX), dest="space_kind")
 
     return parser
 
@@ -166,12 +168,10 @@ def cmd_solve(args) -> int:
 
     if not assessment.passed:
         code = EXIT_HYPOTHESIS
-    elif failures or not results or traces_equal is False:
+    elif failures or traces_equal is False or not all(v.passed for v in verifications.values()):
         code = EXIT_NO_CONVERGENCE
-    elif all(v.passed for v in verifications.values()):
-        code = EXIT_OK
     else:
-        code = EXIT_NO_CONVERGENCE
+        code = EXIT_OK
 
     payload = assessment_payload(inst, assessment)
     payload.update(
@@ -223,15 +223,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_generate(args) -> int:
     try:
-        cfg = GeneratorConfig(
-            seed=args.seed,
-            space_kind=args.kind,
-            a_size=args.a_size,
-            b_size=args.b_size,
-            alpha_target=args.alpha,
-            slab_gap=args.gap,
-            decoy_count=args.decoys,
-        )
+        cfg = GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(GeneratorConfig) if hasattr(args, f.name)})
         inst = generate_instance(cfg)
     except ValueError as err:
         raise _UsageError(str(err)) from None

@@ -162,7 +162,7 @@ class ContractionCertificate:
     witness: tuple[int, int] | None
     pair_count: int
     verdict: str
-    scope: str = "a0"
+    scope: str
 
 
 @dataclass(frozen=True)

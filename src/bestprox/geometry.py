@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Check, Metric, frozen_array, paired_distances, pairwise_distances
+from .metric import EUCLIDEAN, EXPLICIT_MATRIX, Metric, frozen_array, paired_distances, pairwise_distances
 
 # The one tile grid of every distance scan: a tile is _TILE_COLS columns wide,
 # or as wide as the scan when it has fewer, and holds at most _TILE_ENTRIES
@@ -174,7 +174,7 @@ class PairGeometry:
     b0: np.ndarray
     partners: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-    eps_prox: float = 0.0
+    eps_prox: float
 
     def partners_in_a(self, b_index: int) -> tuple[int, ...]:
         """Indices in A of the proximal partners of B[b_index]."""
@@ -253,17 +253,3 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
         arr.flags.writeable = False
     return PairGeometry(sp, dist, a0, b0, partners, offsets, eps_prox)
 
-
-def check_approximative_compactness(sp: SetPair) -> Check:
-    """Discharge the approximative-compactness hypothesis for finite sets.
-
-    Every sequence in a finite set has a constant (hence convergent)
-    subsequence, so the condition holds trivially; this exists so reports can
-    show the hypothesis explicitly rather than silently assuming it.
-    """
-    return Check(
-        "approximative-compactness",
-        True,
-        f"holds-trivially: B is finite ({len(sp.b)} points): any sequence in B "
-        "has a constant, hence convergent, subsequence",
-    )

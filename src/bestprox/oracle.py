@@ -196,19 +196,12 @@ def _generate_matrix(cfg: GeneratorConfig, rng: random.Random) -> Instance:
     # Taxicab embedding: A at x = 0, B at x = gap_int, all on one integer
     # grid, so every table entry is exact and the triangle inequality holds
     # exactly.
-    coords = (
-        [(0, n) for n in ints]
-        + [(gap_int, n) for n in ints]
-        + [(gap_int, n) for n in decoy_ints]
+    coords = np.array(
+        [(0, n) for n in ints] + [(gap_int, n) for n in ints] + [(gap_int, n) for n in decoy_ints],
+        dtype=np.int64,
     )
     total = len(coords)
-    matrix = [
-        [
-            (abs(coords[i][0] - coords[j][0]) + abs(coords[i][1] - coords[j][1])) * scale
-            for j in range(total)
-        ]
-        for i in range(total)
-    ]
+    matrix = np.abs(coords[:, None] - coords[None]).sum(axis=2) * scale
 
     a_idx = list(range(n_ladder))
     b_idx = list(range(n_ladder, total))

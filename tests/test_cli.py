@@ -7,9 +7,10 @@ import warnings
 from pathlib import Path
 
 import bestprox
+import pytest
 from conftest import tie_heavy_case
 
-from bestprox import EXPLICIT_MATRIX, GeneratorConfig, generate_instance, load_instance, make_instance, save_instance
+from bestprox import EXPLICIT_MATRIX, GeneratorConfig, dumps_instance, generate_instance, load_instance, make_instance, save_instance
 from bestprox.cli import main
 from bestprox.report import render_text
 
@@ -60,6 +61,27 @@ def test_generate_is_deterministic(tmp_path, capsys):
     assert run(capsys, "generate", p1, "--seed", "7", "--kind", "explicit-matrix")[0] == 0
     assert run(capsys, "generate", p2, "--seed", "7", "--kind", "explicit-matrix")[0] == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [
+        ((), GeneratorConfig()),
+        (
+            ("--seed", "4", "--alpha", "0.3", "--a-size", "5", "--b-size", "9", "--decoys", "4", "--gap", "2", "--kind", "explicit-matrix"),
+            GeneratorConfig(seed=4, space_kind=EXPLICIT_MATRIX, a_size=5, b_size=9, alpha_target=0.3, slab_gap=2.0, decoy_count=4),
+        ),
+    ],
+)
+def test_generate_flags_reach_their_config_fields(tmp_path, capsys, monkeypatch, argv, cfg):
+    # A flag is stored under its GeneratorConfig field only when given, so a
+    # mistyped dest would fall back to the field's default without a word.
+    seen = []
+    monkeypatch.setattr(bestprox.cli, "generate_instance", lambda config: seen.append(config) or generate_instance(config))
+    path = str(tmp_path / "g.json")
+    assert run(capsys, "generate", path, *argv)[0] == 0
+    assert seen == [cfg]
+    assert (tmp_path / "g.json").read_text() == dumps_instance(generate_instance(cfg))
 
 
 def test_solve_json_report_superset(tmp_path, capsys):

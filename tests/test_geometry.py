@@ -12,11 +12,12 @@ from hypothesis import given, reject, settings
 from bestprox import (
     DuplicatePointError,
     SetPair,
-    check_approximative_compactness,
+    assess_instance,
     classify_partners,
     default_eps_prox,
     distance,
     euclidean_metric,
+    make_instance,
     matrix_metric,
     pairwise_distances,
     proximal_subsets,
@@ -96,23 +97,18 @@ def test_point_to_set_distance_examples():
 
 
 def test_compactness_always_trivial():
-    import random
-
     rng = random.Random(0)
     cases = [
-        euclid_pair([(0.0, 0.0)], [(1.0, 0.0)]),
-        euclid_pair([(0.0, 0.0)], [(5.0, 1.0)]),
-        euclid_pair(
-            [(0.0, 0.0)],
-            [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(100)],
-        ),
+        [(1.0, 0.0)],
+        [(5.0, 1.0)],
+        [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(100)],
     ]
-    for sp in cases:
-        verdict = check_approximative_compactness(sp)
-        assert verdict.name == "approximative-compactness"
+    for b in cases:
+        inst = make_instance(euclidean_metric(), [(0.0, 0.0)], b, [0])
+        verdict = assess_instance(inst).check("approximative-compactness")
         assert verdict.passed
         assert verdict.detail.startswith("holds-trivially: ")
-        assert "finite" in verdict.detail
+        assert f"finite ({len(b)} points)" in verdict.detail
 
 
 def test_duplicates_rejected_euclidean():

@@ -20,10 +20,10 @@ from bestprox import (
 )
 
 
-def synthetic_pool(sample_budget, dimension, seed=0):
+def synthetic_pool(size, dimension, seed=0):
     """Reference sample pool for a coordinate space: seeded uniform points."""
     rng = random.Random(seed)
-    count = max(3, min(sample_budget, 64))
+    count = max(3, min(size, 64))
     draws = [rng.uniform(-100.0, 100.0) for _ in range(count * dimension)]
     return np.array(draws).reshape(count, dimension)
 
@@ -124,15 +124,15 @@ def test_validate_flags_negative_entry():
 def test_validate_large_matrix_is_sampled():
     n = 201
     table = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
-    report = validate_metric(matrix_metric(table), sample_budget=500)
+    report = validate_metric(matrix_metric(table))
     assert report.passed
     assert not report.exhaustive
-    assert report.samples == 500
+    assert report.samples == 1000
 
 
 def test_validate_euclidean_sampled():
     pool = synthetic_pool(200, dimension=3)
-    report = validate_metric(euclidean_metric(), sample_budget=200, points=pool)
+    report = validate_metric(euclidean_metric(), points=pool)
     assert report.passed
     assert not report.exhaustive
 
@@ -145,14 +145,14 @@ def test_validate_euclidean_needs_a_pool():
 
 def test_validate_euclidean_with_point_pool():
     pool = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
-    report = validate_metric(euclidean_metric(), sample_budget=50, points=pool)
+    report = validate_metric(euclidean_metric(), points=pool)
     assert report.passed
 
 
 def test_validate_reports_are_reproducible():
     pool = synthetic_pool(64, dimension=2, seed=5)
-    a = validate_metric(euclidean_metric(), sample_budget=64, points=pool, seed=5)
-    b = validate_metric(euclidean_metric(), sample_budget=64, points=pool.copy(), seed=5)
+    a = validate_metric(euclidean_metric(), points=pool)
+    b = validate_metric(euclidean_metric(), points=pool.copy())
     assert a == b
 
 
@@ -163,11 +163,6 @@ def test_triangle_slack_scales_with_magnitude():
     a = [(x, 0.3 * x) for x in (rng.uniform(1e8, 3e8) for _ in range(40))]
     pool = a + [(x, y + 7.0) for x, y in a]
     assert validate_metric(euclidean_metric(), points=pool).passed
-
-
-def test_validate_rejects_zero_budget():
-    with pytest.raises(ValueError):
-        validate_metric(euclidean_metric(), sample_budget=0)
 
 
 @st.composite
