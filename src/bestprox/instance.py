@@ -340,20 +340,32 @@ def instance_payload(inst: Instance) -> dict:
 def dumps_instance(inst: Instance) -> str:
     """The canonical text of an instance: keys sorted, indent 2, one object
     member or array entry to a line, and a point or a table row on one line."""
-    return _layout(instance_payload(inst), "\n") + "\n"
+    return "".join(_layout(instance_payload(inst), "\n")) + "\n"
 
 
-def _layout(value, indent: str) -> str:
+def _layout(value, indent: str):
+    """The canonical text of ``value`` in pieces, one per object member's key
+    and per array entry, so a file is written without its whole text."""
     # An array of the payload holds numbers or arrays, never objects, so
     # json.dumps writes each entry, a table row with the C encoder.
     inner = indent + "  "
     if isinstance(value, dict):
-        return "{" + inner + f",{inner}".join(f"{json.dumps(key)}: {_layout(item, inner)}" for key, item in sorted(value.items())) + indent + "}"
-    if isinstance(value, list):
-        return "[" + inner + f",{inner}".join(map(json.dumps, value)) + indent + "]"
-    return json.dumps(value)
+        yield "{"
+        for pos, (key, item) in enumerate(sorted(value.items())):
+            yield f"{',' if pos else ''}{inner}{json.dumps(key)}: "
+            yield from _layout(item, inner)
+        yield indent + "}"
+    elif isinstance(value, list):
+        yield "["
+        for pos, entry in enumerate(value):
+            yield f"{',' if pos else ''}{inner}{json.dumps(entry)}"
+        yield indent + "]"
+    else:
+        yield json.dumps(value)
 
 
 def save_instance(inst: Instance, path) -> None:
+    """Write :func:`dumps_instance`'s text to ``path`` piece by piece."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_instance(inst))
+        fh.writelines(_layout(instance_payload(inst), "\n"))
+        fh.write("\n")

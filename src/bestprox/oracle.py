@@ -55,18 +55,19 @@ class BruteForceSolution:
     is_best_proximity: bool
 
 
-def brute_force_solve(sp: SetPair, t_map: ProximityMap, eps_prox: float = 0.0) -> BruteForceSolution:
+def brute_force_solve(sp: SetPair, t_map: ProximityMap, eps_prox: float | None = None) -> BruteForceSolution:
+    """``eps_prox`` defaults per metric kind, as in :func:`proximal_subsets`."""
     t_map.validate(sp)
     values = paired_distances(sp.metric, sp.a, sp.b[t_map.image])
     best = float(values.min())
     argmin = np.flatnonzero(values == best)
-    dist = proximal_subsets(sp, eps_prox).pair_distance
+    geom = proximal_subsets(sp, eps_prox)
     return BruteForceSolution(
         min_value=best,
         argmin_indices=tuple(argmin.tolist()),
         argmin_points=sp.a[argmin],
-        pair_distance=dist,
-        is_best_proximity=best <= dist + eps_prox,
+        pair_distance=geom.pair_distance,
+        is_best_proximity=best <= geom.pair_distance + geom.eps_prox,
     )
 
 

@@ -193,6 +193,22 @@ def test_metric_fixtures_rejected_with_witnesses(tmp_path, capsys):
     assert "triangle fails: witness (0, 2, 1)" in out
 
 
+def test_certify_checks_every_entry_of_a_large_table(tmp_path, capsys):
+    # 224 points, past the exhaustive triangle scan, with one B x B entry
+    # raised by 1 where no sampled triple reaches: the table is not symmetric.
+    inst = generate_instance(GeneratorConfig(space_kind=EXPLICIT_MATRIX, decoy_count=200))
+    table = inst.metric.matrix.copy()
+    i, j = 100, 200
+    assert {i, j} <= set(inst.pair.b.tolist())
+    table[j, i] += 1.0
+    path = tmp_path / "broken.json"
+    save_instance(make_instance(bestprox.Metric(EXPLICIT_MATRIX, table), inst.pair.a, inst.pair.b, inst.t_map.image, eps_prox=0.0), path)
+    code, out, _ = run(capsys, "certify", str(path), "--format", "json")
+    row = next(c for c in json.loads(out)["checks"] if c["name"] == "metric-axioms")
+    assert (code, row["passed"]) == (2, False)
+    assert row["detail"].startswith(f"sampled (1000 triples): symmetry fails: witness ({i}, {j})")
+
+
 # Tables that fail the axioms, on which the certificate's ratio scan once
 # broke: the only ratio is -1e308 / 1e-308 = -inf, and a masked diagonal
 # entry of the second is 1/0 (d(2, 2) = 1 fails identity).

@@ -548,6 +548,23 @@ def test_loading_a_table_peaks_near_its_array(tmp_path):
         assert peak < 3 * n * n * 8, (extra, key, peak / (n * n * 8))
 
 
+def test_saving_a_table_never_holds_its_whole_text(tmp_path):
+    # The file is written piece by piece, so saving peaks at the payload's
+    # rows, about 1.8x the text on generated tables; holding the whole text,
+    # and the joins that build it, took about 3.4x.
+    inst = generate_instance(GeneratorConfig(space_kind="explicit-matrix", decoy_count=200))
+    path = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        save_instance(inst, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = path.read_text()
+    assert text == dumps_instance(inst)
+    assert peak < 2.5 * len(text), peak / len(text)
+
+
 def test_a_table_is_picked_by_its_place_not_its_key():
     # An array that is the value of a member of a member object is tried as a
     # table, however its key is spelled; the same text anywhere else is read

@@ -18,6 +18,7 @@ from bestprox import (
     pairwise_distances,
     validate_metric,
 )
+from bestprox.metric import EXHAUSTIVE_LIMIT
 
 
 def synthetic_pool(size, dimension, seed=0):
@@ -74,12 +75,29 @@ def test_validate_two_point_metric_passes():
     assert report.exhaustive
 
 
-def test_validate_flags_asymmetry():
-    report = validate_metric(matrix_metric([[0.0, 1.0], [2.0, 0.0]]))
+def line_table(n):
+    """The metric |i - j| on n points, as a writable float table."""
+    return np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+
+
+# On a table of EXHAUSTIVE_LIMIT + 1 points each defect sits where none of the
+# 1000 seed-0 triples reaches: the pairs (37, 150) and (12, 190) and the point
+# 148 are never drawn.  Symmetry, identity and nonnegativity are still read
+# on every entry.
+LARGE = EXHAUSTIVE_LIMIT + 1
+
+
+@pytest.mark.parametrize("n, i, j", [(2, 0, 1), (LARGE, 37, 150)])
+def test_validate_flags_asymmetry(n, i, j):
+    table = line_table(n)
+    table[j, i] += 1.0
+    report = validate_metric(matrix_metric(table))
     assert not report.passed
+    assert report.exhaustive == (n <= EXHAUSTIVE_LIMIT)
     row = report.check("symmetry")
     assert not row.passed
-    assert row.witness == (0, 1)
+    assert row.witness == (i, j)
+    assert row.detail == f"d({i}, {j}) = {j - i:.1f} but d({j}, {i}) = {j - i + 1:.1f}"
     with pytest.raises(KeyError):
         Checklist(()).check("absent")
 
@@ -109,16 +127,24 @@ def test_validate_flags_triangle_violation():
     assert row.witness == (0, 2, 1)
 
 
-def test_validate_flags_nonzero_diagonal():
-    report = validate_metric(matrix_metric([[1.0]]))
-    row = report.check("identity")
+@pytest.mark.parametrize("n, i", [(1, 0), (LARGE, 148)])
+def test_validate_flags_nonzero_diagonal(n, i):
+    table = line_table(n)
+    table[i, i] = 1.0
+    row = validate_metric(matrix_metric(table)).check("identity")
     assert not row.passed
-    assert row.witness == (0,)
+    assert row.witness == (i,)
+    assert row.detail == f"d({i},{i}) = 1.0 != 0"
 
 
-def test_validate_flags_negative_entry():
-    report = validate_metric(matrix_metric([[0.0, -1.0], [-1.0, 0.0]]))
-    assert report.check("nonnegativity").witness == (0, 1)
+@pytest.mark.parametrize("n, i, j", [(2, 0, 1), (LARGE, 12, 190)])
+def test_validate_flags_negative_entry(n, i, j):
+    table = line_table(n)
+    table[i, j] = table[j, i] = -1.0
+    row = validate_metric(matrix_metric(table)).check("nonnegativity")
+    assert not row.passed
+    assert row.witness == (i, j)
+    assert row.detail == f"d({i}, {j}) = -1.0 < 0"
 
 
 def test_validate_large_matrix_is_sampled():
@@ -138,7 +164,7 @@ def test_validate_euclidean_sampled():
 
 
 def test_validate_euclidean_needs_a_pool():
-    for pool in (None, []):
+    for pool in (None, [], [(0.0, 1.0), (float("nan"), 0.0)], [(float("inf"), 0.0)]):
         with pytest.raises(ValueError, match="pool"):
             validate_metric(euclidean_metric(), points=pool)
 

@@ -60,6 +60,20 @@ def test_brute_force_no_attaining_point(crossed_instance):
     assert not sol.is_best_proximity
 
 
+def test_brute_force_default_eps_prox_is_the_metric_s():
+    # d(a, T(a)) exceeds d(A,B) by rounding alone: sqrt(0.5) two ways.  Under
+    # the metric's default eps_prox, as proximal_subsets takes it, a is a best
+    # proximity point, as it is under the instance's and to the checklist.
+    from bestprox import Metric, make_instance
+
+    inst = make_instance(Metric(EUCLIDEAN), [(0.0, 0.0)], [(0.1, 0.7), (0.5, 0.5)], [1])
+    sol = brute_force_solve(inst.pair, inst.t_map)
+    assert 0 < sol.min_value - sol.pair_distance <= inst.eps_prox
+    assert sol.is_best_proximity
+    assert brute_force_solve(inst.pair, inst.t_map, eps_prox=inst.eps_prox).is_best_proximity
+    assert assess_instance(inst).passed
+
+
 def test_brute_force_singleton(narrow_a0_instance):
     sub = narrow_a0_instance
     sol = brute_force_solve(sub.pair, sub.t_map, eps_prox=sub.eps_prox)
