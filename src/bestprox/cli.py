@@ -5,7 +5,7 @@ Commands: solve, certify, oracle, generate.  Exit codes are a contract:
 * 0 -- success (verified convergence for solve, all hypotheses green for certify)
 * 1 -- parse or usage error, or stdout closed before the report was written
 * 2 -- a theorem hypothesis is violated (the report names it, with witnesses)
-* 3 -- no verified convergence (budget exhausted, cycle, or trace mismatch)
+* 3 -- no verified convergence (budget exhausted, cycle, trace mismatch, or a failed check)
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     eps = _Parser(add_help=False, parents=[fmt])
     eps.add_argument("--eps-prox", type=_flag(lambda text: checked_tolerance("tolerances.eps_prox", float(text))), default=None, help="override the instance proximity tolerance")
     tol = _Parser(add_help=False, parents=[eps])
-    tol.add_argument("--tol", type=_flag(lambda text: checked_tolerance("tolerances.tol", float(text))), default=None, help="convergence tolerance (default 1e-9)")
+    tol.add_argument("--tol", type=_flag(lambda text: checked_tolerance("tolerances.tol", float(text))), default=None, help="tolerance on the residual |d(z, T(z)) - d(A,B)| (default 1e-9)")
 
     parser = _Parser(prog="bestprox", description="Best proximity point solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("out_path")
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--alpha", type=float, dest="alpha_target", metavar="ALPHA")
-    p_gen.add_argument("--a-size", type=int)
+    p_gen.add_argument("--a-size", type=int, help="at most this many points of A (default 12): the ladder ends where its rungs would shrink below about 1e-6 of the first, and a table's at 12 rungs")
     p_gen.add_argument("--b-size", type=int)
     p_gen.add_argument("--decoys", type=int, dest="decoy_count", metavar="DECOYS")
     p_gen.add_argument("--gap", type=float, dest="slab_gap", metavar="GAP")
@@ -123,7 +123,6 @@ def _emit(args, payload: dict) -> None:
 
 def cmd_solve(args) -> int:
     inst = _load(args)
-    tol, max_iter = inst.tol, args.max_iter
     assessment = assess_instance(inst)
     geom = assessment.geometry
 
@@ -150,19 +149,19 @@ def cmd_solve(args) -> int:
                 "partial_indices": list(err.partial_indices),
             }
 
-    # Only the checklist's certificate may cut either walk.  A partial S is
-    # refused by banach_iterate itself, naming the first failing point of A0.
+    # Only the checklist's certificate may guarantee either walk.  A partial S
+    # is refused by banach_iterate itself, naming the first failing point of A0.
     if args.method in ("induced", "both"):
-        run("induced", lambda: banach_iterate(assessment.s_map, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
+        run("induced", lambda: banach_iterate(assessment.s_map, start, max_iter=args.max_iter, certificate=assessment.certificate))
     if args.method in ("direct", "both"):
-        run("direct", lambda: direct_iterate(geom, inst.t_map, start, tol=tol, max_iter=max_iter, certificate=assessment.certificate))
+        run("direct", lambda: direct_iterate(geom, inst.t_map, start, max_iter=args.max_iter, certificate=assessment.certificate))
 
     traces_equal = None
     if args.method == "both" and len(results) == 2:
         traces_equal = results["induced"].trace.indices == results["direct"].trace.indices
 
     verifications = {
-        label: verify_result(res, geom, inst.t_map, tol=tol, induced=assessment.induced)
+        label: verify_result(res, geom, inst.t_map, tol=inst.tol, induced=assessment.induced)
         for label, res in results.items()
     }
 
@@ -181,7 +180,7 @@ def cmd_solve(args) -> int:
             "method": args.method,
             "start_index": start,
             "start_point": inst.pair.a[start].tolist(),
-            "max_iter": max_iter,
+            "max_iter": args.max_iter,
             "results": {k: result_payload(r) for k, r in results.items()},
             "failures": failures,
             "traces_equal": traces_equal,

@@ -18,7 +18,8 @@ Two iteration schemes are provided and must agree step for step:
   the two schemes is a real cross-check.
 
 Both take ``certificate=`` (None: uncertified) and measure none themselves;
-its ``verdict`` alone decides whether a walk may stop early and be guaranteed.
+its ``verdict`` alone decides whether a walk, which ends at the exact fixed
+point it reaches, is bounded a priori and guaranteed.
 
 The certificate walks A0 x A0 with the tile scan of :mod:`~bestprox.geometry`
 and skips each tile whose ratios its box bounds put below the running maximum,
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PairGeometry, SetPair, scan_tiles
-from .metric import EXPLICIT_MATRIX, Check, Checklist, as_point, distance, frozen_array, paired_distances, pairwise_distances
+from .metric import EXPLICIT_MATRIX, Check, Checklist, as_point, distance, frozen_array, paired_distances, pairwise_distances, triangle_violation
 
 CONTRACTION = "contraction"
 NOT_CONTRACTION = "not-contraction"
@@ -321,28 +322,27 @@ def _resolve_start(geom: PairGeometry, x0) -> int:
     return idx
 
 
-def _iterate(geom, t_map, step, start_idx, certificate, tol, max_iter):
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+def _iterate(geom, t_map, step, start_idx, certificate, max_iter):
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     sp = geom.pair
     # Walk the orbit to its fixed point, first repeat, failing step or budget,
-    # then measure every step gap in one kernel call.  Only a certificate
-    # whose verdict is a contraction (None certifies none) cuts the walk at
-    # the first gap that already guarantees d(x_k, z) <= tol, bounds the
-    # error a priori and guarantees the result.  The cut stops exactly where
-    # a step-by-step test of the gap would have stopped.
+    # then measure every step gap in one kernel call.  There is no tolerance:
+    # under a contraction a finite set has no cycle of length p >= 2, as
+    # d(x, Sx) = d(S^p x, S^p Sx) <= alpha^p d(x, Sx) forces x = Sx, so a
+    # certified walk ends at the exact fixed point.  Only a certificate whose
+    # verdict is a contraction (None certifies none) bounds the error a
+    # priori and guarantees the result.
     indices = [start_idx]
     visited = {start_idx}
-    reason, failure = MAX_ITERATIONS, None
+    reason = MAX_ITERATIONS
     for _ in range(max_iter):
         cur = indices[-1]
         try:
             nxt = step(cur)
         except (HypothesisViolation, NonUniquePartner) as err:
-            failure = err
-            break
+            err.partial_indices = tuple(indices)
+            raise
         indices.append(nxt)
         if nxt == cur:
             reason = CONVERGED
@@ -354,22 +354,11 @@ def _iterate(geom, t_map, step, start_idx, certificate, tol, max_iter):
     gaps = paired_distances(sp.metric, sp.a[indices[:-1]], sp.a[indices[1:]]).tolist()
     alpha_hat = certificate.alpha_hat if certificate is not None else None
     contracts = certificate is not None and certificate.verdict == CONTRACTION
-    if contracts:
-        threshold = tol * (1.0 - alpha_hat) / max(alpha_hat, tol)
-        first = next((k for k, gap in enumerate(gaps) if gap <= threshold), None)
-        if first is not None:
-            del indices[first + 2 :], gaps[first + 1 :]
-            reason, failure = CONVERGED, None
-    if failure is not None:
-        failure.partial_indices = tuple(indices)
-        raise failure
     images = sp.b[t_map.image[indices]]
     with np.errstate(over="ignore"):  # a gap beyond the float range is inf
         residuals = np.abs(paired_distances(sp.metric, sp.a[indices], images) - geom.pair_distance)
-    bounds: tuple[float, ...] = ()
-    if contracts and gaps:
-        scale = gaps[0] / (1.0 - alpha_hat)
-        bounds = tuple(scale * alpha_hat**k for k in range(len(indices)))
+    # A walk takes at least one step, so gaps[0] exists.
+    bounds = tuple(gaps[0] / (1.0 - alpha_hat) * alpha_hat**k for k in range(len(indices))) if contracts else ()
     trace = IterationTrace(
         indices=tuple(indices),
         points=sp.a[indices],
@@ -396,22 +385,21 @@ def banach_iterate(
     induced: InducedMap,
     x0,
     *,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     certificate: ContractionCertificate | None = None,
 ) -> BestProximityResult:
     """Picard iteration x_{k+1} = S(x_k) on the prebuilt induced map.
 
-    Stops at an exact fixed point (finite spaces reach one), or when the step
-    gap guarantees d(x_k, z) <= tol under ``certificate`` (None: never), or when a
-    revisited point reveals a cycle (possible only without a contraction
-    certificate; the result is then stamped unguaranteed).  Exhausting the
+    Stops at an exact fixed point, which a certified walk always reaches: it
+    has no tolerance and never stops short of it.  A revisited point reveals
+    a cycle, possible only without a contraction ``certificate`` (None: no
+    certificate); the result is then stamped unguaranteed.  Exhausting the
     budget raises :class:`MaxIterationsExceeded` with the full trace.  A map
     partial on A0 is refused up front, as :func:`build_induced_map` refuses it.
     """
     geom = _total(induced).geometry
     start = _resolve_start(geom, x0)
-    return _iterate(geom, induced.t_map, lambda i: int(induced.table[i]), start, certificate, tol, max_iter)
+    return _iterate(geom, induced.t_map, lambda i: int(induced.table[i]), start, certificate, max_iter)
 
 
 def direct_iterate(
@@ -419,7 +407,6 @@ def direct_iterate(
     t_map: ProximityMap,
     x0,
     *,
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     certificate: ContractionCertificate | None = None,
 ) -> BestProximityResult:
@@ -429,10 +416,9 @@ def direct_iterate(
     for the points within eps_prox of d(A,B) from the current image, raising
     at the offending step (with the iterate prefix attached) if there is none
     or several.  ``certificate`` is the induced map's, as for
-    :func:`banach_iterate`, so both schemes stop at the same step; None runs
-    uncertified, never cut short and never guaranteed.  On instances where
-    the induced map exists this produces the exact same index sequence as
-    :func:`banach_iterate`.
+    :func:`banach_iterate`; None runs uncertified, with no a-priori bounds
+    and never guaranteed.  On instances where the induced map exists this
+    produces the exact same index sequence as :func:`banach_iterate`.
     """
     t_map.validate(geom.pair)
     start = _resolve_start(geom, x0)
@@ -444,7 +430,7 @@ def direct_iterate(
         d = pairwise_distances(sp.metric, sp.a, sp.b[img : img + 1])[:, 0]
         return _unique_partner(i, img, tuple(np.flatnonzero(d <= cut).tolist()))
 
-    return _iterate(geom, t_map, step, start, certificate, tol, max_iter)
+    return _iterate(geom, t_map, step, start, certificate, max_iter)
 
 
 def verify_result(
@@ -458,11 +444,25 @@ def verify_result(
     """Audit a solve independently of how it was produced.
 
     Checks the residual against ``tol`` (boundary inclusive), the exact lower
-    bound d(z, T(z)) >= d(A,B), and -- when an induced map is supplied -- that
-    z is literally a fixed point of its table.
+    bound d(z, T(z)) >= d(A,B), the triangles d(x_k, z) <= d(x_k, x_{k+1}) +
+    d(x_{k+1}, z) that the a-priori bounds rest on, and -- when an induced
+    map is supplied -- that z is literally a fixed point of its table.
     """
     sp = geom.pair
     z = result.index
+    # d(x_k, z) for every k, then each step gap, in one kernel call.  The
+    # triangle's witness (i, j, m) reads d(i,j) > d(i,m) + d(m,j).
+    idx = list(result.trace.indices)
+    both = paired_distances(sp.metric, sp.a[idx + idx[:-1]], sp.a[[z] * len(idx) + idx[1:]])
+    to_z, gaps = both[: len(idx)], both[len(idx) :]
+    hit = triangle_violation(sp.metric, to_z[:-1], gaps, to_z[1:])
+    if hit is None:
+        orbit = Check("orbit-triangle", True, f"d(x_k, z) <= d(x_k, x_k+1) + d(x_k+1, z) at all {len(gaps)} steps")
+    else:
+        (k,) = hit
+        i, m = idx[k], idx[k + 1]
+        detail = f"k = {k}: d(A[{i}], A[{z}]) = {to_z[k]} > d(A[{i}], A[{m}]) + d(A[{m}], A[{z}]) = {gaps[k]} + {to_z[k + 1]}"
+        orbit = Check("orbit-triangle", False, detail, (i, z, m))
     d_img = distance(sp.metric, sp.a[z], sp.b[t_map.image[z]])
     residual = abs(d_img - geom.pair_distance)
     checks = [
@@ -476,6 +476,7 @@ def verify_result(
             d_img >= geom.pair_distance,
             f"d(z,T(z)) = {d_img} >= d(A,B) = {geom.pair_distance}",
         ),
+        orbit,
     ]
     if induced is not None:
         image = int(induced.table[z])

@@ -31,6 +31,7 @@ import contextlib
 import json
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -309,19 +310,32 @@ def load_instance(path) -> Instance:
     return parse_instance(payload)
 
 
-def _table_rows(table: np.ndarray) -> list:
-    """The rows of a distance table as lists of ints when every entry is a
-    whole number below 2**53 in magnitude other than -0.0, so that each int
-    reads back as the same float bit for bit, else as lists of floats."""
-    if (np.abs(table) < 2**53).all():
-        ints = table.astype(np.int64)
-        if np.array_equal(ints.astype(np.float64).view(np.int64), table.view(np.int64)):
-            return ints.tolist()
-    return table.tolist()
+def _integral(row: np.ndarray) -> bool:
+    """Whether every entry of ``row`` is a whole number below 2**53 in
+    magnitude other than -0.0, so that it reads back as an int bit for bit."""
+    # The cast to int64 is made only below 2**53, where it cannot overflow.
+    return bool((np.abs(row) < 2**53).all()) and np.array_equal(row.astype(np.int64).astype(np.float64).view(np.int64), row.view(np.int64))
+
+
+def _table_rows(table: np.ndarray) -> Iterator[list]:
+    """The rows of a distance table, each a list made as it is taken: of ints
+    when every row is :func:`_integral`, else of floats.  Both passes go a
+    row at a time, so no n²-sized temporary is built."""
+    dtype = np.int64 if all(map(_integral, table)) else np.float64
+    return (row.astype(dtype).tolist() for row in table)
 
 
 def instance_payload(inst: Instance) -> dict:
     """The canonical JSON-able form of an instance."""
+    payload = _payload(inst)
+    if "matrix" in payload["metric"]:
+        payload["metric"]["matrix"] = list(payload["metric"]["matrix"])
+    return payload
+
+
+def _payload(inst: Instance) -> dict:
+    """:func:`instance_payload` with a table's rows as :func:`_table_rows`
+    yields them, so a writer holds one row at a time."""
     metric: dict = {"kind": inst.metric.kind}
     if inst.metric.kind == EXPLICIT_MATRIX:
         metric["matrix"] = _table_rows(inst.metric.matrix)
@@ -340,14 +354,15 @@ def instance_payload(inst: Instance) -> dict:
 def dumps_instance(inst: Instance) -> str:
     """The canonical text of an instance: keys sorted, indent 2, one object
     member or array entry to a line, and a point or a table row on one line."""
-    return "".join(_layout(instance_payload(inst), "\n")) + "\n"
+    return "".join(_layout(_payload(inst), "\n")) + "\n"
 
 
 def _layout(value, indent: str):
     """The canonical text of ``value`` in pieces, one per object member's key
     and per array entry, so a file is written without its whole text."""
-    # An array of the payload holds numbers or arrays, never objects, so
-    # json.dumps writes each entry, a table row with the C encoder.
+    # An array of the payload, a list or a table's rows, holds numbers or
+    # arrays, never objects, so json.dumps writes each entry, a table row
+    # with the C encoder.
     inner = indent + "  "
     if isinstance(value, dict):
         yield "{"
@@ -355,7 +370,7 @@ def _layout(value, indent: str):
             yield f"{',' if pos else ''}{inner}{json.dumps(key)}: "
             yield from _layout(item, inner)
         yield indent + "}"
-    elif isinstance(value, list):
+    elif isinstance(value, (list, Iterator)):
         yield "["
         for pos, entry in enumerate(value):
             yield f"{',' if pos else ''}{inner}{json.dumps(entry)}"
@@ -367,5 +382,5 @@ def _layout(value, indent: str):
 def save_instance(inst: Instance, path) -> None:
     """Write :func:`dumps_instance`'s text to ``path`` piece by piece."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_layout(instance_payload(inst), "\n"))
+        fh.writelines(_layout(_payload(inst), "\n"))
         fh.write("\n")

@@ -43,9 +43,10 @@ Point = tuple[float, ...] | int
 EXHAUSTIVE_LIMIT = 200
 SAMPLES = 1000
 
-# Slack for the sampled triangle check on coordinate spaces, relative to the
-# right-hand side d(p,q) + d(q,r) once that exceeds 1 (rounding grows with
-# magnitude), absolute below.  Matrix tables are checked exactly.
+# Slack for a triangle check on coordinate spaces (the sampled axiom and the
+# orbit row of ``engine.verify_result``), relative to the right-hand side
+# d(p,q) + d(q,r) once that exceeds 1 (rounding grows with magnitude),
+# absolute below.  Matrix tables are checked exactly.
 TRIANGLE_SLACK = 1e-9
 
 
@@ -242,11 +243,11 @@ def validate_metric(metric: Metric, *, points: Sequence | None = None) -> Metric
         if not len(pool) or not np.isfinite(pool).all():
             raise ValueError("a coordinate space is validated on a nonempty pool of finite points")
         held = tuple(Check(name, True) for name in ("symmetry", "identity", "nonnegativity"))
-        return MetricValidation(checks=(*held, _sampled_triangle(metric, pool, exact=False)), exhaustive=False, samples=SAMPLES)
+        return MetricValidation(checks=(*held, _sampled_triangle(metric, pool)), exhaustive=False, samples=SAMPLES)
     m = metric.matrix
     n = len(m)
     exhaustive = n <= EXHAUSTIVE_LIMIT
-    triangle = _table_triangle(m) if exhaustive else _sampled_triangle(metric, np.arange(n), exact=True)
+    triangle = _table_triangle(m) if exhaustive else _sampled_triangle(metric, np.arange(n))
     return MetricValidation(
         checks=(
             # The mask is symmetric, so its first hit (i, j) has i < j.
@@ -293,10 +294,18 @@ def _table_triangle(m: np.ndarray) -> Check:
     return Check("triangle", True)
 
 
-def _sampled_triangle(metric: Metric, pool: np.ndarray, exact: bool) -> Check:
-    """The triangle on ``SAMPLES`` triples (p, q, r) of ``pool``: exact on a
-    table, with ``TRIANGLE_SLACK`` on coordinates.  The witness is the first
-    violating sample's points (p, r, q)."""
+def triangle_violation(metric: Metric, dpr: np.ndarray, dpq: np.ndarray, dqr: np.ndarray) -> tuple | None:
+    """``(s,)`` for the first s with d(p,r) = ``dpr[s]`` > d(p,q) + d(q,r) =
+    ``dpq[s] + dqr[s]``, or None: exact on a table, with slack on coordinates."""
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+        bound = dpq + dqr
+        slack = TRIANGLE_SLACK * np.maximum(1.0, bound) if metric.kind == EUCLIDEAN else 0.0
+        return _first(dpr > bound + slack)
+
+
+def _sampled_triangle(metric: Metric, pool: np.ndarray) -> Check:
+    """The triangle on ``SAMPLES`` triples (p, q, r) of ``pool``; the witness
+    is the first violating sample's points (p, r, q)."""
     # Triples are drawn in the order a sample-by-sample scan draws them, so
     # seed 0 names the same triples; they are then evaluated in one batch.
     rng = random.Random(0)
@@ -304,12 +313,9 @@ def _sampled_triangle(metric: Metric, pool: np.ndarray, exact: bool) -> Check:
     drawn = np.array([rng.choice(positions) for _ in range(3 * SAMPLES)]).reshape(SAMPLES, 3)
     p, q, r = pool[drawn[:, 0]], pool[drawn[:, 1]], pool[drawn[:, 2]]
     dpq, dpr, dqr = (paired_distances(metric, x, y) for x, y in ((p, q), (p, r), (q, r)))
-    with np.errstate(over="ignore"):  # a sum beyond the float range is inf
-        bound = dpq + dqr
-    slack = 0.0 if exact else TRIANGLE_SLACK * np.maximum(1.0, bound)
     return _axiom(
         "triangle",
-        _first(dpr > bound + slack),
+        triangle_violation(metric, dpr, dpq, dqr),
         lambda s: f"d(p,r) = {dpr[s]} > {dpq[s]} + {dqr[s]} via q",
         lambda s: (as_point(p[s]), as_point(r[s]), as_point(q[s])),
     )

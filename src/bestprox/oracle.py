@@ -159,9 +159,10 @@ def _generate_matrix(cfg: GeneratorConfig, rng: random.Random) -> Instance:
     if q == 0:
         natural_depth = 0
     else:
-        # Same magnitude cut-off as the euclidean family: rungs below it would
-        # drop the step gaps under the tolerance-based stopping threshold, so
-        # the iteration would stop within tol of the fixed point instead of on it.
+        # Same magnitude cut-off as the euclidean family, ORBIT_TRUNCATION of
+        # the first rung, so both kinds build ladders of about one depth for
+        # one alpha and a_size is a ceiling for both; the exact integer grid
+        # needs no such floor itself.
         natural_depth = max(0, math.floor(math.log(ORBIT_TRUNCATION) / math.log(q / ALPHA_GRID)))
     size = min(cfg.a_size, _MATRIX_MAX_LADDER, natural_depth + 2)
 

@@ -196,3 +196,42 @@ def narrow_a0_instance():
         [(1.0, 0.0)],
         [0, 0],
     )
+
+
+@pytest.fixture
+def decimal_ladder_instance():
+    """Heights {1, 0.1, 0.01, 0} on the x=0 line, images shift one rung down.
+
+    The induced map is 0 -> 1 -> 2 -> 3 -> 3 with alpha_hat = 1/9.  The step
+    gap 0.01 from A[2] is below tol (1 - alpha) / alpha for tol 0.05, so a
+    walk that stopped once its gap guaranteed d(x_k, z) <= tol would stop on
+    A[2], short of the fixed point A[3].
+    """
+    return make_instance(
+        Metric(EUCLIDEAN),
+        [(0.0, 1.0), (0.0, 0.1), (0.0, 0.01), (0.0, 0.0)],
+        [(1.0, 1.0), (1.0, 0.1), (1.0, 0.01), (1.0, 0.0)],
+        [1, 2, 3, 3],
+        eps_prox=0.0,
+    )
+
+
+@pytest.fixture
+def broken_orbit_table():
+    """A 210-point table whose triangle fails only along the orbit of S.
+
+    A is an orbit a0 .. a4 with d(a_i, a_i+1) = 0.5^i and d(a_i, a_j) =
+    10 * 0.5^i for j > i + 1; B holds copies b0 .. b4 with d(a_i, b_j) =
+    3 + d(a_i, a_j), and 200 decoys at 1e4 from every other point and |p - q|
+    apart from one another.  T = [1, 2, 3, 4, 4], so S shifts the orbit and
+    alpha_hat = 1/2, but d(a0, a4) = 10 > d(a0, a1) + d(a1, a4) = 1 + 5, a
+    triple that the 1000 sampled ones miss.
+    """
+    n = 210
+    table = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)  # among the decoys
+    table[:10, :] = table[:, :10] = 1e4
+    lo, hi = np.minimum.outer(np.arange(5), np.arange(5)), np.maximum.outer(np.arange(5), np.arange(5))
+    orbit = np.where(hi == lo + 1, 0.5**lo, 10 * 0.5**lo) * (hi > lo)
+    table[:5, :5] = table[5:10, 5:10] = orbit
+    table[:5, 5:10] = table[5:10, :5] = 3 + orbit
+    return make_instance(matrix_metric(table), range(5), range(5, n), [1, 2, 3, 4, 4])

@@ -75,10 +75,10 @@ def sweep():
         geom = proximal_subsets(inst.pair, inst.eps_prox)
         induced = build_induced_map(geom, inst.t_map)
         cert = certify_contraction(induced)
-        ban = banach_iterate(induced, geom.a0[0], tol=inst.tol, certificate=cert)
+        ban = banach_iterate(induced, geom.a0[0], certificate=cert)
         brute = brute_force_solve(inst.pair, inst.t_map, eps_prox=inst.eps_prox)
         solver_seconds += time.perf_counter() - t0
-        direct = direct_iterate(geom, inst.t_map, geom.a0[0], tol=inst.tol, certificate=cert)
+        direct = direct_iterate(geom, inst.t_map, geom.a0[0], certificate=cert)
         records.append(Record(cfg, inst, geom, induced, cert, ban, direct, brute))
     return records, solver_seconds
 
@@ -119,7 +119,7 @@ def test_criterion_3_uniqueness_multistart(sweep):
             continue
         contraction_count += 1
         finals = {
-            banach_iterate(r.induced, start, tol=r.inst.tol, certificate=r.cert).index
+            banach_iterate(r.induced, start, certificate=r.cert).index
             for start in r.geom.a0
         }
         if finals != {r.banach.index}:

@@ -434,6 +434,30 @@ def test_converged_but_unverified_solve_exits_3(tmp_path, capsys):
         assert 1e-9 < res["residual"] < 1.1e-3
 
 
+def test_a_certified_solve_reports_the_exact_fixed_point_at_any_tol(tmp_path, capsys, decimal_ladder_instance):
+    # A[2] lies within 0.05 of the fixed point A[3], but S(A[2]) = A[3] fails
+    # the fixed-point row: only a walk that runs on to A[3] is verified.
+    path = str(tmp_path / "inst.json")
+    save_instance(decimal_ladder_instance, path)
+    code, out, _ = run(capsys, "solve", path, "--tol", "0.05", "--format", "json")
+    payload = json.loads(out)
+    assert code == payload["exit_code"] == 0
+    assert {k: (r["index"], r["guaranteed"]) for k, r in payload["results"].items()} == {"induced": (3, True), "direct": (3, True)}
+    assert payload["verified"] == {"induced": True, "direct": True}
+
+
+def test_solve_exits_3_where_the_orbit_breaks_the_triangle(tmp_path, capsys, broken_orbit_table):
+    # Every hypothesis row passes, the metric's on 1000 sampled triples, but
+    # the triangle fails along the orbit, where the a-priori bounds need it.
+    path = str(tmp_path / "inst.json")
+    save_instance(broken_orbit_table, path)
+    code, out, _ = run(capsys, "solve", path, "--format", "json")
+    payload = json.loads(out)
+    assert payload["hypotheses_ok"]
+    assert code == payload["exit_code"] == 3
+    assert payload["verified"] == {"induced": False, "direct": False}
+
+
 def test_oracle_command(tmp_path, capsys, geometric_instance):
     path = str(tmp_path / "geo.json")
     save_instance(geometric_instance, path)

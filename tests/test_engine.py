@@ -33,6 +33,7 @@ from bestprox import (
     matrix_metric,
     paired_distances,
     proximal_subsets,
+    validate_metric,
     verify_result,
 )
 
@@ -306,6 +307,26 @@ def test_banach_detects_two_cycle(swap_instance):
     assert not res.guaranteed
 
 
+def test_certified_walks_end_at_the_exact_fixed_point(decimal_ladder_instance):
+    # A walk has no tolerance: certified, each scheme runs on to the fixed
+    # point A[3] and stops there, never at A[2], 0.01 short of it.
+    inst = decimal_ladder_instance
+    geom = geom_of(inst)
+    induced = build_induced_map(geom, inst.t_map)
+    cert = certify_contraction(induced)
+    assert (cert.verdict, cert.alpha_hat) == (CONTRACTION, pytest.approx(1 / 9))
+    walks = {
+        "induced": lambda **kw: banach_iterate(induced, 0, certificate=cert, **kw),
+        "direct": lambda **kw: direct_iterate(geom, inst.t_map, 0, certificate=cert, **kw),
+    }
+    for name, walk in walks.items():
+        res = walk()
+        assert (res.trace.indices, res.index, res.trace.stop_reason, res.guaranteed) == ((0, 1, 2, 3, 3), 3, "converged", True), name
+        assert verify_result(res, geom, inst.t_map, tol=0.05, induced=induced).passed, name
+        with pytest.raises(TypeError, match="tol"):
+            walk(tol=0.05)
+
+
 @pytest.mark.parametrize(
     "fixture, error, b_index",
     [("halving_instance", HypothesisViolation, 1), ("nonunique_instance", NonUniquePartner, 0)],
@@ -363,8 +384,6 @@ def test_banach_budget_exhaustion_carries_trace(geometric_instance):
 
 def test_banach_validates_parameters(geometric_instance):
     induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
-    with pytest.raises(ValueError):
-        banach_iterate(induced, 2, tol=0.0)
     with pytest.raises(ValueError):
         banach_iterate(induced, 2, max_iter=0)
 
@@ -556,6 +575,27 @@ def test_verify_passes_on_solution(geometric_instance):
     res = banach_iterate(induced, 2)
     report = verify_result(res, geom, geometric_instance.t_map, tol=1e-9, induced=induced)
     assert report.passed
+
+
+def test_verify_checks_the_triangle_along_the_orbit(geometric_instance, broken_orbit_table):
+    geom = geom_of(geometric_instance)
+    res = banach_iterate(build_induced_map(geom, geometric_instance.t_map), 2)
+    check = verify_result(res, geom, geometric_instance.t_map).check("orbit-triangle")
+    assert (check.passed, check.detail, check.witness) == (True, "d(x_k, z) <= d(x_k, x_k+1) + d(x_k+1, z) at all 3 steps", None)
+    # The sampled axiom check passes this table, and the certified walk is
+    # guaranteed with a-priori bounds 2, 1, 0.5, ..., but d(x_0, z) is 10:
+    # they rest on d(a0, a4) <= d(a0, a1) + d(a1, a4), and 10 > 1 + 5.
+    inst = broken_orbit_table
+    assert validate_metric(inst.metric).passed
+    geom = geom_of(inst)
+    induced = build_induced_map(geom, inst.t_map)
+    res = banach_iterate(induced, 0, certificate=certify_contraction(induced))
+    assert (res.trace.indices, res.trace.a_priori_bounds[:2], res.guaranteed) == ((0, 1, 2, 3, 4, 4), (2.0, 1.0), True)
+    report = verify_result(res, geom, inst.t_map, induced=induced)
+    assert [c.name for c in report.failures] == ["orbit-triangle"]
+    check = report.check("orbit-triangle")
+    assert check.detail == "k = 0: d(A[0], A[4]) = 10.0 > d(A[0], A[1]) + d(A[1], A[4]) = 1.0 + 5.0"
+    assert check.witness == (0, 4, 1)
 
 
 def test_verify_rejects_perturbed_point(geometric_instance):

@@ -118,7 +118,7 @@ def test_generator_soundness(kind, alpha, seed):
     cert = certify_contraction(induced)
     assert cert.alpha_hat <= alpha + 1e-12
 
-    res = banach_iterate(induced, geom.a0[0], tol=inst.tol, certificate=cert)
+    res = banach_iterate(induced, geom.a0[0], certificate=cert)
     sol = brute_force_solve(inst.pair, inst.t_map, eps_prox=inst.eps_prox)
     assert res.index in sol.argmin_indices
     assert abs(sol.min_value - geom.pair_distance) <= inst.eps_prox
@@ -156,7 +156,7 @@ def test_generator_respects_a_size_cap():
     table = generate_instance(GeneratorConfig(seed=2, space_kind=EXPLICIT_MATRIX, a_size=1, alpha_target=0.9))
     assert (len(table.pair.a), len(table.pair.b)) == (1, 3)
     geom = proximal_subsets(table.pair, table.eps_prox)
-    result = banach_iterate(build_induced_map(geom, table.t_map), 0, tol=table.tol)
+    result = banach_iterate(build_induced_map(geom, table.t_map), 0)
     assert (result.index, result.trace.stop_reason, result.residual) == (0, "converged", 0.0)
     assert brute_force_solve(table.pair, table.t_map, eps_prox=table.eps_prox).is_best_proximity
 

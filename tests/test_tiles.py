@@ -16,9 +16,11 @@ from hypothesis import given, reject, settings
 from bestprox import geometry
 from bestprox.engine import _max_ratio
 from bestprox import (
+    CONTRACTION,
     DuplicatePointError,
     ProximityMap,
     SetPair,
+    banach_iterate,
     certify_contraction,
     euclidean_metric,
     matrix_metric,
@@ -99,6 +101,22 @@ def test_tiled_scans_match_the_dense_references(case):
         induced = with_self_map(geom, t_map, mapping)
         cert = certify_contraction(induced)
         assert (cert.alpha_hat, cert.witness, cert.pair_count) == alpha, sizes
+        if cert.verdict == CONTRACTION:
+            # A contraction of a finite set has one cycle, of length 1, and
+            # a certified walk from any start ends on that fixed point.
+            step = scope_map(induced)
+            cycles = set()
+            for x in step:
+                orbit = []
+                while x not in orbit:
+                    orbit.append(x)
+                    x = step[x]
+                cycles.add(frozenset(orbit[orbit.index(x) :]))
+            assert [len(c) for c in cycles] == [1], cycles
+            (fixed,) = cycles.pop()
+            for x in step:
+                res = banach_iterate(induced, x, certificate=cert)
+                assert (res.index, res.guaranteed) == (fixed, True), x
         partnered = np.flatnonzero(induced.count)
         if induced.count.max() > 1:
             continue  # the ambiguity path scans nothing
