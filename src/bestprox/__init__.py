@@ -40,7 +40,6 @@ from .instance import (
     Instance,
     InstanceFormatError,
     dumps_instance,
-    instance_payload,
     load_instance,
     make_instance,
     parse_instance,
@@ -107,7 +106,6 @@ __all__ = [
     "dumps_instance",
     "euclidean_metric",
     "generate_instance",
-    "instance_payload",
     "load_instance",
     "make_instance",
     "matrix_metric",

@@ -114,9 +114,12 @@ def _load(args) -> Instance:
 
 def _emit(args, payload: dict) -> None:
     # The JSON payload is the report; the text report is rendered from it alone.
+    # The JSON is written piece by piece as it is encoded: json.dumps joins
+    # these same pieces, so the bytes are its own without its whole text.
     payload = strict_payload(payload)
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        sys.stdout.writelines(json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(payload))
+        sys.stdout.write("\n")
     else:
         print(render_text(payload))
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PairGeometry, SetPair, scan_tiles
-from .metric import EXPLICIT_MATRIX, Check, Checklist, as_point, distance, frozen_array, paired_distances, pairwise_distances, triangle_violation
+from .metric import Check, Checklist, as_point, distance, frozen_array, paired_distances, pairwise_distances, triangle_violation
 
 CONTRACTION = "contraction"
 NOT_CONTRACTION = "not-contraction"
@@ -301,31 +301,18 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
     return ContractionCertificate(alpha, witness, pairs, verdict, scope=scope)
 
 
-def _resolve_start(geom: PairGeometry, x0) -> int:
-    """Accept an A-position (any integer but a bool) or, on coordinate spaces,
-    a literal point."""
+def _iterate(geom, t_map, step, start, certificate, max_iter):
+    # A walk starts at an A-position: any integer but a bool.
     sp = geom.pair
-    if isinstance(x0, (int, np.integer)) and not isinstance(x0, bool):
-        if not 0 <= x0 < len(sp.a):
-            raise ValueError(f"start index {x0} outside A (size {len(sp.a)})")
-        idx = int(x0)
-    elif sp.metric.kind == EXPLICIT_MATRIX:
-        raise ValueError(f"start on a matrix space must be an index of A, got {x0!r}")
-    else:
-        probe = np.asarray(x0, dtype=float)
-        hits = np.flatnonzero((sp.a == probe).all(axis=1)) if probe.shape == sp.a.shape[1:2] else ()
-        if not len(hits):
-            raise ValueError(f"start point {as_point(probe)!r} is not a point of A")
-        idx = int(hits[0])
-    if idx not in geom.a0:
-        raise StartNotInA0(as_point(sp.a[idx]))
-    return idx
-
-
-def _iterate(geom, t_map, step, start_idx, certificate, max_iter):
+    if not isinstance(start, (int, np.integer)) or isinstance(start, bool):
+        raise ValueError(f"start must be an index of A, got {start!r}")
+    if not 0 <= start < len(sp.a):
+        raise ValueError(f"start index {start} outside A (size {len(sp.a)})")
+    start = int(start)
+    if start not in geom.a0:
+        raise StartNotInA0(as_point(sp.a[start]))
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    sp = geom.pair
     # Walk the orbit to its fixed point, first repeat, failing step or budget,
     # then measure every step gap in one kernel call.  There is no tolerance:
     # under a contraction a finite set has no cycle of length p >= 2, as
@@ -333,8 +320,8 @@ def _iterate(geom, t_map, step, start_idx, certificate, max_iter):
     # certified walk ends at the exact fixed point.  Only a certificate whose
     # verdict is a contraction (None certifies none) bounds the error a
     # priori and guarantees the result.
-    indices = [start_idx]
-    visited = {start_idx}
+    indices = [start]
+    visited = {start}
     reason = MAX_ITERATIONS
     for _ in range(max_iter):
         cur = indices[-1]
@@ -388,7 +375,8 @@ def banach_iterate(
     max_iter: int = DEFAULT_MAX_ITER,
     certificate: ContractionCertificate | None = None,
 ) -> BestProximityResult:
-    """Picard iteration x_{k+1} = S(x_k) on the prebuilt induced map.
+    """Picard iteration x_{k+1} = S(x_k) on the prebuilt induced map, from
+    the A-position ``x0`` (any integer but a bool), which must lie in A0.
 
     Stops at an exact fixed point, which a certified walk always reaches: it
     has no tolerance and never stops short of it.  A revisited point reveals
@@ -397,9 +385,7 @@ def banach_iterate(
     budget raises :class:`MaxIterationsExceeded` with the full trace.  A map
     partial on A0 is refused up front, as :func:`build_induced_map` refuses it.
     """
-    geom = _total(induced).geometry
-    start = _resolve_start(geom, x0)
-    return _iterate(geom, induced.t_map, lambda i: int(induced.table[i]), start, certificate, max_iter)
+    return _iterate(_total(induced).geometry, induced.t_map, lambda i: int(induced.table[i]), x0, certificate, max_iter)
 
 
 def direct_iterate(
@@ -410,7 +396,8 @@ def direct_iterate(
     max_iter: int = DEFAULT_MAX_ITER,
     certificate: ContractionCertificate | None = None,
 ) -> BestProximityResult:
-    """Iterate by solving d(x_{k+1}, T(x_k)) = d(A,B) afresh at every step.
+    """Iterate by solving d(x_{k+1}, T(x_k)) = d(A,B) afresh at every step,
+    from the A-position ``x0``, as for :func:`banach_iterate`.
 
     No partner table is read: each successor is found by one kernel scan of A
     for the points within eps_prox of d(A,B) from the current image, raising
@@ -421,7 +408,6 @@ def direct_iterate(
     produces the exact same index sequence as :func:`banach_iterate`.
     """
     t_map.validate(geom.pair)
-    start = _resolve_start(geom, x0)
     sp = geom.pair
     cut = geom.pair_distance + geom.eps_prox
 
@@ -430,7 +416,7 @@ def direct_iterate(
         d = pairwise_distances(sp.metric, sp.a, sp.b[img : img + 1])[:, 0]
         return _unique_partner(i, img, tuple(np.flatnonzero(d <= cut).tolist()))
 
-    return _iterate(geom, t_map, step, start, certificate, max_iter)
+    return _iterate(geom, t_map, step, x0, certificate, max_iter)
 
 
 def verify_result(

@@ -325,17 +325,9 @@ def _table_rows(table: np.ndarray) -> Iterator[list]:
     return (row.astype(dtype).tolist() for row in table)
 
 
-def instance_payload(inst: Instance) -> dict:
-    """The canonical JSON-able form of an instance."""
-    payload = _payload(inst)
-    if "matrix" in payload["metric"]:
-        payload["metric"]["matrix"] = list(payload["metric"]["matrix"])
-    return payload
-
-
 def _payload(inst: Instance) -> dict:
-    """:func:`instance_payload` with a table's rows as :func:`_table_rows`
-    yields them, so a writer holds one row at a time."""
+    """The canonical JSON-able form of an instance, with a table's rows as
+    :func:`_table_rows` yields them, so a writer holds one row at a time."""
     metric: dict = {"kind": inst.metric.kind}
     if inst.metric.kind == EXPLICIT_MATRIX:
         metric["matrix"] = _table_rows(inst.metric.matrix)

@@ -109,9 +109,9 @@ class Metric:
         table = frozen_array(self.matrix, np.float64)
         if table.ndim != 2 or not table.size or table.shape[0] != table.shape[1]:
             raise ValueError("distance matrix must be square and nonempty")
-        bad = np.argwhere(~np.isfinite(table))
-        if len(bad):
-            raise ValueError(f"non-finite distance at position {tuple(bad[0].tolist())}")
+        bad = _first(~np.isfinite(table))
+        if bad is not None:
+            raise ValueError(f"non-finite distance at position {bad}")
         object.__setattr__(self, "matrix", table)
 
 
@@ -237,6 +237,7 @@ def validate_metric(metric: Metric, *, points: Sequence | None = None) -> Metric
     order, sqrt(0) = 0 and sqrt >= 0), so only the triangle is checked, on
     ``SAMPLES`` seed-0 triples of ``points``, a nonempty finite pool, with
     ``TRIANGLE_SLACK * max(1, d(p,q) + d(q,r))`` rounding slack per triple.
+    A table's check ignores ``points``.
     """
     if metric.kind == EUCLIDEAN:
         pool = np.asarray([] if points is None else points, dtype=float)

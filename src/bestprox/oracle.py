@@ -203,7 +203,16 @@ def _generate_matrix(cfg: GeneratorConfig, rng: random.Random) -> Instance:
         dtype=np.int64,
     )
     total = len(coords)
-    matrix = np.abs(coords[:, None] - coords[None]).sum(axis=2) * scale
+    # Each axis's |difference| table is added into one float64 table through
+    # one scratch table; every partial sum is an integer below 2**53 and the
+    # scale a power of two, so this is exact.  Read-only, the table is kept by
+    # Metric without a copy.
+    matrix = np.zeros((total, total))
+    step = np.empty_like(matrix)
+    for axis in coords.T:
+        matrix += np.abs(np.subtract.outer(axis, axis, out=step), out=step)
+    matrix *= scale
+    matrix.flags.writeable = False
 
     a_idx = list(range(n_ladder))
     b_idx = list(range(n_ladder, total))

@@ -34,7 +34,7 @@ from .engine import (
 )
 from .geometry import PairGeometry, proximal_subsets
 from .instance import Instance
-from .metric import EXPLICIT_MATRIX, Check, Checklist, MetricValidation, validate_metric
+from .metric import Check, Checklist, MetricValidation, validate_metric
 
 DECLARED_ALPHA_SLACK = 1e-12
 
@@ -68,8 +68,7 @@ class InstanceAssessment(Checklist):
 def assess_instance(inst: Instance, *, wide: bool = False) -> InstanceAssessment:
     """Evaluate every theorem hypothesis on a loaded instance (non-raising)."""
     sp = inst.pair
-    pool = np.concatenate([sp.a, sp.b]) if sp.metric.kind != EXPLICIT_MATRIX else None
-    validation = validate_metric(sp.metric, points=pool)
+    validation = validate_metric(sp.metric, points=np.concatenate([sp.a, sp.b]))
     geom = proximal_subsets(sp, inst.eps_prox)
 
     rows = [

@@ -282,12 +282,6 @@ def test_banach_geometric_converges(geometric_instance):
     assert res.guaranteed
 
 
-def test_banach_accepts_literal_start_point(geometric_instance):
-    induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
-    res = banach_iterate(induced, (0.0, 1.0))
-    assert res.trace.indices == (2, 1, 0, 0)
-
-
 def test_banach_fixed_start_takes_one_evaluation(geometric_instance):
     induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
     res = banach_iterate(induced, 0)
@@ -367,10 +361,14 @@ def test_start_accepts_any_integer_but_bool(geometric_instance, swap_instance):
             )
         with pytest.raises(ValueError, match="outside A"):
             banach_iterate(induced, np.int64(99))
-    induced = build_induced_map(geom_of(swap_instance), swap_instance.t_map)
-    for start in (0.0, 1.5, True, np.bool_(True), (0.0,)):
-        with pytest.raises(ValueError, match="must be an index of A"):
-            banach_iterate(induced, start)
+        # A start is an A-position on either space kind: a point of A given
+        # by its coordinates, here A[2] = (0, 1) of the euclidean one, is
+        # refused by both walks.
+        for start in (0.0, 1.5, True, np.bool_(True), (0.0,), (0.0, 1.0)):
+            with pytest.raises(ValueError, match="must be an index of A"):
+                banach_iterate(induced, start)
+            with pytest.raises(ValueError, match="must be an index of A"):
+                direct_iterate(geom, inst.t_map, start, certificate=cert)
 
 
 def test_banach_budget_exhaustion_carries_trace(geometric_instance):

@@ -1,18 +1,25 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its CLI section names
+every option of every subcommand."""
 
+import argparse
 import re
 from pathlib import Path
 
 from bestprox import GeneratorConfig, brute_force_solve, generate_instance, save_instance
+from bestprox.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def python_block(section: str) -> str:
-    """The first ```python block of the README section titled ``section``."""
+def section(title: str) -> str:
+    """The body of the README section titled ``title``."""
     text = README.read_text(encoding="utf-8")
-    body = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", body, re.S).group(1)
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def python_block(title: str) -> str:
+    """The first ```python block of the README section titled ``title``."""
+    return re.search(r"```python\n(.*?)```", section(title), re.S).group(1)
 
 
 def test_the_library_example_runs(tmp_path, monkeypatch):
@@ -26,3 +33,19 @@ def test_the_library_example_runs(tmp_path, monkeypatch):
     res = names["res"]
     assert res.guaranteed
     assert res.index in brute_force_solve(inst.pair, inst.t_map).argmin_indices
+
+
+def test_the_cli_section_names_every_option():
+    # argparse's own -h/--help aside, each option string of each subcommand
+    # appears in the CLI section as a whole token.
+    body = section("CLI")
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        (name, option)
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if action.dest != "help"
+        for option in action.option_strings
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", body)
+    ]
+    assert not missing
