@@ -21,7 +21,6 @@ from .engine import (
     HypothesisViolation,
     MaxIterationsExceeded,
     NonUniquePartner,
-    StartNotInA0,
     verify_result,
     banach_iterate,
     direct_iterate,
@@ -129,20 +128,20 @@ def cmd_solve(args) -> int:
     assessment = assess_instance(inst)
     geom = assessment.geometry
 
-    if args.start_index is not None:
-        if not 0 <= args.start_index < len(inst.pair.a):
-            raise _UsageError(f"--start-index {args.start_index} outside A (size {len(inst.pair.a)})")
-        start = args.start_index
-    else:
-        start = int(geom.a0[0])
-
+    start = int(geom.a0[0]) if args.start_index is None else args.start_index
     results = {}
     failures = {}
-
-    def run(label, fn):
+    # Only the checklist's certificate may guarantee either walk.  Each walk
+    # checks the start itself, and banach_iterate then refuses a partial S,
+    # naming the first failing point of A0.
+    for label in SOLVE_METHODS:
+        if args.method not in (label, "both"):
+            continue
+        walk, *inputs = (banach_iterate, assessment.s_map) if label == "induced" else (direct_iterate, geom, inst.t_map)
         try:
-            # A checklist that fails certifies nothing, so no result is guaranteed.
-            results[label] = fn() if assessment.passed else replace(fn(), guaranteed=False)
+            res = walk(*inputs, start, max_iter=args.max_iter, certificate=assessment.certificate)
+        except ValueError as err:  # the start, refused before any step
+            raise _UsageError(str(err)) from None
         except MaxIterationsExceeded as err:
             failures[label] = {"error": "max-iterations", "detail": str(err)}
         except (HypothesisViolation, NonUniquePartner) as err:
@@ -151,17 +150,11 @@ def cmd_solve(args) -> int:
                 "detail": str(err),
                 "partial_indices": list(err.partial_indices),
             }
+        else:
+            # A checklist that fails certifies nothing, so no result is guaranteed.
+            results[label] = res if assessment.passed else replace(res, guaranteed=False)
 
-    # Only the checklist's certificate may guarantee either walk.  A partial S
-    # is refused by banach_iterate itself, naming the first failing point of A0.
-    if args.method in ("induced", "both"):
-        run("induced", lambda: banach_iterate(assessment.s_map, start, max_iter=args.max_iter, certificate=assessment.certificate))
-    if args.method in ("direct", "both"):
-        run("direct", lambda: direct_iterate(geom, inst.t_map, start, max_iter=args.max_iter, certificate=assessment.certificate))
-
-    traces_equal = None
-    if args.method == "both" and len(results) == 2:
-        traces_equal = results["induced"].trace.indices == results["direct"].trace.indices
+    traces_equal = results["induced"].trace.indices == results["direct"].trace.indices if len(results) == 2 else None
 
     verifications = {
         label: verify_result(res, geom, inst.t_map, tol=inst.tol, induced=assessment.induced)
@@ -259,7 +252,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, InstanceFormatError, StartNotInA0) as err:
+    except (_UsageError, InstanceFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

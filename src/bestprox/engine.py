@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PairGeometry, SetPair, scan_tiles
-from .metric import Check, Checklist, as_point, distance, frozen_array, paired_distances, pairwise_distances, triangle_violation
+from .metric import Check, Checklist, distance, frozen_array, paired_distances, pairwise_distances, triangle_violation
 
 CONTRACTION = "contraction"
 NOT_CONTRACTION = "not-contraction"
@@ -91,10 +91,10 @@ class NonUniquePartner(SolverError):
         )
 
 
-class StartNotInA0(SolverError):
-    def __init__(self, start):
+class StartNotInA0(SolverError, ValueError):
+    def __init__(self, start: int):
         self.start = start
-        super().__init__(f"start point {start!r} is not in A0")
+        super().__init__(f"start index {start} is not in A0")
 
 
 class MaxIterationsExceeded(SolverError):
@@ -293,16 +293,15 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
             alpha, witness, pairs = math.inf, (first, first), int(sizes @ np.minimum(np.arange(len(sizes)), k))
         else:
             alpha, witness, pairs = _max_ratio(sp, partnered, table)
-            if not alpha > 0.0:
-                witness = None  # no ratio beats the scan's initial 0.0
     # A constant below 0 certifies nothing: only a table that fails the
     # metric axioms gives one.
     verdict = CONTRACTION if 0.0 <= alpha < 1.0 else NOT_CONTRACTION
     return ContractionCertificate(alpha, witness, pairs, verdict, scope=scope)
 
 
-def _iterate(geom, t_map, step, start, certificate, max_iter):
-    # A walk starts at an A-position: any integer but a bool.
+def _iterate(geom, t_map, refuse, step, start, certificate, max_iter):
+    # A walk starts at an A-position, any integer but a bool, and checks it
+    # and its budget before ``refuse`` turns down the map it walks.
     sp = geom.pair
     if not isinstance(start, (int, np.integer)) or isinstance(start, bool):
         raise ValueError(f"start must be an index of A, got {start!r}")
@@ -310,9 +309,10 @@ def _iterate(geom, t_map, step, start, certificate, max_iter):
         raise ValueError(f"start index {start} outside A (size {len(sp.a)})")
     start = int(start)
     if start not in geom.a0:
-        raise StartNotInA0(as_point(sp.a[start]))
+        raise StartNotInA0(start)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    refuse()
     # Walk the orbit to its fixed point, first repeat, failing step or budget,
     # then measure every step gap in one kernel call.  There is no tolerance:
     # under a contraction a finite set has no cycle of length p >= 2, as
@@ -378,14 +378,16 @@ def banach_iterate(
     """Picard iteration x_{k+1} = S(x_k) on the prebuilt induced map, from
     the A-position ``x0`` (any integer but a bool), which must lie in A0.
 
-    Stops at an exact fixed point, which a certified walk always reaches: it
-    has no tolerance and never stops short of it.  A revisited point reveals
-    a cycle, possible only without a contraction ``certificate`` (None: no
-    certificate); the result is then stamped unguaranteed.  Exhausting the
-    budget raises :class:`MaxIterationsExceeded` with the full trace.  A map
-    partial on A0 is refused up front, as :func:`build_induced_map` refuses it.
+    The start and ``max_iter`` are checked first, each refused with a
+    ``ValueError`` (:class:`StartNotInA0` names a start outside A0); only
+    then is a map partial on A0 refused, as :func:`build_induced_map` does.
+    The walk stops at the exact fixed point a certified walk always reaches,
+    with no tolerance.  A revisited point reveals a cycle, possible only
+    without a contraction ``certificate`` (None: none); the result is then
+    stamped unguaranteed.  Exhausting the budget raises
+    :class:`MaxIterationsExceeded` with the full trace.
     """
-    return _iterate(_total(induced).geometry, induced.t_map, lambda i: int(induced.table[i]), x0, certificate, max_iter)
+    return _iterate(induced.geometry, induced.t_map, lambda: _total(induced), lambda i: int(induced.table[i]), x0, certificate, max_iter)
 
 
 def direct_iterate(
@@ -397,7 +399,9 @@ def direct_iterate(
     certificate: ContractionCertificate | None = None,
 ) -> BestProximityResult:
     """Iterate by solving d(x_{k+1}, T(x_k)) = d(A,B) afresh at every step,
-    from the A-position ``x0``, as for :func:`banach_iterate`.
+    from the A-position ``x0``, checked with ``max_iter`` as for
+    :func:`banach_iterate` before a T that is not total on A or leaves B is
+    refused.
 
     No partner table is read: each successor is found by one kernel scan of A
     for the points within eps_prox of d(A,B) from the current image, raising
@@ -407,7 +411,6 @@ def direct_iterate(
     and never guaranteed.  On instances where the induced map exists this
     produces the exact same index sequence as :func:`banach_iterate`.
     """
-    t_map.validate(geom.pair)
     sp = geom.pair
     cut = geom.pair_distance + geom.eps_prox
 
@@ -416,7 +419,7 @@ def direct_iterate(
         d = pairwise_distances(sp.metric, sp.a, sp.b[img : img + 1])[:, 0]
         return _unique_partner(i, img, tuple(np.flatnonzero(d <= cut).tolist()))
 
-    return _iterate(geom, t_map, step, x0, certificate, max_iter)
+    return _iterate(geom, t_map, lambda: t_map.validate(sp), step, x0, certificate, max_iter)
 
 
 def verify_result(

@@ -227,8 +227,8 @@ def proximal_subsets(sp: SetPair, eps_prox: float | None = None) -> PairGeometry
     """
     if eps_prox is None:
         eps_prox = default_eps_prox(sp.metric)
-    if eps_prox < 0:
-        raise ValueError("eps_prox must be >= 0")
+    if not 0 <= eps_prox < np.inf:
+        raise ValueError(f"eps_prox must be >= 0 and finite, got {eps_prox}")
     # One pass over the tiles of A x B.  Each tile lowers the running minimum
     # and keeps its entries within eps_prox of it; the minimum only falls, so
     # the final cut below finds every hit among the kept ones, and a tile

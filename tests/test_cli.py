@@ -408,6 +408,27 @@ def test_start_index_validation(tmp_path, capsys, narrow_a0_instance):
     assert run(capsys, "solve", path, "--start-index", "0")[0] == 0
 
 
+@pytest.mark.parametrize("fixture", ["halving_instance", "nonunique_instance", "narrow_a0_instance"])
+def test_walks_own_the_start_check(request, tmp_path, capsys, fixture):
+    # The walks check the start before they refuse a partial S, so a start
+    # outside A is a usage error on every method, whatever the hypotheses.
+    inst = request.getfixturevalue(fixture)
+    path = str(tmp_path / "inst.json")
+    save_instance(inst, path)
+    for start in ("99", "-1"):
+        for method in (["--method", "induced"], ["--method", "direct"], []):
+            code, out, err = run(capsys, "solve", path, *method, "--start-index", start)
+            assert (code, out, err) == (1, "", f"error: start index {start} outside A (size {len(inst.pair.a)})\n"), method
+
+
+def test_start_outside_a0_is_named_by_its_position(tmp_path, capsys, narrow_a0_instance):
+    path = str(tmp_path / "narrow.json")
+    save_instance(narrow_a0_instance, path)
+    for method in ("induced", "direct", "both"):
+        code, out, err = run(capsys, "solve", path, "--method", method, "--start-index", "1")
+        assert (code, out, err) == (1, "", "error: start index 1 is not in A0\n"), method
+
+
 def test_max_iter_exhaustion_exits_3(tmp_path, capsys):
     path = str(tmp_path / "inst.json")
     run(capsys, "generate", path, "--seed", "5", "--alpha", "0.8", "--a-size", "50")

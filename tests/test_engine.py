@@ -20,6 +20,7 @@ from bestprox import (
     NonUniquePartner,
     ProximityMap,
     SetPair,
+    SolverError,
     StartNotInA0,
     banach_iterate,
     build_induced_map,
@@ -161,6 +162,16 @@ def test_certify_wide_scope(boundary_instance, narrow_a0_instance):
     assert wide2.alpha_hat == 0.0  # only one partnered point, nothing to compare
 
 
+def test_full_scope_names_its_witness_at_alpha_hat_zero():
+    # S sends both points of A0 = A to A[0], so the one ratio is 0.  Both
+    # scopes cover the same pair and name it, as the certificate promises.
+    inst = make_instance(euclidean_metric(), [(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0), (1.0, 1.0)], [0, 0])
+    induced = build_induced_map(geom_of(inst), inst.t_map)
+    for wide in (False, True):
+        cert = certify_contraction(induced, wide=wide)
+        assert (cert.alpha_hat, cert.witness, cert.pair_count) == (0.0, (0, 1), 1), wide
+
+
 def test_certify_wide_flags_multi_partner_as_infinite(nonunique_instance):
     geom = geom_of(nonunique_instance)
     # build_induced_map refuses the ambiguity; classify_partners keeps it
@@ -179,7 +190,7 @@ def wide_scan(geom, t_map):
         for i in range(len(pts))
         if geom.partners_in_a(t_map.image[i])
     }
-    alpha, witness, pairs = 0.0, None, 0
+    alpha, witness, pairs = -math.inf, None, 0
     idxs = sorted(partnered)
     for pos, i in enumerate(idxs):
         if len(partnered[i]) > 1:
@@ -192,7 +203,7 @@ def wide_scan(geom, t_map):
                     pairs += 1
                     if ratio > alpha:
                         alpha, witness = ratio, (i, j)
-    return alpha, witness, pairs
+    return (alpha, witness, pairs) if pairs else (0.0, None, 0)
 
 
 def grid_case(rng):
@@ -208,7 +219,8 @@ def grid_case(rng):
 
 def test_certify_wide_matches_pairwise_scan():
     # Euclidean grids and taxicab tables; on each, every outcome occurs: an
-    # ambiguous image, a maximum ratio with its witness, and no ratio above 0.
+    # ambiguous image, a maximum ratio with its witness, and fewer than two
+    # partnered points, so no pair and no witness.
     for kind in ("grid", "matrix"):
         outcomes = set()
         for seed in range(60):
@@ -238,8 +250,6 @@ def test_row_blocked_certificate_matches_dense_reference(kind):
         sp, a0, count = induced.geometry.pair, induced.geometry.a0, induced.count
         keys = {"a0": a0, "full": np.flatnonzero(count)}
         expected = {scope: dense_max_ratio(sp, scope_map(induced, keys[scope])) for scope in keys}
-        if not expected["full"][0] > 0.0:
-            expected["full"] = (expected["full"][0], None, expected["full"][2])
         seen.add((len(a0) > 2, expected["a0"][0] == 0.0))
         for rows in each_block_size():
             for k in keys.values():
@@ -338,10 +348,34 @@ def test_banach_refuses_a_map_partial_on_a0(request, fixture, error, b_index):
         assert (err.value.a_index, err.value.b_index) == (b_index, b_index)
 
 
+@pytest.mark.parametrize("fixture", ["halving_instance", "nonunique_instance"])
+def test_walks_check_start_and_budget_before_the_map(request, fixture):
+    # S is partial on A0 here, yet a bad start or budget is named first, by
+    # the same ValueError on both walks; only then is the map refused.
+    inst = request.getfixturevalue(fixture)
+    geom = geom_of(inst)
+    partial = classify_partners(geom, inst.t_map)
+    n = len(inst.pair.a)
+    walks = {
+        "induced": lambda x0, **kw: banach_iterate(partial, x0, **kw),
+        "direct": lambda x0, **kw: direct_iterate(geom, ProximityMap([0]), x0, **kw),
+    }
+    for walk in walks.values():
+        for x0 in (99, -1):
+            with pytest.raises(ValueError, match=rf"^start index {x0} outside A \(size {n}\)$"):
+                walk(x0)
+        with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
+            walk(0, max_iter=0)
+    with pytest.raises(ValueError, match="^map must be total on A"):
+        walks["direct"](0)
+
+
 def test_banach_rejects_start_outside_a0(narrow_a0_instance):
     induced = build_induced_map(geom_of(narrow_a0_instance), narrow_a0_instance.t_map)
-    with pytest.raises(StartNotInA0):
+    # A ValueError, as every other refusal of a start, naming the position.
+    with pytest.raises(StartNotInA0, match="^start index 1 is not in A0$") as err:
         banach_iterate(induced, 1)
+    assert isinstance(err.value, ValueError) and isinstance(err.value, SolverError) and err.value.start == 1
     with pytest.raises(ValueError):
         banach_iterate(induced, 99)
     with pytest.raises(ValueError):

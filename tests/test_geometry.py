@@ -11,8 +11,10 @@ from hypothesis import given, reject, settings
 
 from bestprox import (
     DuplicatePointError,
+    ProximityMap,
     SetPair,
     assess_instance,
+    brute_force_solve,
     classify_partners,
     default_eps_prox,
     distance,
@@ -80,6 +82,18 @@ def test_proximal_subsets_huge_tolerance_takes_everything():
     assert geom.b0.tolist() == [0, 1]
     with pytest.raises(ValueError, match="eps_prox must be >= 0"):
         proximal_subsets(euclid_pair(a, b), -1.0)
+
+
+@pytest.mark.parametrize("eps_prox", [math.nan, math.inf])
+def test_non_finite_eps_prox_is_refused(eps_prox):
+    # NaN passed an `eps_prox < 0` test: it gave an empty A0, and the oracle
+    # called A[0], which attains d(A,B) = 1 exactly, no best proximity point.
+    # inf put every point of A in A0.
+    sp = euclid_pair([(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0)])
+    with pytest.raises(ValueError, match="eps_prox must be >= 0"):
+        proximal_subsets(sp, eps_prox)
+    with pytest.raises(ValueError, match="eps_prox must be >= 0"):
+        brute_force_solve(sp, ProximityMap([0, 0]), eps_prox=eps_prox)
 
 
 def test_default_eps_depends_on_kind():

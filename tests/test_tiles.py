@@ -122,7 +122,7 @@ def test_tiled_scans_match_the_dense_references(case):
             continue  # the ambiguity path scans nothing
         cert = certify_contraction(induced, wide=True)
         full, witness, pairs = dense_max_ratio(sp, scope_map(induced, partnered))
-        assert (cert.alpha_hat, cert.witness, cert.pair_count) == (full, witness if full > 0.0 else None, pairs), sizes
+        assert (cert.alpha_hat, cert.witness, cert.pair_count) == (full, witness, pairs), sizes
 
 
 @pytest.fixture
