@@ -25,6 +25,8 @@ row block at a time, and stops after the first block that holds a hit.
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,26 +98,43 @@ class SetPair:
 
 
 def _point_array(metric: Metric, pts, side: str) -> np.ndarray:
-    if len(pts) == 0:
-        raise ValueError("A and B must be nonempty")
+    """``pts``, any sequence or array, as the read-only points of ``side``,
+    converted once; a refusal names the point at fault as a file's would."""
+    if not _is_array(pts) or not len(pts):
+        raise ValueError(f"field '{side}': must be a nonempty array of points")
     if metric.kind == EUCLIDEAN:
-        try:
-            arr = frozen_array(pts, np.float64)
-        except ValueError as err:
-            raise ValueError(f"points of {side} must be coordinate vectors of one dimension: {err}") from None
-        if arr.ndim != 2 or not arr.shape[1]:
+        dim = len(pts[0]) if _is_array(pts[0]) else None
+        if dim == 0:
             raise ValueError(f"points of {side} must be coordinate vectors of dimension >= 1")
+        dtype, shape, what = np.float64, (dim,), f"a numeric point of dimension {dim}" if dim else "a coordinate vector"
+    else:
+        dtype, shape, what = np.int64, (), "an index into the distance table"
+    arr = _converted(pts, dtype)
+    if arr is None or arr.shape[1:] != shape:
+        pos = next((pos for pos, item in enumerate(pts) if getattr(_converted(item, dtype), "shape", None) != shape), 0)
+        raise ValueError(f"field '{side}[{pos}]': not {what}: {pts[pos]!r}")
+    if metric.kind == EUCLIDEAN:
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if len(bad):
             raise ValueError(f"non-finite coordinate in {side}[{bad[0]}]")
     else:
-        arr = frozen_array(pts, np.int64)
-        if arr.ndim != 1:
-            raise ValueError(f"matrix-space points of {side} must be integer indices")
         bad = np.flatnonzero((arr < 0) | (arr >= len(metric.matrix)))
         if len(bad):
             raise ValueError(f"index {arr[bad[0]]} in {side}[{bad[0]}] out of range for {len(metric.matrix)}-point space")
     return arr
+
+
+# Whether ``value`` holds items: a sequence other than a string, or an array
+# of at least one axis.
+def _is_array(value) -> bool:
+    return isinstance(value, np.ndarray) and value.ndim > 0 or isinstance(value, Sequence) and not isinstance(value, str)
+
+
+# ``value`` as frozen_array keeps it, or None where that rule refuses it.
+def _converted(value, dtype) -> np.ndarray | None:
+    with contextlib.suppress(ValueError):
+        return frozen_array(value, dtype)
+    return None
 
 
 def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:

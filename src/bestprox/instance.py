@@ -13,8 +13,8 @@ unambiguous and diff-able::
       "alpha": 0.5                                 # optional declared constant
     }
 
-Each rule of a field lives in the library code that owns it; the parser
-reads the JSON, converts its arrays and names the field a refusal concerns.
+Each rule of a field lives in the library code that owns it and names the
+field a refusal concerns, ``A[i]`` for a point in :class:`~.geometry.SetPair`.
 So a boolean among numbers is refused by one rule, with no switch, that of
 :func:`~bestprox.metric.frozen_array`.  One :class:`_TableDecoder` pass reads
 every file.  It decodes an array two objects deep, where ``metric.matrix``
@@ -27,7 +27,6 @@ load/save round-trips are byte-stable.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import re
@@ -106,9 +105,9 @@ def make_instance(
     tol: float = DEFAULT_TOL,
     alpha_declared: float | None = None,
 ) -> Instance:
-    """Assemble and validate an instance from in-memory pieces.  A refusal of
-    T, a tolerance or ``alpha_declared`` is an :class:`InstanceFormatError`
-    naming the field of the file format, as a file's would."""
+    """Assemble and validate an instance from in-memory pieces.  Each refusal
+    names the field of the file format as a file's would (SetPair's of a point
+    too); that of T, a tolerance or ``alpha_declared`` is an InstanceFormatError."""
     pair = SetPair(metric, a, b)
     try:
         t_map = ProximityMap(t_image)
@@ -142,52 +141,23 @@ def _parse_metric(payload) -> Metric:
         raise _fail("metric.matrix", str(err)) from None
 
 
-def _parse_points(metric: Metric, payload, field: str) -> np.ndarray:
-    """The points of ``field`` as one array, which SetPair keeps without a
-    copy; else the first item that is not a point of the space is named."""
-    if not isinstance(payload, list) or not payload:
-        raise _fail(field, "must be a nonempty array of points")
-    if metric.kind == EUCLIDEAN:
-        dim = len(payload[0]) if isinstance(payload[0], list) else 0
-        dtype, shape, what = np.float64, (dim,), f"a numeric point of dimension {dim}"
-    else:
-        dtype, shape, what = np.int64, (), "an index into the distance table"
-    with contextlib.suppress(ValueError):
-        points = frozen_array(payload, dtype)
-        if points.shape[1:] == shape:
-            return points
-    pos = next((pos for pos, item in enumerate(payload) if not _is_point(item, dtype, shape)), 0)
-    raise _fail(f"{field}[{pos}]", f"not {what}: {payload[pos]!r}")
-
-
-def _is_point(item, dtype, shape: tuple) -> bool:
-    with contextlib.suppress(ValueError):
-        return frozen_array(item, dtype).shape == shape
-    return False
-
-
 def parse_instance(payload) -> Instance:
-    """Build an Instance from a decoded JSON object, with field diagnostics.
-
-    Booleans among the numbers of a point or a matrix row are refused, by the
-    one rule of :func:`~bestprox.metric.frozen_array`.
-    """
+    """Build an Instance from a decoded JSON object.  Each field goes as
+    decoded to the library code that owns its rule, and a refusal names it."""
     if not isinstance(payload, dict):
         raise InstanceFormatError("top-level value must be an object")
     for required in ("metric", "A", "B", "T"):
         if required not in payload:
             raise _fail(required, "missing")
     metric = _parse_metric(payload["metric"])
-    a = _parse_points(metric, payload["A"], "A")
-    b = _parse_points(metric, payload["B"], "B")
     tolerances = payload.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise _fail("tolerances", "must be an object")
     try:
         return make_instance(
             metric,
-            a,
-            b,
+            payload["A"],
+            payload["B"],
             payload["T"],
             eps_prox=tolerances.get("eps_prox"),
             tol=tolerances.get("tol", DEFAULT_TOL),

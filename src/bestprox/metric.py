@@ -216,8 +216,9 @@ class Checklist:
 @dataclass(frozen=True)
 class MetricValidation(Checklist):
     """The four axiom checks.  Witness shapes: symmetry/nonnegativity ->
-    (i, j); identity -> (i,); triangle -> (i, j, k) meaning
-    d(i,j) > d(i,k) + d(k,j) (a sampled triangle names the points themselves)."""
+    (i, j); identity -> (i,) for d(i,i) != 0 and (i, j) for d(i,j) = 0 with
+    i != j; triangle -> (i, j, k) meaning d(i,j) > d(i,k) + d(k,j) (a sampled
+    triangle names the points themselves)."""
 
     exhaustive: bool
     samples: int
@@ -249,11 +250,20 @@ def validate_metric(metric: Metric, *, points: Sequence | None = None) -> Metric
     n = len(m)
     exhaustive = n <= EXHAUSTIVE_LIMIT
     triangle = _table_triangle(m) if exhaustive else _sampled_triangle(metric, np.arange(n))
+    # Identity: d(i,j) = 0 exactly when i = j, so it fails where m == 0
+    # disagrees with the diagonal.
+    off_identity = m == 0.0
+    np.fill_diagonal(off_identity, ~off_identity.diagonal())
     return MetricValidation(
         checks=(
             # The mask is symmetric, so its first hit (i, j) has i < j.
             _axiom("symmetry", _first(m != m.T), lambda i, j: f"d{(i, j)} = {m[i, j]} but d{(j, i)} = {m[j, i]}"),
-            _axiom("identity", _first(np.diagonal(m) != 0.0), lambda i: f"d({i},{i}) = {m[i, i]} != 0"),
+            _axiom(
+                "identity",
+                _first(off_identity),
+                lambda i, j: f"d({i},{i}) = {m[i, i]} != 0" if i == j else f"d{(i, j)} = {m[i, j]} between distinct points",
+                lambda i, j: (i,) if i == j else (i, j),
+            ),
             _axiom("nonnegativity", _first(m < 0.0), lambda i, j: f"d{(i, j)} = {m[i, j]} < 0"),
             triangle,
         ),

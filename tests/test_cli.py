@@ -244,6 +244,23 @@ def test_tables_failing_the_axioms_exit_2_without_traceback_or_warning(tmp_path,
         assert (res["stop_reason"], res["trace"]["indices"], res["trace"]["a_priori_bounds"]) == ("cycle-detected", [0, 1, 0], [])
 
 
+# d(0, 1) = 0 between distinct points: a pseudometric, with every other axiom
+# holding, once certified as a metric and solved with a guarantee.
+PSEUDOMETRIC_TEXT = '{"metric":{"kind":"explicit-matrix","matrix":[[0,0,1],[0,0,1],[1,1,0]]},"A":[0],"B":[1,2],"T":[0]}'
+
+
+def test_a_table_zero_between_distinct_points_fails_identity(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(PSEUDOMETRIC_TEXT)
+    code, out, _ = run(capsys, "certify", str(path), "--format", "json")
+    row = next(c for c in json.loads(out)["checks"] if c["name"] == "metric-axioms")
+    assert (code, row["passed"], row["witness"]) == (2, False, [[0, 1]])
+    assert row["detail"] == "exhaustive: identity fails: witness (0, 1); d(0, 1) = 0.0 between distinct points"
+    code, out, _ = run(capsys, "solve", str(path), "--format", "json")
+    assert code == 2
+    assert [res["guaranteed"] for res in json.loads(out)["results"].values()] == [False, False]
+
+
 def _refuse_constant(token):
     raise ValueError(f"{token} in a JSON report")
 

@@ -519,10 +519,12 @@ def test_map_refuses_entries_that_are_not_integers():
         make_instance(euclidean_metric(), [(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0), (1.0, 1.0)], [1.9, 0.2])
     # SetPair and Metric keep points and tables by the same rule; each of
     # these was once kept, a string read as its number and a boolean as 0 or 1.
+    # SetPair names the point at fault, as a file's refusal does.
     square = [[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]]
-    for build, values in (
+    for build, refusal, values in (
         (
             lambda v: SetPair(euclidean_metric(), v, [(1.0, 0.0)]),
+            r"field 'A\[\d\]': not a numeric point of dimension",
             (
                 [["1.5", True]],
                 [[1.5, True]],
@@ -535,9 +537,14 @@ def test_map_refuses_entries_that_are_not_integers():
                 [[0.0, np.array(True)], [0.0, 2.0]],
             ),
         ),
-        (lambda v: SetPair(matrix_metric(square), v, [3]), ([True, 2], [0, np.bool_(True)], [np.int64(1), True], ["0", "1"], (0, True), [0, np.array(True)])),
+        (
+            lambda v: SetPair(matrix_metric(square), v, [3]),
+            r"field 'A\[\d\]': not an index into the distance table",
+            ([True, 2], [0, np.bool_(True)], [np.int64(1), True], ["0", "1"], (0, True), [0, np.array(True)]),
+        ),
         (
             matrix_metric,
+            "entries must be",
             (
                 [["0", True], [1, 0.0]],
                 [[0.0, True], [True, 0.0]],
@@ -550,10 +557,10 @@ def test_map_refuses_entries_that_are_not_integers():
                 [[1, 0], [0, np.array(True)]],
             ),
         ),
-        (lambda v: frozen_array(v, np.int64), ([np.array(True), 1], [[np.array(False), 1]], [[[np.array(True), 1]]])),
+        (lambda v: frozen_array(v, np.int64), "entries must be", ([np.array(True), 1], [[np.array(False), 1]], [[[np.array(True), 1]]])),
     ):
         for value in values:
-            with pytest.raises(ValueError, match="entries must be"):
+            with pytest.raises(ValueError, match=refusal):
                 build(value)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -266,7 +267,7 @@ def test_mixed_dimensions_rejected():
     with pytest.raises(ValueError, match="dimension"):
         euclid_pair([(0.0, 0.0)], [(1.0, 0.0, 0.0)])
     m = matrix_metric([[float(abs(i - j)) for j in range(3)] for i in range(3)])
-    with pytest.raises(ValueError, match="matrix-space points of A must be integer indices"):
+    with pytest.raises(ValueError, match=re.escape("field 'A[0]': not an index into the distance table: [0]")):
         SetPair(m, [[0], [1]], [2])
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bestprox import instance
+from bestprox import geometry, instance
 from bestprox import (
     EUCLIDEAN,
     EXPLICIT_MATRIX,
@@ -23,6 +23,7 @@ from bestprox import (
     make_instance,
     matrix_metric,
     Metric,
+    SetPair,
     parse_instance,
     save_instance,
 )
@@ -102,30 +103,52 @@ def test_tolerance_overrides():
             inst.with_tolerances(**bad)
 
 
+# Each refusal of a point of A or B, as its message names it.  SetPair owns the
+# rule, so a file and the library refuse these alike.
+POINT_CASES = [
+    (lambda p: p.update(A=[]), "'A'"),
+    (lambda p: p.update(A=[[0, 0], ["x", 1], [0, 1]]), "A[1]"),
+    (lambda p: p.update(A=[[0, 0], [0, 0], [0, 1]]), "duplicate"),
+    (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, 1, 1]]), "dimension"),
+    (lambda p: p.update(A=[[0, 0], [0, NAN], [0, 1]]), "non-finite coordinate"),
+    (lambda p: p.update(A=[[0, 0], [0, 1e200]], B=[[1, 0], [1, 1e200]], T=[0, 1]), "coordinates of A and B"),
+    (lambda p: p.update(A=[[0, 0], [1e-200, 0], [0, 5]], B=[[1, 0], [1, 5]], T=[1, 1, 1]), "duplicate points in A"),
+    (lambda p: p.update(A=[[0, 0], [0, HUGE], [0, 1]]), "'A[1]'"),
+    (lambda p: p.update(A=[["0", "0"], ["0", "0.25"], ["0", "1"]]), "'A[0]'"),
+    (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, None]]), "'B[2]'"),
+    (lambda p: p.update(A=[[True, False], [False, True], [True, True]]), "'A[0]'"),
+    (lambda p: p.update(A=[[0, 0], [0, True], [0, 1]]), "'A[1]': not a numeric point"),
+    (lambda p: p.update(B=[[1, 0], [1, 0.25], [False, 1]]), "'B[2]': not a numeric point"),
+    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, A=[0, 5], T=[0, 0]), "index 5 in A[1] out of range"),
+    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[1, -1]), "index -1 in B[1] out of range"),
+    (lambda p: p.update(A=[5, 6]), "field 'A[0]': not a coordinate vector: 5"),
+    (lambda p: p.update(A=[[], [1], [0, 1]]), "points of A must be coordinate vectors of dimension >= 1"),
+    (lambda p: p.update(B=[[[1, 0]], [[1, 1]], [[1, 2]]]), "field 'B[0]': not a numeric point of dimension 1: [[1, 0]]"),
+    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, A=[[0]]), "field 'A[0]': not an index into the distance table: [0]"),
+    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[True]), "field 'B[0]': not an index into the distance table: True"),
+    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[1.0]), "field 'B[0]': not an index into the distance table: 1.0"),
+    (lambda p: p.update(B={"0": [1, 0]}), "field 'B': must be a nonempty array of points"),
+]
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
-    [
+    POINT_CASES
+    + [
         (lambda p: p.pop("T"), "'T'"),
         (lambda p: p.update(T=[0, 0]), "total"),
         (lambda p: p.update(T=[0, 0, 9]), "outside B"),
         (lambda p: p.update(T=[0, 0, "x"]), "'T'"),
         (lambda p: p.update(metric={"kind": "weird"}), "metric.kind"),
         (lambda p: p.update(metric={"kind": "explicit-matrix", "matrix": [[0, 1]]}), "metric.matrix"),
-        (lambda p: p.update(A=[]), "'A'"),
-        (lambda p: p.update(A=[[0, 0], ["x", 1], [0, 1]]), "A[1]"),
-        (lambda p: p.update(A=[[0, 0], [0, 0], [0, 1]]), "duplicate"),
         (lambda p: p.update(tolerances={"eps_prox": -1.0}), "eps_prox"),
         (lambda p: p.update(tolerances={"tol": 0.0}), "tol"),
         (lambda p: p.update(alpha=-0.5), "alpha"),
-        (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, 1, 1]]), "dimension"),
-        (lambda p: p.update(A=[[0, 0], [0, NAN], [0, 1]]), "non-finite coordinate"),
         (lambda p: p.update(tolerances={"tol": True}), "tolerances.tol"),
         (lambda p: p.update(tolerances={"eps_prox": False}), "tolerances.eps_prox"),
         (lambda p: p.update(tolerances={"tol": NAN}), "finite number > 0"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, NAN], [NAN, 0]]}), "'metric.matrix': non-finite"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [INF, 0]]}), "'metric.matrix': non-finite"),
-        (lambda p: p.update(A=[[0, 0], [0, 1e200]], B=[[1, 0], [1, 1e200]], T=[0, 1]), "coordinates of A and B"),
-        (lambda p: p.update(A=[[0, 0], [1e-200, 0], [0, 5]], B=[[1, 0], [1, 5]], T=[1, 1, 1]), "duplicate points in A"),
         (lambda p: p.update(tolerances={"tol": HUGE}), "'tolerances.tol': integer too large"),
         (lambda p: p.update(tolerances={"eps_prox": HUGE}), "'tolerances.eps_prox': integer too large"),
         (lambda p: p.update(tolerances={"tol": None}), "'tolerances.tol': must be a number"),
@@ -134,20 +157,12 @@ def test_tolerance_overrides():
         (lambda p: p.update(alpha=NAN), "'alpha': must be a finite"),
         (lambda p: p.update(alpha=True), "'alpha': must be a number"),
         (lambda p: p.update(alpha="0.5"), "'alpha': must be a number"),
-        (lambda p: p.update(A=[[0, 0], [0, HUGE], [0, 1]]), "'A[1]'"),
-        (lambda p: p.update(A=[["0", "0"], ["0", "0.25"], ["0", "1"]]), "'A[0]'"),
-        (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, None]]), "'B[2]'"),
-        (lambda p: p.update(A=[[True, False], [False, True], [True, True]]), "'A[0]'"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, HUGE], [HUGE, 0]]}), "'metric.matrix'"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, "1"], ["1", 0]]}), "'metric.matrix'"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, None], [None, 0]]}), "'metric.matrix'"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1]]}), "'metric.matrix'"),
-        (lambda p: p.update(A=[[0, 0], [0, True], [0, 1]]), "'A[1]': not a numeric point"),
-        (lambda p: p.update(B=[[1, 0], [1, 0.25], [False, 1]]), "'B[2]': not a numeric point"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, True], [True, 0]]}), "'metric.matrix': must be rows"),
         (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 0.5], [False, 0]]}), "'metric.matrix': must be rows"),
-        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, A=[0, 5], T=[0, 0]), "index 5 in A[1] out of range"),
-        (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[1, -1]), "index -1 in B[1] out of range"),
     ],
 )
 def test_parse_errors_name_the_field(mutate, fragment):
@@ -156,6 +171,23 @@ def test_parse_errors_name_the_field(mutate, fragment):
     with pytest.raises(InstanceFormatError) as exc:
         parse_instance(payload)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("mutate, fragment", POINT_CASES)
+def test_library_refuses_each_point_with_the_files_message(mutate, fragment):
+    payload = json.loads(GEOMETRIC_TEXT)
+    mutate(payload)
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(payload)
+    message = str(exc.value)
+    metric = Metric(payload["metric"]["kind"], payload["metric"].get("matrix"))
+    for refuse in (
+        lambda: make_instance(metric, payload["A"], payload["B"], payload["T"]),
+        lambda: SetPair(metric, payload["A"], payload["B"]),
+    ):
+        with pytest.raises(ValueError) as exc:
+            refuse()
+        assert str(exc.value) == message
 
 
 def test_booleans_in_rows_are_refused_when_loaded(tmp_path):
@@ -191,19 +223,23 @@ def test_loaded_matrix_is_the_parsers_read_only_array(tmp_path):
 
 
 def test_loaded_coordinates_are_the_parsers_read_only_arrays(tmp_path):
+    # The parser hands A and B to SetPair as decoded, and SetPair converts
+    # each once, into the array it keeps.
     path = tmp_path / "inst.json"
     path.write_text(GEOMETRIC_TEXT)  # integer coordinates, parsed as float64
-    handed = []
-    real = instance.SetPair
+    converted = []
+    real = geometry.frozen_array
 
-    def spy(metric, a, b):
-        handed.append((a, b))
-        return real(metric, a, b)
+    def spy(value, dtype):
+        converted.append((value, real(value, dtype)))
+        return converted[-1][1]
 
-    with mock.patch.object(instance, "SetPair", spy):
+    with mock.patch.object(geometry, "frozen_array", spy):
         inst = load_instance(path)
-    for kept, parsed in zip((inst.pair.a, inst.pair.b), handed[-1]):
-        assert kept is parsed  # kept without a copy
+    decoded = json.loads(GEOMETRIC_TEXT)
+    assert [value for value, _ in converted] == [decoded["A"], decoded["B"]]  # each set once
+    for kept, (_, made) in zip((inst.pair.a, inst.pair.b), converted):
+        assert kept is made  # kept without a copy
         assert kept.dtype == np.float64 and kept.base is None
         assert kept.flags.writeable is False
 

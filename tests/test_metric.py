@@ -137,6 +137,22 @@ def test_validate_flags_nonzero_diagonal(n, i):
     assert row.detail == f"d({i},{i}) = 1.0 != 0"
 
 
+@pytest.mark.parametrize("n, i, j", [(3, 0, 1), (LARGE, 12, 190)])
+def test_validate_flags_zero_between_distinct_points(n, i, j):
+    # The line with j moved onto i: a pseudometric, so every other axiom
+    # holds, but d(i,j) = 0 with i != j.
+    table = line_table(n)
+    row = table[i].copy()
+    row[j] = 0.0
+    table[i] = table[j] = row
+    table[:, i] = table[:, j] = row
+    report = validate_metric(matrix_metric(table))
+    assert [c.name for c in report.failures] == ["identity"]
+    row = report.check("identity")
+    assert row.witness == (i, j)
+    assert row.detail == f"d({i}, {j}) = 0.0 between distinct points"
+
+
 @pytest.mark.parametrize("n, i, j", [(2, 0, 1), (LARGE, 12, 190)])
 def test_validate_flags_negative_entry(n, i, j):
     table = line_table(n)
