@@ -3,7 +3,7 @@
 Commands: solve, certify, oracle, generate.  Exit codes are a contract:
 
 * 0 -- success (verified convergence for solve, all hypotheses green for certify)
-* 1 -- parse or usage error, or stdout closed before the report was written
+* 1 -- parse or usage error, out of memory, or stdout closed before the report was written
 * 2 -- a theorem hypothesis is violated (the report names it, with witnesses)
 * 3 -- no verified convergence (budget exhausted, cycle, trace mismatch, or a failed check)
 """
@@ -252,8 +252,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, InstanceFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (_UsageError, InstanceFormatError, MemoryError) as err:
+        # numpy's MemoryError names the allocation it could not make.
+        print(f"error: {'out of memory: ' if isinstance(err, MemoryError) else ''}{err}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -52,7 +52,7 @@ class DuplicatePointError(ValueError):
     def __init__(self, side: str, i: int, j: int):
         self.side = side
         self.indices = (i, j)
-        super().__init__(f"duplicate points in {side}: positions {i} and {j} are at distance 0")
+        super().__init__(f"field '{side}[{j}]': duplicate of {side}[{i}], at distance 0")
 
 
 def default_eps_prox(metric: Metric) -> float:
@@ -71,7 +71,9 @@ class SetPair:
     Construction checks shape, finiteness and index range on the
     whole array, rejects coordinates so far apart that a distance could
     overflow, and rejects duplicates within either set, that is two points at
-    distance 0 (silent dedup would change |A0| behind the user's back).
+    distance 0 (silent dedup would change |A0| behind the user's back).  B's
+    points must have the dimension of A's.  A point of A at distance 0 from a
+    distinct point of B fails the metric check's identity instead.
     """
 
     metric: Metric
@@ -80,33 +82,32 @@ class SetPair:
 
     def __post_init__(self) -> None:
         a = _point_array(self.metric, self.a, "A")
-        b = _point_array(self.metric, self.b, "B")
-        if a.shape[1:] != b.shape[1:]:
-            raise ValueError(f"points of mixed dimensions: {sorted([a.shape[1], b.shape[1]])}")
+        b = _point_array(self.metric, self.b, "B", a.shape[1:])
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if self.metric.kind == EUCLIDEAN:
             # The kernel's bounding-box diagonal bounds every distance it can
             # compute between these points, so a finite one rules out overflow.
-            pts = np.concatenate([a, b])
+            lo, hi = np.minimum(a.min(0), b.min(0)), np.maximum(a.max(0), b.max(0))
             with np.errstate(over="ignore"):
-                diagonal = paired_distances(self.metric, pts.min(0)[None], pts.max(0)[None])
+                diagonal = paired_distances(self.metric, lo[None], hi[None])
             if not np.isfinite(diagonal[0]):
                 raise ValueError("coordinates of A and B too far apart: their bounding-box diagonal overflows")
         _reject_duplicates(self.metric, a, "A")
         _reject_duplicates(self.metric, b, "B")
 
 
-def _point_array(metric: Metric, pts, side: str) -> np.ndarray:
+def _point_array(metric: Metric, pts, side: str, like: tuple = ()) -> np.ndarray:
     """``pts``, any sequence or array, as the read-only points of ``side``,
-    converted once; a refusal names the point at fault as a file's would."""
+    converted once; a refusal names the point at fault as a file's would.
+    Coordinates have the dimension of ``like``, a point's shape, if given,
+    else that of ``pts[0]``, which must be at least 1."""
     if not _is_array(pts) or not len(pts):
         raise ValueError(f"field '{side}': must be a nonempty array of points")
     if metric.kind == EUCLIDEAN:
-        dim = len(pts[0]) if _is_array(pts[0]) else None
-        if dim == 0:
-            raise ValueError(f"points of {side} must be coordinate vectors of dimension >= 1")
-        dtype, shape, what = np.float64, (dim,), f"a numeric point of dimension {dim}" if dim else "a coordinate vector"
+        dim = like[0] if like else len(pts[0]) if _is_array(pts[0]) else 0
+        # No point has the shape (None,), so without a dimension pts[0] is refused.
+        dtype, shape, what = np.float64, (dim or None,), f"a numeric point of dimension {dim}" if dim else "a coordinate vector of dimension >= 1"
     else:
         dtype, shape, what = np.int64, (), "an index into the distance table"
     arr = _converted(pts, dtype)
@@ -116,11 +117,11 @@ def _point_array(metric: Metric, pts, side: str) -> np.ndarray:
     if metric.kind == EUCLIDEAN:
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if len(bad):
-            raise ValueError(f"non-finite coordinate in {side}[{bad[0]}]")
+            raise ValueError(f"field '{side}[{bad[0]}]': non-finite coordinate")
     else:
         bad = np.flatnonzero((arr < 0) | (arr >= len(metric.matrix)))
         if len(bad):
-            raise ValueError(f"index {arr[bad[0]]} in {side}[{bad[0]}] out of range for {len(metric.matrix)}-point space")
+            raise ValueError(f"field '{side}[{bad[0]}]': index {arr[bad[0]]} out of range for {len(metric.matrix)}-point space")
     return arr
 
 

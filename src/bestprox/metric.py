@@ -25,28 +25,33 @@ import contextlib
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .geometry import PairGeometry
 
 EUCLIDEAN = "euclidean"
 EXPLICIT_MATRIX = "explicit-matrix"
 
-#: A point is either a coordinate vector (euclidean spaces) or a non-negative
-#: index into the distance table (explicit-matrix spaces).
-Point = tuple[float, ...] | int
-
 # The triangle of a table up to this many points is checked on every triple;
-# that of a larger table or a coordinate space on SAMPLES triples, drawn by
-# ``random.Random(0)`` so every report names the same ones.  A table's other
-# three axioms are checked on every entry at any size.
+# that of a larger table on SAMPLES triples, drawn by ``random.Random(0)`` so
+# every report names the same ones.  A table's other three axioms are checked
+# on every entry at any size.  Coordinates are never sampled.
 EXHAUSTIVE_LIMIT = 200
 SAMPLES = 1000
 
-# Slack for a triangle check on coordinate spaces (the sampled axiom and the
-# orbit row of ``engine.verify_result``), relative to the right-hand side
-# d(p,q) + d(q,r) once that exceeds 1 (rounding grows with magnitude),
-# absolute below.  Matrix tables are checked exactly.
+# How MetricValidation.triangle_by says the triangle was decided: on every
+# triple of a table, on SAMPLES triples of a larger one, or, on coordinates,
+# by the kernel's construction.
+EXHAUSTIVE, SAMPLED, KERNEL = "exhaustive", "sampled", "kernel"
+
+# Slack for a triangle check on coordinates, the orbit row of
+# ``engine.verify_result``, relative to the right-hand side d(p,q) + d(q,r)
+# once that exceeds 1 (rounding grows with magnitude), absolute below.  The
+# kernel's own relative error is about (d + 2) * 2**-53 on d axes (Higham's
+# gamma bound), far inside it.  Matrix tables are checked exactly.
 TRIANGLE_SLACK = 1e-9
 
 
@@ -121,12 +126,6 @@ def euclidean_metric() -> Metric:
 
 def matrix_metric(matrix: Sequence[Sequence[float]]) -> Metric:
     return Metric(EXPLICIT_MATRIX, matrix)
-
-
-def as_point(p) -> Point:
-    """A point as a plain Python value: a tuple of floats or an int index."""
-    value = np.asarray(p).tolist()
-    return tuple(value) if isinstance(value, list) else value
 
 
 def _euclidean(ps, qs, cross: bool) -> np.ndarray:
@@ -215,41 +214,38 @@ class Checklist:
 
 @dataclass(frozen=True)
 class MetricValidation(Checklist):
-    """The four axiom checks.  Witness shapes: symmetry/nonnegativity ->
-    (i, j); identity -> (i,) for d(i,i) != 0 and (i, j) for d(i,j) = 0 with
-    i != j; triangle -> (i, j, k) meaning d(i,j) > d(i,k) + d(k,j) (a sampled
-    triangle names the points themselves)."""
+    """The four axiom checks, and how the triangle was decided.  Witness
+    shapes: symmetry/nonnegativity -> (i, j); identity -> (i,) for d(i,i) != 0
+    and (i, j) for d(i,j) = 0 with i != j, (A-index, B-index) on coordinates;
+    triangle -> (i, j, k) meaning d(i,j) > d(i,k) + d(k,j)."""
 
-    exhaustive: bool
-    samples: int
+    triangle_by: str
 
 
-def validate_metric(metric: Metric, *, points: Sequence | None = None) -> MetricValidation:
-    """Check symmetry, identity, nonnegativity and the triangle inequality,
-    each by one implementation per space kind.  Failure is a report outcome,
-    never an exception.
+def validate_metric(metric: Metric, geom: PairGeometry | None = None) -> MetricValidation:
+    """Check symmetry, identity, nonnegativity and the triangle inequality.
+    Failure is a report outcome, never an exception.
 
     On an explicit matrix the first three are read off every entry, at any
     size; the triangle is checked exactly on every triple up to
     ``EXHAUSTIVE_LIMIT`` points, else on ``SAMPLES`` triples drawn by
     ``random.Random(0)``.  Witnesses are the first violations in row-major
-    order, or in draw order for sampled triples.  On a coordinate space the one kernel makes the first three hold
-    bit for bit (a negated difference squares alike, the sum runs in one axis
-    order, sqrt(0) = 0 and sqrt >= 0), so only the triangle is checked, on
-    ``SAMPLES`` seed-0 triples of ``points``, a nonempty finite pool, with
-    ``TRIANGLE_SLACK * max(1, d(p,q) + d(q,r))`` rounding slack per triple.
-    A table's check ignores ``points``.
+    order, or in draw order for sampled triples.  A table ignores ``geom``.
+
+    On a coordinate space the kernel gives symmetry and nonnegativity bit for
+    bit and the triangle within ``TRIANGLE_SLACK``, so nothing is sampled.
+    Identity fails where a difference squares to 0 between distinct points,
+    which SetPair refuses within A and within B, so it is checked across
+    them, on ``geom``, the instance's pair geometry.
     """
     if metric.kind == EUCLIDEAN:
-        pool = np.asarray([] if points is None else points, dtype=float)
-        if not len(pool) or not np.isfinite(pool).all():
-            raise ValueError("a coordinate space is validated on a nonempty pool of finite points")
-        held = tuple(Check(name, True) for name in ("symmetry", "identity", "nonnegativity"))
-        return MetricValidation(checks=(*held, _sampled_triangle(metric, pool)), exhaustive=False, samples=SAMPLES)
+        if geom is None:
+            raise ValueError("a coordinate space is validated on its instance's pair geometry")
+        symmetry, nonnegativity, triangle = (Check(name, True) for name in ("symmetry", "nonnegativity", "triangle"))
+        return MetricValidation(checks=(symmetry, _cross_identity(metric, geom), nonnegativity, triangle), triangle_by=KERNEL)
     m = metric.matrix
-    n = len(m)
-    exhaustive = n <= EXHAUSTIVE_LIMIT
-    triangle = _table_triangle(m) if exhaustive else _sampled_triangle(metric, np.arange(n))
+    triangle_by = EXHAUSTIVE if len(m) <= EXHAUSTIVE_LIMIT else SAMPLED
+    triangle = _table_triangle(m) if triangle_by == EXHAUSTIVE else _sampled_triangle(metric, len(m))
     # Identity: d(i,j) = 0 exactly when i = j, so it fails where m == 0
     # disagrees with the diagonal.
     off_identity = m == 0.0
@@ -267,8 +263,23 @@ def validate_metric(metric: Metric, *, points: Sequence | None = None) -> Metric
             _axiom("nonnegativity", _first(m < 0.0), lambda i, j: f"d{(i, j)} = {m[i, j]} < 0"),
             triangle,
         ),
-        exhaustive=exhaustive,
-        samples=n * n * n if exhaustive else SAMPLES,
+        triangle_by=triangle_by,
+    )
+
+
+def _cross_identity(metric: Metric, geom: PairGeometry) -> Check:
+    """Identity across A and B: the first proximal pair, in the partners'
+    order, at distance 0 whose coordinates differ as floats (-0.0 equals 0.0).
+    Only at d(A,B) = 0.0 is there one, and then every zero is a proximal pair."""
+    if geom.pair_distance != 0.0:
+        return Check("identity", True)
+    a_idx, b_idx = geom.partners, np.repeat(np.arange(len(geom.pair.b)), np.diff(geom.offsets))
+    p, q = geom.pair.a[a_idx], geom.pair.b[b_idx]
+    return _axiom(
+        "identity",
+        _first((paired_distances(metric, p, q) == 0.0) & (p != q).any(axis=1)),
+        lambda s: f"d(A[{a_idx[s]}], B[{b_idx[s]}]) = 0.0 between distinct points",
+        lambda s: (int(a_idx[s]), int(b_idx[s])),
     )
 
 
@@ -314,19 +325,17 @@ def triangle_violation(metric: Metric, dpr: np.ndarray, dpq: np.ndarray, dqr: np
         return _first(dpr > bound + slack)
 
 
-def _sampled_triangle(metric: Metric, pool: np.ndarray) -> Check:
-    """The triangle on ``SAMPLES`` triples (p, q, r) of ``pool``; the witness
-    is the first violating sample's points (p, r, q)."""
+def _sampled_triangle(metric: Metric, n: int) -> Check:
+    """The triangle on ``SAMPLES`` triples (p, q, r) of a table's n points;
+    the witness is the first violating sample's (p, r, q)."""
     # Triples are drawn in the order a sample-by-sample scan draws them, so
     # seed 0 names the same triples; they are then evaluated in one batch.
     rng = random.Random(0)
-    positions = range(len(pool))
-    drawn = np.array([rng.choice(positions) for _ in range(3 * SAMPLES)]).reshape(SAMPLES, 3)
-    p, q, r = pool[drawn[:, 0]], pool[drawn[:, 1]], pool[drawn[:, 2]]
+    p, q, r = np.array([rng.choice(range(n)) for _ in range(3 * SAMPLES)]).reshape(SAMPLES, 3).T
     dpq, dpr, dqr = (paired_distances(metric, x, y) for x, y in ((p, q), (p, r), (q, r)))
     return _axiom(
         "triangle",
         triangle_violation(metric, dpr, dpq, dqr),
         lambda s: f"d(p,r) = {dpr[s]} > {dpq[s]} + {dqr[s]} via q",
-        lambda s: (as_point(p[s]), as_point(r[s]), as_point(q[s])),
+        lambda s: (int(p[s]), int(r[s]), int(q[s])),
     )

@@ -10,11 +10,12 @@ import warnings
 from pathlib import Path
 
 import bestprox
+import numpy as np
 import pytest
 from conftest import tie_heavy_case
 
 from bestprox import EXPLICIT_MATRIX, GeneratorConfig, dumps_instance, generate_instance, load_instance, make_instance, save_instance
-from bestprox import assess_instance, euclidean_metric
+from bestprox import assess_instance, certify_contraction, classify_partners, euclidean_metric, proximal_subsets
 from bestprox.cli import _emit, main
 from bestprox.report import assessment_payload, render_text
 
@@ -249,6 +250,85 @@ def test_tables_failing_the_axioms_exit_2_without_traceback_or_warning(tmp_path,
 PSEUDOMETRIC_TEXT = '{"metric":{"kind":"explicit-matrix","matrix":[[0,0,1],[0,0,1],[1,1,0]]},"A":[0],"B":[1,2],"T":[0]}'
 
 
+def test_coordinates_at_distance_0_across_a_and_b_fail_identity(tmp_path, capsys):
+    # (1e-200)**2 underflows to 0, so the kernel puts A[0] and B[0], two
+    # distinct points, at distance 0: d(A,B) = 0.0, once solved as a metric
+    # with exit 0.
+    path = tmp_path / "inst.json"
+    path.write_text('{"metric":{"kind":"euclidean"},"A":[[0,0],[0,3]],"B":[[1e-200,0],[2,3]],"T":[0,0]}')
+    for command in ("certify", "solve"):
+        code, out, _ = run(capsys, command, str(path), "--format", "json")
+        doc = json.loads(out)
+        row = next(c for c in doc["checks"] if c["name"] == "metric-axioms")
+        assert (code, doc["pair_distance"], row["passed"], row["witness"]) == (2, 0.0, False, [[0, 0]]), command
+        assert row["detail"] == "kernel: identity fails: witness (0, 0); d(A[0], B[0]) = 0.0 between distinct points"
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["metric-axioms"]
+
+
+def test_the_checklist_holds_no_copy_of_a_or_b(monkeypatch):
+    # With its scans precomputed, assess_instance on flat 16000 peaked at
+    # 646 KiB (41 bytes a point) while the metric row sampled a pool of A and
+    # B copied into one array, and at 144 KiB (9 bytes a point, mostly the
+    # count of partners of A0) without it.
+    n = 16000
+    inst = make_instance(euclidean_metric(), [(0.0, k) for k in range(n)], [(1.0, k) for k in range(n)], [0] * n)
+    geom = proximal_subsets(inst.pair, inst.eps_prox)
+    s_map = classify_partners(geom, inst.t_map)
+    cert = certify_contraction(s_map)
+    monkeypatch.setattr(bestprox.report, "proximal_subsets", lambda *_: geom)
+    monkeypatch.setattr(bestprox.report, "classify_partners", lambda *_: s_map)
+    monkeypatch.setattr(bestprox.report, "certify_contraction", lambda *_, **__: cert)
+    tracemalloc.start()
+    try:
+        assessment = assess_instance(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert assessment.passed
+    assert peak < 16 * n, peak / n
+
+
+class _Starved:
+    """numpy for one module of the package, whose ``name`` raises
+    MemoryError, as an allocation numpy cannot make does."""
+
+    def __init__(self, name, message):
+        self.name, self.message = name, message
+
+    def __getattr__(self, attr):
+        if attr != self.name:
+            return getattr(np, attr)
+
+        def refuse(shape, *args, **kwargs):
+            raise MemoryError(self.message.format(shape=shape))
+
+        return refuse
+
+
+NUMPY_NO_ROOM = "Unable to allocate an array with shape {shape} and data type float64"
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        ("oracle", "zeros", ["generate", "out.json", "--kind", "explicit-matrix", "--decoys", "20"]),
+        ("instance", "empty", ["certify", "table.json"]),
+    ],
+)
+@pytest.mark.parametrize("message", [NUMPY_NO_ROOM, ""], ids=["numpy", "bare"])
+def test_out_of_memory_exits_1_with_one_line(module, name, argv, message, tmp_path, monkeypatch, capsys):
+    # The generator's table and a loaded table are the allocations a command
+    # line can make any size; neither is made for real here.
+    monkeypatch.chdir(tmp_path)
+    Path("table.json").write_text(TRIANGLE_TEXT)
+    monkeypatch.setattr(getattr(bestprox, module), "np", _Starved(name, message))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    assert ("with shape (" in err) == bool(message)
+    assert not Path("out.json").exists()
+
+
 def test_a_table_zero_between_distinct_points_fails_identity(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(PSEUDOMETRIC_TEXT)
@@ -320,7 +400,7 @@ def test_malformed_file_exits_1(tmp_path, capsys):
     bad.write_text('{"metric": {"kind": "euclidean"}, "A": [[0, 0], [1e-200, 0], [0, 5]], "B": [[1, 0], [1, 5]], "T": [1, 1, 1]}')
     code, _, err = run(capsys, "certify", str(bad), "--format", "json")
     assert code == 1
-    assert "duplicate points in A" in err
+    assert "error: field 'A[1]': duplicate of A[0], at distance 0\n" == err
 
     huge = "1" + "0" * 400  # a JSON integer no float can hold
     euclid = '{"metric": {"kind": "euclidean"}, "A": %s, "B": [[1, 0], [1, 1]], "T": [0, 1]%s}'
@@ -339,6 +419,10 @@ def test_malformed_file_exits_1(tmp_path, capsys):
         (matrix % "[[0, true], [true, 0]]", "metric.matrix"),
         (matrix % "[[0, 1.5], [false, 0]]", "metric.matrix"),
         ('{"metric": {"kind": [[0, 1], [1, 0]]}, "A": [0], "B": [1], "T": [0]}', "metric.kind"),
+        ('{"metric": {"kind": "euclidean"}, "A": [[], []], "B": [[1, 0]], "T": [0, 0]}', "A[0]"),
+        ('{"metric": {"kind": "euclidean"}, "A": [[0, 0], [0, NaN]], "B": [[1, 0]], "T": [0, 0]}', "A[1]"),
+        ('{"metric": {"kind": "euclidean"}, "A": [[0, 0]], "B": [[1, 0, 0]], "T": [0]}', "B[0]"),
+        ('{"metric": {"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, "A": [0, 5], "B": [1], "T": [0, 0]}', "A[1]"),
     ):
         bad.write_text(text)
         code, _, err = run(capsys, "certify", str(bad))
@@ -348,7 +432,6 @@ def test_malformed_file_exits_1(tmp_path, capsys):
 
     # Refusals that name no field.
     for text, problem in (
-        ('{"metric": {"kind": "euclidean"}, "A": [[], []], "B": [[1, 0]], "T": [0, 0]}', "points of A must be coordinate vectors of dimension >= 1"),
         ("[1, 2]", "top-level value must be an object"),
         (euclid % ("[[0, 0], [0, 1]]", ', "tolerances": 5'), "field 'tolerances': must be an object"),
     ):

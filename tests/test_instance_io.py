@@ -110,20 +110,24 @@ POINT_CASES = [
     (lambda p: p.update(A=[[0, 0], ["x", 1], [0, 1]]), "A[1]"),
     (lambda p: p.update(A=[[0, 0], [0, 0], [0, 1]]), "duplicate"),
     (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, 1, 1]]), "dimension"),
-    (lambda p: p.update(A=[[0, 0], [0, NAN], [0, 1]]), "non-finite coordinate"),
+    (lambda p: p.update(A=[[0, 0], [0, NAN], [0, 1]]), "field 'A[1]': non-finite coordinate"),
     (lambda p: p.update(A=[[0, 0], [0, 1e200]], B=[[1, 0], [1, 1e200]], T=[0, 1]), "coordinates of A and B"),
-    (lambda p: p.update(A=[[0, 0], [1e-200, 0], [0, 5]], B=[[1, 0], [1, 5]], T=[1, 1, 1]), "duplicate points in A"),
+    (lambda p: p.update(A=[[0, 0], [1e-200, 0], [0, 5]], B=[[1, 0], [1, 5]], T=[1, 1, 1]), "field 'A[1]': duplicate of A[0], at distance 0"),
+    (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, -0.0], [1, 0]]), "field 'B[2]': duplicate of B[0], at distance 0"),
     (lambda p: p.update(A=[[0, 0], [0, HUGE], [0, 1]]), "'A[1]'"),
     (lambda p: p.update(A=[["0", "0"], ["0", "0.25"], ["0", "1"]]), "'A[0]'"),
     (lambda p: p.update(B=[[1, 0], [1, 0.25], [1, None]]), "'B[2]'"),
     (lambda p: p.update(A=[[True, False], [False, True], [True, True]]), "'A[0]'"),
     (lambda p: p.update(A=[[0, 0], [0, True], [0, 1]]), "'A[1]': not a numeric point"),
     (lambda p: p.update(B=[[1, 0], [1, 0.25], [False, 1]]), "'B[2]': not a numeric point"),
-    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, A=[0, 5], T=[0, 0]), "index 5 in A[1] out of range"),
-    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[1, -1]), "index -1 in B[1] out of range"),
-    (lambda p: p.update(A=[5, 6]), "field 'A[0]': not a coordinate vector: 5"),
-    (lambda p: p.update(A=[[], [1], [0, 1]]), "points of A must be coordinate vectors of dimension >= 1"),
-    (lambda p: p.update(B=[[[1, 0]], [[1, 1]], [[1, 2]]]), "field 'B[0]': not a numeric point of dimension 1: [[1, 0]]"),
+    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, A=[0, 5], T=[0, 0]), "field 'A[1]': index 5 out of range for 2-point space"),
+    (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[1, -1]), "field 'B[1]': index -1 out of range for 2-point space"),
+    (lambda p: p.update(A=[5, 6]), "field 'A[0]': not a coordinate vector of dimension >= 1: 5"),
+    (lambda p: p.update(A=[[], [1], [0, 1]]), "field 'A[0]': not a coordinate vector of dimension >= 1: []"),
+    (lambda p: p.update(B=[[[1, 0]], [[1, 1]], [[1, 2]]]), "field 'B[0]': not a numeric point of dimension 2: [[1, 0]]"),
+    # B's points are judged against A's dimension, even when they agree among themselves.
+    (lambda p: p.update(B=[[1, 0, 0], [1, 0.25, 0], [1, 1, 0]]), "field 'B[0]': not a numeric point of dimension 2: [1, 0, 0]"),
+    (lambda p: p.update(B=[[], [], []]), "field 'B[0]': not a numeric point of dimension 2: []"),
     (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, A=[[0]]), "field 'A[0]': not an index into the distance table: [0]"),
     (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[True]), "field 'B[0]': not an index into the distance table: True"),
     (lambda p: p.update(MATRIX, metric={"kind": "explicit-matrix", "matrix": [[0, 1], [1, 0]]}, B=[1.0]), "field 'B[0]': not an index into the distance table: 1.0"),

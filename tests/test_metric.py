@@ -16,17 +16,11 @@ from bestprox import (
     matrix_metric,
     paired_distances,
     pairwise_distances,
+    proximal_subsets,
     validate_metric,
 )
-from bestprox.metric import EXHAUSTIVE_LIMIT
-
-
-def synthetic_pool(size, dimension, seed=0):
-    """Reference sample pool for a coordinate space: seeded uniform points."""
-    rng = random.Random(seed)
-    count = max(3, min(size, 64))
-    draws = [rng.uniform(-100.0, 100.0) for _ in range(count * dimension)]
-    return np.array(draws).reshape(count, dimension)
+from bestprox.geometry import SetPair
+from bestprox.metric import EXHAUSTIVE, EXHAUSTIVE_LIMIT, KERNEL, SAMPLED, SAMPLES, TRIANGLE_SLACK, triangle_violation
 
 
 def test_distance_identity():
@@ -72,7 +66,7 @@ def test_metric_kind_checked():
 def test_validate_two_point_metric_passes():
     report = validate_metric(matrix_metric([[0.0, 1.0], [1.0, 0.0]]))
     assert report.passed
-    assert report.exhaustive
+    assert report.triangle_by == EXHAUSTIVE
 
 
 def line_table(n):
@@ -93,7 +87,7 @@ def test_validate_flags_asymmetry(n, i, j):
     table[j, i] += 1.0
     report = validate_metric(matrix_metric(table))
     assert not report.passed
-    assert report.exhaustive == (n <= EXHAUSTIVE_LIMIT)
+    assert report.triangle_by == (EXHAUSTIVE if n <= EXHAUSTIVE_LIMIT else SAMPLED)
     row = report.check("symmetry")
     assert not row.passed
     assert row.witness == (i, j)
@@ -168,60 +162,105 @@ def test_validate_large_matrix_is_sampled():
     table = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
     report = validate_metric(matrix_metric(table))
     assert report.passed
-    assert not report.exhaustive
-    assert report.samples == 1000
+    assert report.triangle_by == SAMPLED
+    assert validate_metric(matrix_metric(table)) == report  # seed 0: the same triples every time
 
 
-def test_validate_euclidean_sampled():
-    pool = synthetic_pool(200, dimension=3)
-    report = validate_metric(euclidean_metric(), points=pool)
-    assert report.passed
-    assert not report.exhaustive
+def test_sampled_table_triangle_names_the_first_violating_draw():
+    # The line on LARGE points with one pair pushed apart.  The draws are
+    # replayed here, p, q, r each by random.Random(0).choice(range(n)), and
+    # scanned one by one: the first that breaks the triangle is the witness,
+    # as (p, r, q).
+    rng = random.Random(0)
+    draws = [tuple(rng.choice(range(LARGE)) for _ in "pqr") for _ in range(SAMPLES)]
+    table = line_table(LARGE)
+    i, _, k = draws[SAMPLES // 2]
+    table[i, k] = table[k, i] = 3.0 * LARGE
+    first = next((p, r, q) for p, q, r in draws if table[p, r] > table[p, q] + table[q, r])
+    row = validate_metric(matrix_metric(table)).check("triangle")
+    assert (row.passed, row.witness) == (False, first)
+    assert all(type(i) is int for i in row.witness)
 
 
-def test_validate_euclidean_needs_a_pool():
-    for pool in (None, [], [(0.0, 1.0), (float("nan"), 0.0)], [(float("inf"), 0.0)]):
-        with pytest.raises(ValueError, match="pool"):
-            validate_metric(euclidean_metric(), points=pool)
+def pair_geometry(a, b):
+    """The pair geometry of coordinate sets ``a`` and ``b``."""
+    return proximal_subsets(SetPair(euclidean_metric(), a, b))
 
 
-def test_validate_euclidean_with_point_pool():
-    pool = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]
-    report = validate_metric(euclidean_metric(), points=pool)
-    assert report.passed
+def test_validate_euclidean_rests_on_the_kernel():
+    # d(A,B) = 1 > 0: no pair of A and B is at distance 0, so nothing is
+    # sampled or scanned, and every axiom holds.
+    geom = pair_geometry([(0.0, 0.0), (0.0, 1.0)], [(1.0, 0.0), (1.0, 5.0)])
+    report = validate_metric(euclidean_metric(), geom)
+    assert [(c.name, c.passed) for c in report.checks] == [(name, True) for name in ("symmetry", "identity", "nonnegativity", "triangle")]
+    assert report.triangle_by == KERNEL
+    with pytest.raises(ValueError, match="pair geometry"):
+        validate_metric(euclidean_metric())
 
 
-def test_validate_reports_are_reproducible():
-    pool = synthetic_pool(64, dimension=2, seed=5)
-    a = validate_metric(euclidean_metric(), points=pool)
-    b = validate_metric(euclidean_metric(), points=pool.copy())
-    assert a == b
+@pytest.mark.parametrize(
+    "a, b, witness",
+    [
+        # (1e-200)**2 underflows to 0: A[0] and B[0] differ, at distance 0.
+        ([(0.0, 0.0), (0.0, 3.0)], [(1e-200, 0.0), (2.0, 3.0)], (0, 0)),
+        # A shared point (-0.0 equals 0.0) is one point; the first distinct
+        # pair at distance 0, in B order, is A[2] with B[1].
+        ([(0.0, 0.0), (7.0, 0.0), (5.0, 1e-200)], [(-0.0, 0.0), (5.0, 0.0), (7.0, 1e-300)], (2, 1)),
+        ([(0.0, 0.0), (7.0, 0.0)], [(-0.0, 0.0), (9.0, 9.0)], None),
+    ],
+)
+def test_identity_across_a_and_b_fails_at_distinct_points_at_distance_0(a, b, witness):
+    geom = pair_geometry(a, b)
+    assert geom.pair_distance == 0.0
+    report = validate_metric(euclidean_metric(), geom)
+    assert [c.name for c in report.failures] == ([] if witness is None else ["identity"])
+    if witness is not None:
+        row = report.check("identity")
+        assert row.witness == witness and all(type(i) is int for i in witness)
+        assert row.detail == f"d(A[{witness[0]}], B[{witness[1]}]) = 0.0 between distinct points"
 
 
 def test_triangle_slack_scales_with_magnitude():
-    # Rounding in d(p,r) grows with the coordinates; an absolute slack reported
-    # a triangle violation for these points of a Euclidean space.
+    # Rounding in d(p,r) grows with the coordinates: on every triple of these
+    # points an absolute slack of TRIANGLE_SLACK reports a violation, and the
+    # relative rule the orbit-triangle row uses reports none.
     rng = random.Random(0)
     a = [(x, 0.3 * x) for x in (rng.uniform(1e8, 3e8) for _ in range(40))]
-    pool = a + [(x, y + 7.0) for x, y in a]
-    assert validate_metric(euclidean_metric(), points=pool).passed
+    pts = a + [(x, y + 7.0) for x, y in a]
+    m = euclidean_metric()
+    d = pairwise_distances(m, pts, pts)
+    i, j, k = (axis.ravel() for axis in np.indices((len(pts),) * 3))
+    dpr, dpq, dqr = d[i, k], d[i, j], d[j, k]
+    assert (dpr > dpq + dqr + TRIANGLE_SLACK).any()
+    assert triangle_violation(m, dpr, dpq, dqr) is None
+
+
+# Magnitudes from about 1e150, whose squares stay below the float range even
+# summed over 64 axes, down to values whose squares underflow.
+COORDINATES = st.one_of(
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False),
+    st.floats(min_value=-1e-150, max_value=1e-150, allow_nan=False),
+)
 
 
 @st.composite
-def point_triples(draw):
+def point_triples(draw, coord=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)):
     dim = draw(st.integers(1, 64))
-    coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
     pt = st.tuples(*[coord] * dim)
     return draw(pt), draw(pt), draw(pt)
 
 
-@given(point_triples())
+@given(point_triples(COORDINATES))
 def test_euclidean_axioms_hold(pqr):
+    # What the metric row states on coordinates without a sample: exact
+    # symmetry, d(p,p) = 0, d >= 0, and the triangle within TRIANGLE_SLACK.
     p, q, r = pqr
     m = euclidean_metric()
-    assert distance(m, p, q) == distance(m, q, p)
-    assert distance(m, p, p) == 0.0
-    assert distance(m, p, r) <= distance(m, p, q) + distance(m, q, r) + 1e-9
+    dpq, dqp, dpr, dqr = paired_distances(m, [p, q, p, q], [q, p, r, r])
+    assert dpq == dqp
+    assert paired_distances(m, pqr, pqr).tolist() == [0.0] * 3
+    assert min(dpq, dpr, dqr) >= 0.0
+    assert triangle_violation(m, np.array([dpr]), np.array([dpq]), np.array([dqr])) is None
 
 
 @given(point_triples())
@@ -305,7 +344,7 @@ def test_triangle_sums_beyond_float_range_are_inf():
         table = [[0.0 if i == j else 1e308 for j in range(n)] for i in range(n)]
         table[0][1] = table[1][0] = 1.0
         report = validate_metric(matrix_metric(table))
-        assert report.exhaustive == (n == 4)
+        assert report.triangle_by == (EXHAUSTIVE if n == 4 else SAMPLED)
         assert report.passed
     table = [[0.0, 1.0, 1e308], [1.0, 0.0, 1.0], [1e308, 1.0, 0.0]]
     assert validate_metric(matrix_metric(table)).check("triangle").witness == (0, 2, 1)

@@ -18,6 +18,7 @@ from bestprox import (
     proximal_subsets,
     validate_metric,
 )
+from bestprox.metric import EXHAUSTIVE
 
 
 def test_brute_force_geometric(geometric_instance):
@@ -105,12 +106,8 @@ def test_generator_soundness(kind, alpha, seed):
     )
     inst = generate_instance(cfg)
 
-    pool = None
-    if kind == EUCLIDEAN:
-        pool = list(inst.pair.a) + list(inst.pair.b)
-    assert validate_metric(inst.metric, points=pool).passed
-
     geom = proximal_subsets(inst.pair, inst.eps_prox)
+    assert validate_metric(inst.metric, geom).passed
     assert len(geom.a0) and len(geom.b0)
     for i in geom.a0:
         assert len(geom.partners_in_a(inst.t_map.image[i])) == 1  # T(A0) in B0, uniquely
@@ -191,7 +188,7 @@ def test_generator_matrix_tables_are_exact():
         GeneratorConfig(seed=11, space_kind=EXPLICIT_MATRIX, alpha_target=0.5, a_size=12)
     )
     report = validate_metric(inst.metric)
-    assert report.exhaustive and report.passed
+    assert report.triangle_by == EXHAUSTIVE and report.passed
     # alpha is quantized to sixteenths and certified exactly
     geom = proximal_subsets(inst.pair, inst.eps_prox)
     cert = certify_contraction(build_induced_map(geom, inst.t_map))
