@@ -238,8 +238,7 @@ def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
     n = len(keys)
     if n < 2:
         return 0.0, None, 0
-    src = sp.a[keys]
-    dst = sp.a[table[keys]]
+    src, dst = sp.a[keys], sp.a[table[keys]]
     # Until a ratio above -inf is seen, the least pair (0, 1) attains the
     # maximum; a tie at -inf is never taken, as masked entries hold -inf.
     best, witness = -math.inf, (0, 1)
@@ -253,13 +252,20 @@ def _max_ratio(sp: SetPair, keys: np.ndarray, table: np.ndarray):
         return bound < best or (bound == best and (lo, clo) > witness)
 
     for lo, clo, ratios, den in scan_tiles(sp.metric, [(dst, dst), (src, src)], skip, triangle=True):
-        # A ratio beyond the float range is +-inf; the diagonal j = i, masked
-        # below, is 0/0 or, where the table fails identity, x/0.
+        # A ratio beyond the float range, or x/0 between distinct keys of a
+        # table that fails identity, is +-inf.  The diagonal j = i, masked
+        # below, is 0/0 or x/0.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ratios /= den
         if clo < lo + len(ratios):
             ratios[np.tril_indices(len(ratios), lo - clo, ratios.shape[1])] = -math.inf  # j <= i
         r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if np.isnan(ratios[r, c]):
+            # argmax takes the first NaN, a 0/0 between distinct keys at
+            # distance 0 whose images coincide; like the diagonal, it has no
+            # ratio, and only such a tile is searched again.
+            ratios[np.isnan(ratios)] = -math.inf
+            r, c = np.unravel_index(np.argmax(ratios), ratios.shape)
         # A tile's first maximum replaces the witness when it is greater, or
         # equal at an earlier pair, so ties keep the lexicographically first.
         if ratios[r, c] > best or (ratios[r, c] == best > -math.inf and (lo + r, clo + c) < witness):

@@ -19,8 +19,8 @@ that builds the cross table, and rounding is monotone, so it brackets every
 entry bit for bit.
 Matrix spaces walk the same tiles but skip none.
 
-The check for points at distance 0 within A or B walks the same driver, one
-row block at a time, and stops after the first block that holds a hit.
+Distinct coordinates at distance 0 within A or B are found by the same driver,
+one row block at a time; a table's zeros fail the metric check's identity.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ DEFAULT_EPS_MATRIX = 0.0
 
 
 class DuplicatePointError(ValueError):
-    """Two points of one set coincide (distance zero), which would make
-    partner-uniqueness checks ill-posed."""
+    """An index listed twice in one set, or two coordinates of one set at
+    distance 0, which would make partner-uniqueness checks ill-posed."""
 
     def __init__(self, side: str, i: int, j: int):
         self.side = side
@@ -70,10 +70,10 @@ class SetPair:
     euclidean spaces, ``(n,)`` int64 table indices in matrix spaces.
     Construction checks shape, finiteness and index range on the
     whole array, rejects coordinates so far apart that a distance could
-    overflow, and rejects duplicates within either set, that is two points at
-    distance 0 (silent dedup would change |A0| behind the user's back).  B's
-    points must have the dimension of A's.  A point of A at distance 0 from a
-    distinct point of B fails the metric check's identity instead.
+    overflow, and rejects duplicates within either set, an index listed twice
+    or coordinates at distance 0 (silent dedup would change |A0| behind the
+    user's back).  B's points must have the dimension of A's.  Any other zero
+    between distinct points fails the metric check's identity instead.
     """
 
     metric: Metric
@@ -140,38 +140,38 @@ def _converted(value, dtype) -> np.ndarray | None:
 
 def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:
     # Equal points: the least j that repeats an earlier point, and the first
-    # point it repeats (rows compare as floats, so -0.0 equals 0.0).
+    # point it repeats (rows compare as floats, so -0.0 equals 0.0).  A table
+    # ends here: a zero between distinct indices fails the metric check's
+    # identity, which reads every entry.
     _, first, group = np.unique(pts.reshape(len(pts), -1), axis=0, return_index=True, return_inverse=True)
     earlier = first[group.reshape(-1)]
     repeats = np.flatnonzero(earlier != np.arange(len(pts)))
     if len(repeats):
         raise DuplicatePointError(side, int(earlier[repeats[0]]), int(repeats[0]))
-    shared = np.arange(len(pts))
-    if metric.kind == EUCLIDEAN:
-        # Distinct points are at kernel distance 0 only when every coordinate
-        # difference squares to 0, so they share one run of such steps on
-        # each sorted axis.  Only points sharing every run are compared.
-        order = np.argsort(pts, axis=0)
-        steps = np.diff(np.take_along_axis(pts, order, axis=0), axis=0)
-        if not ((steps != 0.0) & (steps * steps == 0.0)).any():
-            return
-        runs = np.zeros(pts.shape, dtype=np.int64)
-        np.put_along_axis(runs, order[1:], np.cumsum(steps * steps != 0.0, axis=0), axis=0)
-        _, group, counts = np.unique(runs, axis=0, return_inverse=True, return_counts=True)
-        shared = np.flatnonzero(counts[group.reshape(-1)] > 1)
-    # Distinct points at distance 0: each row j is checked against every
-    # column i, i < j on euclidean spaces and i != j in a table, which may be
-    # asymmetric.  Rows come in order, so the first row block with a hit holds
-    # the least such (j, i); the witness is that pair, sorted.
+    if metric.kind == EXPLICIT_MATRIX:
+        return
+    # Distinct coordinates are at kernel distance 0 only when every
+    # difference squares to 0, so they share one run of such steps on each
+    # sorted axis.  Only points sharing every run are compared.
+    order = np.argsort(pts, axis=0)
+    steps = np.diff(np.take_along_axis(pts, order, axis=0), axis=0)
+    if not ((steps != 0.0) & (steps * steps == 0.0)).any():
+        return
+    runs = np.zeros(pts.shape, dtype=np.int64)
+    np.put_along_axis(runs, order[1:], np.cumsum(steps * steps != 0.0, axis=0), axis=0)
+    _, group, counts = np.unique(runs, axis=0, return_inverse=True, return_counts=True)
+    shared = np.flatnonzero(counts[group.reshape(-1)] > 1)
+    # Each row j is checked against every column i < j, the entries that
+    # np.tril keeps of a tile whose first entry is (lo, clo).  Rows come in
+    # order, so the first row block with a hit holds the least such (j, i);
+    # the witness is that pair, sorted.
     hit, cand = None, pts[shared]
     for lo, clo, d in scan_tiles(metric, [(cand, cand)], lambda lower, *_: lower[0] > 0.0):
         if hit is not None and lo > hit[0]:
             break
-        j, i = np.nonzero(d == 0.0)
-        j, i = j + lo, i + clo
-        k = np.flatnonzero(i != j if metric.kind == EXPLICIT_MATRIX else i < j)
-        if len(k) and (hit is None or (j[k[0]], i[k[0]]) < hit):
-            hit = (int(j[k[0]]), int(i[k[0]]))
+        j, i = np.nonzero(np.tril(d == 0.0, lo - clo - 1))
+        if len(j) and (hit is None or (lo + j[0], clo + i[0]) < hit):
+            hit = (int(lo + j[0]), int(clo + i[0]))
     if hit is not None:
         raise DuplicatePointError(side, *sorted(shared[list(hit)].tolist()))
 

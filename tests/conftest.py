@@ -43,7 +43,8 @@ def each_block_size():
 
 def dense_max_ratio(sp, mapping):
     """Reference for the tiled certificate scan: both full |keys| x |keys|
-    tables, the ratio over the strict upper triangle, first maximum wins."""
+    tables, the ratio over the strict upper triangle, first maximum wins.
+    A 0/0, between distinct keys of a table that fails identity, is no ratio."""
     keys = sorted(mapping)
     n = len(keys)
     if n < 2:
@@ -51,8 +52,9 @@ def dense_max_ratio(sp, mapping):
     src = sp.a[keys]
     dst = sp.a[[mapping[i] for i in keys]]
     iu = np.triu_indices(n, k=1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratios = pairwise_distances(sp.metric, dst, dst)[iu] / pairwise_distances(sp.metric, src, src)[iu]
+    ratios[np.isnan(ratios)] = -np.inf
     best = int(np.argmax(ratios))
     return float(ratios[best]), (keys[int(iu[0][best])], keys[int(iu[1][best])]), len(ratios)
 

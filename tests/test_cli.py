@@ -341,6 +341,27 @@ def test_a_table_zero_between_distinct_points_fails_identity(tmp_path, capsys):
     assert [res["guaranteed"] for res in json.loads(out)["results"].values()] == [False, False]
 
 
+# d(0, 1) = 0 between two points of A, which S sends onto A[2]: a pseudometric
+# table that once failed to load as a duplicate in A.
+PSEUDOMETRIC_IN_A_TEXT = '{"metric":{"kind":"explicit-matrix","matrix":[[0,0,5,1,6],[0,0,5,1,6],[5,5,0,4,1],[1,1,4,0,5],[6,6,1,5,0]]},"A":[0,1,2],"B":[3,4],"T":[1,1,1]}'
+
+
+def test_a_table_zero_within_a_fails_identity_not_the_load(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(PSEUDOMETRIC_IN_A_TEXT)
+    for command in ("certify", "solve"):
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        doc = json.loads(out)
+        row = next(c for c in doc["checks"] if c["name"] == "metric-axioms")
+        assert (code, err, row["passed"], row["witness"]) == (2, "", False, [[0, 1]]), command
+        assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["metric-axioms"]
+        # d(S(0), S(1)) / d(0, 1) is 0/0, no ratio, so the maximum is 0/5.
+        assert (doc["alpha_hat"], doc["alpha_witness"]) == (0.0, [0, 2]), command
+    # The oracle checks no hypothesis.
+    code, out, _ = run(capsys, "oracle", str(path), "--format", "json")
+    assert (code, json.loads(out)["argmin_indices"]) == (0, [2])
+
+
 def _refuse_constant(token):
     raise ValueError(f"{token} in a JSON report")
 

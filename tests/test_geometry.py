@@ -24,6 +24,7 @@ from bestprox import (
     matrix_metric,
     pairwise_distances,
     proximal_subsets,
+    validate_metric,
 )
 
 
@@ -134,10 +135,13 @@ def test_duplicates_rejected_euclidean():
 
 
 def test_duplicates_rejected_matrix_zero_distance():
-    # distinct indices, but the table says they coincide
+    # Distinct indices that the table puts at distance 0 are not refused at
+    # load: the table fails identity, which the metric check reads off every
+    # entry.  Only an index listed twice is a duplicate.
     m = matrix_metric([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    with pytest.raises(DuplicatePointError):
-        SetPair(m, (0, 1), (2,))
+    SetPair(m, (0, 1), (2,))
+    row = validate_metric(m).check("identity")
+    assert (row.passed, row.witness) == (False, (0, 1))
 
 
 def test_duplicate_witness_is_the_first_repeat_and_its_first_copy():
@@ -162,16 +166,15 @@ def test_duplicate_witness_is_the_first_repeat_and_its_first_copy():
 
 
 def test_matrix_duplicate_witness_is_the_first_zero_in_row_major_order():
-    # Indices 1 and 4 sit at one place, and so do 2 and 3.  Listed as
-    # (5, 3, 1, 4, 2), the first zero off the diagonal, row by row, pairs
-    # positions 1 and 4; the scan finds it whatever the block size.
+    # Indices 1 and 4 sit at one place, and so do 2 and 3.  Each listing
+    # loads, and the identity row names the table's first zero off the
+    # diagonal, row by row, in table indices, wherever the points lie.
     coords = [0.0, 1.0, 2.0, 2.0, 1.0, 3.0]
     m = matrix_metric([[abs(x - y) for y in coords] for x in coords])
-    for rows in each_block_size():
-        for a, indices in (((5, 3, 1, 4, 2), (1, 4)), ((0, 5, 1, 2, 4), (2, 4)), ((2, 5, 0, 3), (0, 3))):
-            with pytest.raises(DuplicatePointError) as exc:
-                SetPair(m, a, (0,))
-            assert exc.value.indices == indices, rows
+    for a in ((5, 3, 1, 4, 2), (0, 5, 1, 2, 4), (2, 5, 0, 3)):
+        inst = make_instance(m, a, (0,), [0] * len(a))
+        row = assess_instance(inst).check("metric-axioms")
+        assert (row.passed, row.witness) == (False, ((1, 4),)), a
 
 
 def test_euclidean_duplicate_witness_is_the_least_later_point():

@@ -62,15 +62,17 @@ def tiled_cases(draw):
 
     Grid coordinates make many exact ties; ``near`` adds coordinates 2^-30
     apart around 1.0, so distances differ by about eps_prox; maps onto one
-    target give all-zero certificates, onto few targets collapsed blocks.
+    target give all-zero certificates, onto few targets collapsed blocks.  A
+    ``matrix`` table may place distinct indices of A or of B at one point,
+    which fails identity, so the certificate meets 0/0 and x/0.
     """
     shape = draw(st.sampled_from(("grid", "near", "matrix")))
     coord = st.integers(0, 3).map(float)
     if shape == "near":
         coord = coord | st.integers(-3, 3).map(lambda k: 1.0 + k * 2.0**-30)
     pt = st.tuples(*[coord] * draw(st.integers(1, 3)))
-    a = draw(st.lists(pt, min_size=1, max_size=10, unique=True))
-    b = draw(st.lists(pt, min_size=1, max_size=8, unique=True))
+    a = draw(st.lists(pt, min_size=1, max_size=10, unique=shape != "matrix"))
+    b = draw(st.lists(pt, min_size=1, max_size=8, unique=shape != "matrix"))
     if shape == "matrix":
         pts = a + b
         table = [[float(sum(abs(x - y) for x, y in zip(p, q))) for q in pts] for p in pts]
@@ -94,6 +96,8 @@ def test_tiled_scans_match_the_dense_references(case):
     sp, eps, t_map, mapping = case
     dense = dense_proximal_subsets(sp, eps)
     alpha = dense_max_ratio(sp, mapping)
+    # S may swap two points of A at distance 0, a 0/0 that counts as no ratio.
+    zeros_in_a = (pairwise_distances(sp.metric, sp.a, sp.a) == 0.0).sum() > len(sp.a)
     for sizes in each_block_size():
         geom = proximal_subsets(sp, eps)
         pairing = [(j, geom.partners_in_a(j)) for j in geom.b0.tolist()]
@@ -101,7 +105,7 @@ def test_tiled_scans_match_the_dense_references(case):
         induced = with_self_map(geom, t_map, mapping)
         cert = certify_contraction(induced)
         assert (cert.alpha_hat, cert.witness, cert.pair_count) == alpha, sizes
-        if cert.verdict == CONTRACTION:
+        if cert.verdict == CONTRACTION and not zeros_in_a:
             # A contraction of a finite set has one cycle, of length 1, and
             # a certified walk from any start ends on that fixed point.
             step = scope_map(induced)
@@ -194,7 +198,7 @@ def test_matrix_spaces_compute_every_entry(kernel_entries):
     pts = np.vstack([a, b])
     m = matrix_metric(pairwise_distances(euclidean_metric(), pts, pts))
     sp = SetPair(m, np.arange(len(a)), np.arange(len(a), len(pts)))
-    kernel_entries.clear()  # SetPair's duplicate scan reads the table too
+    assert sum(kernel_entries) == 0  # a table's zeros are judged by the metric check alone
     assert proximal_subsets(sp).a0.tolist() == list(range(31))
     assert sum(kernel_entries) == len(a) * len(b)
     kernel_entries.clear()
