@@ -10,14 +10,12 @@ from .engine import (
     CONTRACTION,
     CONVERGED,
     CYCLE_DETECTED,
-    MAX_ITERATIONS,
     NOT_CONTRACTION,
     BestProximityResult,
     ContractionCertificate,
     HypothesisViolation,
     InducedMap,
     IterationTrace,
-    MaxIterationsExceeded,
     NonUniquePartner,
     ProximityMap,
     SolverError,
@@ -83,8 +81,6 @@ __all__ = [
     "InstanceAssessment",
     "InstanceFormatError",
     "IterationTrace",
-    "MAX_ITERATIONS",
-    "MaxIterationsExceeded",
     "Metric",
     "MetricValidation",
     "NonUniquePartner",

@@ -5,7 +5,10 @@ Commands: solve, certify, oracle, generate.  Exit codes are a contract:
 * 0 -- success (verified convergence for solve, all hypotheses green for certify)
 * 1 -- parse or usage error, out of memory, or stdout closed before the report was written
 * 2 -- a theorem hypothesis is violated (the report names it, with witnesses)
-* 3 -- no verified convergence (budget exhausted, cycle, trace mismatch, or a failed check)
+* 3 -- no verified convergence (cycle, trace mismatch, or a failed check)
+
+A walk of `solve` takes at most |A0| iterations, as each step stops or visits
+a new point of A0.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ import sys
 from dataclasses import fields, replace
 
 from .engine import (
-    DEFAULT_MAX_ITER,
     HypothesisViolation,
-    MaxIterationsExceeded,
     NonUniquePartner,
     verify_result,
     banach_iterate,
@@ -59,12 +60,6 @@ def _flag(check):
     return parse
 
 
-def _max_iter(text: str) -> int:
-    if int(text) < 1:
-        raise ValueError(f"max_iter must be >= 1, got {text}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the flags it reads: --format everywhere,
     # --eps-prox where an instance is loaded, --tol where it is reported.
@@ -80,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", parents=[tol], help="run the fixed-point iteration")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--max-iter", type=_flag(_max_iter), default=DEFAULT_MAX_ITER, help="iteration budget (default 10000)")
     p_solve.add_argument("--method", choices=(*SOLVE_METHODS, "both"), default="both")
     p_solve.add_argument("--start-index", type=int, default=None, help="position in A to start from (default: first point of A0)")
 
@@ -139,11 +133,9 @@ def cmd_solve(args) -> int:
             continue
         walk, *inputs = (banach_iterate, assessment.s_map) if label == "induced" else (direct_iterate, geom, inst.t_map)
         try:
-            res = walk(*inputs, start, max_iter=args.max_iter, certificate=assessment.certificate)
+            res = walk(*inputs, start, certificate=assessment.certificate)
         except ValueError as err:  # the start, refused before any step
             raise _UsageError(str(err)) from None
-        except MaxIterationsExceeded as err:
-            failures[label] = {"error": "max-iterations", "detail": str(err)}
         except (HypothesisViolation, NonUniquePartner) as err:
             failures[label] = {
                 "error": type(err).__name__,
@@ -176,7 +168,6 @@ def cmd_solve(args) -> int:
             "method": args.method,
             "start_index": start,
             "start_point": inst.pair.a[start].tolist(),
-            "max_iter": args.max_iter,
             "results": {k: result_payload(r) for k, r in results.items()},
             "failures": failures,
             "traces_equal": traces_equal,

@@ -45,11 +45,9 @@ CONTRACTION = "contraction"
 NOT_CONTRACTION = "not-contraction"
 
 CONVERGED = "converged"
-MAX_ITERATIONS = "max-iterations"
 CYCLE_DETECTED = "cycle-detected"
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 10_000
 
 
 class SolverError(Exception):
@@ -95,14 +93,6 @@ class StartNotInA0(SolverError, ValueError):
     def __init__(self, start: int):
         self.start = start
         super().__init__(f"start index {start} is not in A0")
-
-
-class MaxIterationsExceeded(SolverError):
-    """Iteration budget exhausted; ``trace`` holds everything computed."""
-
-    def __init__(self, trace: "IterationTrace"):
-        self.trace = trace
-        super().__init__(f"no convergence within {len(trace.indices) - 1} iterations")
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,9 +295,9 @@ def certify_contraction(induced: InducedMap, *, wide: bool = False) -> Contracti
     return ContractionCertificate(alpha, witness, pairs, verdict, scope=scope)
 
 
-def _iterate(geom, t_map, refuse, step, start, certificate, max_iter):
+def _iterate(geom, t_map, refuse, step, start, certificate):
     # A walk starts at an A-position, any integer but a bool, and checks it
-    # and its budget before ``refuse`` turns down the map it walks.
+    # before ``refuse`` turns down the map it walks.
     sp = geom.pair
     if not isinstance(start, (int, np.integer)) or isinstance(start, bool):
         raise ValueError(f"start must be an index of A, got {start!r}")
@@ -316,20 +306,18 @@ def _iterate(geom, t_map, refuse, step, start, certificate, max_iter):
     start = int(start)
     if start not in geom.a0:
         raise StartNotInA0(start)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     refuse()
-    # Walk the orbit to its fixed point, first repeat, failing step or budget,
-    # then measure every step gap in one kernel call.  There is no tolerance:
-    # under a contraction a finite set has no cycle of length p >= 2, as
-    # d(x, Sx) = d(S^p x, S^p Sx) <= alpha^p d(x, Sx) forces x = Sx, so a
-    # certified walk ends at the exact fixed point.  Only a certificate whose
-    # verdict is a contraction (None certifies none) bounds the error a
-    # priori and guarantees the result.
+    # Walk the orbit to its fixed point, first repeat or failing step, then
+    # measure every step gap in one kernel call.  Every step stops or visits
+    # a new point of A0, so a walk takes at most |A0| iterations and needs no
+    # budget.  There is no tolerance: under a contraction a finite set has no
+    # cycle of length p >= 2, as d(x, Sx) = d(S^p x, S^p Sx) <= alpha^p
+    # d(x, Sx) forces x = Sx, so a certified walk ends at the exact fixed
+    # point.  Only a certificate whose verdict is a contraction (None
+    # certifies none) bounds the error a priori and guarantees the result.
     indices = [start]
     visited = {start}
-    reason = MAX_ITERATIONS
-    for _ in range(max_iter):
+    while True:
         cur = indices[-1]
         try:
             nxt = step(cur)
@@ -337,13 +325,10 @@ def _iterate(geom, t_map, refuse, step, start, certificate, max_iter):
             err.partial_indices = tuple(indices)
             raise
         indices.append(nxt)
-        if nxt == cur:
-            reason = CONVERGED
-            break
-        if nxt in visited:
-            reason = CYCLE_DETECTED
+        if nxt == cur or nxt in visited:
             break
         visited.add(nxt)
+    reason = CONVERGED if nxt == cur else CYCLE_DETECTED
     gaps = paired_distances(sp.metric, sp.a[indices[:-1]], sp.a[indices[1:]]).tolist()
     alpha_hat = certificate.alpha_hat if certificate is not None else None
     contracts = certificate is not None and certificate.verdict == CONTRACTION
@@ -361,8 +346,6 @@ def _iterate(geom, t_map, refuse, step, start, certificate, max_iter):
         alpha_hat=alpha_hat,
         stop_reason=reason,
     )
-    if reason == MAX_ITERATIONS:
-        raise MaxIterationsExceeded(trace)
     last = indices[-1]
     return BestProximityResult(
         index=last,
@@ -378,22 +361,21 @@ def banach_iterate(
     induced: InducedMap,
     x0,
     *,
-    max_iter: int = DEFAULT_MAX_ITER,
     certificate: ContractionCertificate | None = None,
 ) -> BestProximityResult:
     """Picard iteration x_{k+1} = S(x_k) on the prebuilt induced map, from
     the A-position ``x0`` (any integer but a bool), which must lie in A0.
 
-    The start and ``max_iter`` are checked first, each refused with a
-    ``ValueError`` (:class:`StartNotInA0` names a start outside A0); only
-    then is a map partial on A0 refused, as :func:`build_induced_map` does.
-    The walk stops at the exact fixed point a certified walk always reaches,
-    with no tolerance.  A revisited point reveals a cycle, possible only
-    without a contraction ``certificate`` (None: none); the result is then
-    stamped unguaranteed.  Exhausting the budget raises
-    :class:`MaxIterationsExceeded` with the full trace.
+    The start is checked first, and refused with a ``ValueError``
+    (:class:`StartNotInA0` names a start outside A0); only then is a map
+    partial on A0 refused, as :func:`build_induced_map` does.  The walk stops
+    at the exact fixed point a certified walk always reaches, with no
+    tolerance.  A revisited point reveals a cycle, possible only without a
+    contraction ``certificate`` (None: none); the result is then stamped
+    unguaranteed.  Each step stops or visits a new point of A0, so the walk
+    takes at most |A0| iterations.
     """
-    return _iterate(induced.geometry, induced.t_map, lambda: _total(induced), lambda i: int(induced.table[i]), x0, certificate, max_iter)
+    return _iterate(induced.geometry, induced.t_map, lambda: _total(induced), lambda i: int(induced.table[i]), x0, certificate)
 
 
 def direct_iterate(
@@ -401,13 +383,12 @@ def direct_iterate(
     t_map: ProximityMap,
     x0,
     *,
-    max_iter: int = DEFAULT_MAX_ITER,
     certificate: ContractionCertificate | None = None,
 ) -> BestProximityResult:
     """Iterate by solving d(x_{k+1}, T(x_k)) = d(A,B) afresh at every step,
-    from the A-position ``x0``, checked with ``max_iter`` as for
-    :func:`banach_iterate` before a T that is not total on A or leaves B is
-    refused.
+    from the A-position ``x0``, checked as for :func:`banach_iterate` before
+    a T that is not total on A or leaves B is refused.  Each successor lies
+    in A0, so this walk too takes at most |A0| iterations.
 
     No partner table is read: each successor is found by one kernel scan of A
     for the points within eps_prox of d(A,B) from the current image, raising
@@ -425,7 +406,7 @@ def direct_iterate(
         d = pairwise_distances(sp.metric, sp.a, sp.b[img : img + 1])[:, 0]
         return _unique_partner(i, img, tuple(np.flatnonzero(d <= cut).tolist()))
 
-    return _iterate(geom, t_map, lambda: t_map.validate(sp), step, x0, certificate, max_iter)
+    return _iterate(geom, t_map, lambda: t_map.validate(sp), step, x0, certificate)
 
 
 def verify_result(

@@ -47,12 +47,13 @@ DEFAULT_EPS_MATRIX = 0.0
 
 class DuplicatePointError(ValueError):
     """An index listed twice in one set, or two coordinates of one set at
-    distance 0, which would make partner-uniqueness checks ill-posed."""
+    distance 0, which would make partner-uniqueness checks ill-posed.  Only
+    coordinates are said to be at distance 0: a table's diagonal may not be."""
 
-    def __init__(self, side: str, i: int, j: int):
+    def __init__(self, side: str, i: int, j: int, coordinates: bool = True):
         self.side = side
         self.indices = (i, j)
-        super().__init__(f"field '{side}[{j}]': duplicate of {side}[{i}], at distance 0")
+        super().__init__(f"field '{side}[{j}]': duplicate of {side}[{i}]" + (", at distance 0" if coordinates else ""))
 
 
 def default_eps_prox(metric: Metric) -> float:
@@ -147,7 +148,7 @@ def _reject_duplicates(metric: Metric, pts: np.ndarray, side: str) -> None:
     earlier = first[group.reshape(-1)]
     repeats = np.flatnonzero(earlier != np.arange(len(pts)))
     if len(repeats):
-        raise DuplicatePointError(side, int(earlier[repeats[0]]), int(repeats[0]))
+        raise DuplicatePointError(side, int(earlier[repeats[0]]), int(repeats[0]), metric.kind == EUCLIDEAN)
     if metric.kind == EXPLICIT_MATRIX:
         return
     # Distinct coordinates are at kernel distance 0 only when every

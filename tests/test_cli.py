@@ -362,6 +362,13 @@ def test_a_table_zero_within_a_fails_identity_not_the_load(tmp_path, capsys):
     assert (code, json.loads(out)["argmin_indices"]) == (0, [2])
 
 
+def test_an_index_listed_twice_is_a_duplicate_at_any_table_distance(tmp_path, capsys):
+    # d(0, 0) = 1 here, so the refusal names the repeat alone, not a distance.
+    path = tmp_path / "inst.json"
+    path.write_text('{"metric":{"kind":"explicit-matrix","matrix":[[1,2],[2,0]]},"A":[0,0],"B":[1],"T":[0,0]}')
+    assert run(capsys, "certify", str(path)) == (1, "", "error: field 'A[1]': duplicate of A[0]\n")
+
+
 def _refuse_constant(token):
     raise ValueError(f"{token} in a JSON report")
 
@@ -475,7 +482,6 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert run(capsys, "solve", path, "--method", "sideways")[0] == 1
     assert run(capsys, "generate", path, "--alpha", "1.5")[0] == 1
     for command, flag, value in (
-        ("solve", "--max-iter", "0"),
         ("solve", "--tol", "-1"),
         ("solve", "--tol", "nan"),
         ("solve", "--eps-prox", "nan"),
@@ -506,6 +512,7 @@ def test_each_command_refuses_flags_it_does_not_read(tmp_path, capsys):
     for command, target, flag, value in (
         ("generate", fresh, "--tol", "1e-3"),
         ("generate", fresh, "--max-iter", "5"),
+        ("solve", path, "--max-iter", "5"),
         ("generate", fresh, "--eps-prox", "0"),
         ("oracle", path, "--tol", "1e-3"),
         ("oracle", path, "--max-iter", "5"),
@@ -550,26 +557,31 @@ def test_start_outside_a0_is_named_by_its_position(tmp_path, capsys, narrow_a0_i
         assert (code, out, err) == (1, "", "error: start index 1 is not in A0\n"), method
 
 
-def test_max_iter_exhaustion_exits_3(tmp_path, capsys):
-    path = str(tmp_path / "inst.json")
-    run(capsys, "generate", path, "--seed", "5", "--alpha", "0.8", "--a-size", "50")
-    code, out, _ = run(capsys, "solve", path, "--max-iter", "1")
-    assert code == 3
-    assert "max-iterations" in out
+def test_a_certified_orbit_longer_than_10000_steps_converges(tmp_path, capsys):
+    # Rungs at heights k(k+1)/2, each T(A[k]) one rung down, so S walks from
+    # the top rung A[10001] down to A[0] in 10002 iterations, certified with
+    # alpha_hat = 10000/10001.  A walk ends within |A0| steps on its own.
+    n = 10002
+    heights = [k * (k + 1) // 2 for k in range(n)]
+    inst = make_instance(euclidean_metric(), [(0, h) for h in heights], [(1, h) for h in heights], [0, *range(n - 1)], eps_prox=0.0)
+    path = str(tmp_path / "ladder.json")
+    save_instance(inst, path)
+    code, out, err = run(capsys, "solve", path, "--start-index", str(n - 1), "--format", "json")
+    doc = json.loads(out)
+    assert (code, err, doc["failures"], doc["traces_equal"]) == (0, "", {}, True)
+    assert doc["alpha_hat"] == pytest.approx(10000 / 10001)
+    for res in doc["results"].values():
+        assert (res["iterations"], res["index"], res["stop_reason"], res["guaranteed"]) == (n, 0, "converged", True)
+
+
+# Both walks settle at A[1] under a certified constant and agree step for
+# step, but d(A[1], T(A[1])) misses d(A,B) = 1 by about 1e-3 > tol.
+UNVERIFIED_TEXT = '{"metric": {"kind": "euclidean"}, "A": [[0, 0], [0, 5]], "B": [[1, 0], [1.001, 5]], "T": [1, 1], "tolerances": {"eps_prox": 0.01, "tol": 1e-9}}'
 
 
 def test_converged_but_unverified_solve_exits_3(tmp_path, capsys):
-    # Both walks settle at A[1] under a certified constant and agree step for
-    # step, but d(A[1], T(A[1])) misses d(A,B) = 1 by about 1e-3 > tol.
     path = tmp_path / "inst.json"
-    instance = {
-        "metric": {"kind": "euclidean"},
-        "A": [[0, 0], [0, 5]],
-        "B": [[1, 0], [1.001, 5]],
-        "T": [1, 1],
-        "tolerances": {"eps_prox": 0.01, "tol": 1e-9},
-    }
-    path.write_text(json.dumps(instance))
+    path.write_text(UNVERIFIED_TEXT)
     code, out, _ = run(capsys, "solve", str(path), "--format", "json")
     payload = json.loads(out)
     assert code == payload["exit_code"] == 3
@@ -707,7 +719,7 @@ def test_json_report_is_written_as_it_is_encoded(tmp_path):
 def test_each_exit_code_reaches_the_shell(tmp_path):
     # main() returns each code in-process; a child process run outside the
     # checkout must end with it, through entrypoint and sys.exit.
-    save_instance(generate_instance(GeneratorConfig(seed=5, a_size=50, alpha_target=0.8)), tmp_path / "budget.json")
+    (tmp_path / "unverified.json").write_text(UNVERIFIED_TEXT)
     (tmp_path / "bad.json").write_bytes(b"\xff")
     (tmp_path / "neg.json").write_text(NEGATIVE_RATIO_TEXT)
     env = {**os.environ, "PYTHONPATH": str(Path(bestprox.__file__).parents[1])}
@@ -716,7 +728,7 @@ def test_each_exit_code_reaches_the_shell(tmp_path):
         (("certify", "inst.json"), 0, ""),
         (("certify", "bad.json"), 1, "not UTF-8 text"),
         (("solve", "neg.json"), 2, ""),
-        (("solve", "budget.json", "--max-iter", "1"), 3, ""),
+        (("solve", "unverified.json"), 3, ""),
     ):
         argv = [sys.executable, "-m", "bestprox.cli", *argv]
         done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)

@@ -16,7 +16,6 @@ from bestprox import (
     NOT_CONTRACTION,
     GeneratorConfig,
     HypothesisViolation,
-    MaxIterationsExceeded,
     NonUniquePartner,
     ProximityMap,
     SetPair,
@@ -327,8 +326,9 @@ def test_certified_walks_end_at_the_exact_fixed_point(decimal_ladder_instance):
         res = walk()
         assert (res.trace.indices, res.index, res.trace.stop_reason, res.guaranteed) == ((0, 1, 2, 3, 3), 3, "converged", True), name
         assert verify_result(res, geom, inst.t_map, tol=0.05, induced=induced).passed, name
-        with pytest.raises(TypeError, match="tol"):
-            walk(tol=0.05)
+        for keyword in ("tol", "max_iter"):
+            with pytest.raises(TypeError, match=keyword):
+                walk(**{keyword: 5})
 
 
 @pytest.mark.parametrize(
@@ -349,9 +349,9 @@ def test_banach_refuses_a_map_partial_on_a0(request, fixture, error, b_index):
 
 
 @pytest.mark.parametrize("fixture", ["halving_instance", "nonunique_instance"])
-def test_walks_check_start_and_budget_before_the_map(request, fixture):
-    # S is partial on A0 here, yet a bad start or budget is named first, by
-    # the same ValueError on both walks; only then is the map refused.
+def test_walks_check_the_start_before_the_map(request, fixture):
+    # S is partial on A0 here, yet a bad start is named first, by the same
+    # ValueError on both walks; only then is the map refused.
     inst = request.getfixturevalue(fixture)
     geom = geom_of(inst)
     partial = classify_partners(geom, inst.t_map)
@@ -364,8 +364,6 @@ def test_walks_check_start_and_budget_before_the_map(request, fixture):
         for x0 in (99, -1):
             with pytest.raises(ValueError, match=rf"^start index {x0} outside A \(size {n}\)$"):
                 walk(x0)
-        with pytest.raises(ValueError, match="^max_iter must be >= 1$"):
-            walk(0, max_iter=0)
     with pytest.raises(ValueError, match="^map must be total on A"):
         walks["direct"](0)
 
@@ -405,19 +403,37 @@ def test_start_accepts_any_integer_but_bool(geometric_instance, swap_instance):
                 direct_iterate(geom, inst.t_map, start, certificate=cert)
 
 
-def test_banach_budget_exhaustion_carries_trace(geometric_instance):
-    induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
-    with pytest.raises(MaxIterationsExceeded) as exc:
-        banach_iterate(induced, 2, max_iter=1)
-    trace = exc.value.trace
-    assert trace.indices == (2, 1)
-    assert trace.stop_reason == "max-iterations"
-
-
-def test_banach_validates_parameters(geometric_instance):
-    induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
-    with pytest.raises(ValueError):
-        banach_iterate(induced, 2, max_iter=0)
+def test_every_walk_ends_within_a0_iterations(request):
+    # Each step stops or visits a new point of A0, so a walk needs no budget:
+    # every result of either method, certified or not, from every start,
+    # takes at most |A0| iterations.  A ring of n rungs, which cycles
+    # uncertified through all of A0, and a ladder down all n rungs take
+    # exactly n.
+    fixtures = ("geometric", "boundary", "halving", "nonunique", "swap", "crossed", "narrow_a0", "decimal_ladder")
+    instances = {name: request.getfixturevalue(f"{name}_instance") for name in fixtures}
+    for seed, kind in itertools.product(range(3), ("euclidean", "explicit-matrix")):
+        instances[seed, kind] = generate_instance(GeneratorConfig(seed=seed, space_kind=kind, a_size=40, alpha_target=0.6, decoy_count=2))
+    n = 7
+    for name, image in (("ring", [(k + 1) % n for k in range(n)]), ("ladder", [0, *range(n - 1)])):
+        instances[name] = make_instance(euclidean_metric(), [(0.0, k) for k in range(n)], [(1.0, k) for k in range(n)], image)
+    walked = set()
+    for name, inst in instances.items():
+        geom = geom_of(inst)
+        induced = classify_partners(geom, inst.t_map)
+        for cert, start in itertools.product((None, certify_contraction(induced)), geom.a0.tolist()):
+            for walk in (banach_iterate, direct_iterate):
+                inputs = (induced,) if walk is banach_iterate else (geom, inst.t_map)
+                try:
+                    res = walk(*inputs, start, certificate=cert)
+                except (HypothesisViolation, NonUniquePartner):
+                    continue
+                assert res.iterations <= len(geom.a0), (name, walk.__name__, start)
+                walked.add(name)
+    assert walked == set(instances) - {"nonunique"}
+    for name, start, reason in (("ring", 0, CYCLE_DETECTED), ("ladder", n - 1, "converged")):
+        inst = instances[name]
+        res = direct_iterate(geom_of(inst), inst.t_map, start)
+        assert (res.iterations, res.trace.stop_reason) == (n, reason), name
 
 
 # --- direct iteration -----------------------------------------------------------

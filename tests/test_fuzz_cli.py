@@ -85,7 +85,7 @@ HOSTILE = [
     [["0", "0"], ["1", "1"]],
 ]
 
-FLAGS = st.sampled_from(["--tol", "--eps-prox", "--max-iter", "--start-index", "--method", "--wide"])
+FLAGS = st.sampled_from(["--tol", "--eps-prox", "--start-index", "--method", "--wide"])
 FLAG_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1", "2", "1e400", "1" + "0" * 400, "abc", "", "both", "direct"])
 
 mutation = st.tuples(st.sampled_from(PATHS), st.one_of(st.just("drop"), st.sampled_from(HOSTILE).map(lambda v: ("set", v))))

@@ -1,5 +1,5 @@
 """The README's library example runs as written, and its CLI section names
-every option of every subcommand."""
+every option of every subcommand, and no option that none of them takes."""
 
 import argparse
 import re
@@ -35,17 +35,31 @@ def test_the_library_example_runs(tmp_path, monkeypatch):
     assert res.index in brute_force_solve(inst.pair, inst.t_map).argmin_indices
 
 
-def test_the_cli_section_names_every_option():
-    # argparse's own -h/--help aside, each option string of each subcommand
-    # appears in the CLI section as a whole token.
-    body = section("CLI")
+def subcommand_options() -> dict:
+    """{subcommand: its option strings}, argparse's own -h/--help aside."""
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {option for action in parser._actions if action.dest != "help" for option in action.option_strings}
+        for name, parser in commands.choices.items()
+    }
+
+
+def test_the_cli_section_names_every_option():
+    # Each option string of each subcommand appears in the CLI section as a
+    # whole token.
+    body = section("CLI")
     missing = [
         (name, option)
-        for name, parser in commands.choices.items()
-        for action in parser._actions
-        if action.dest != "help"
-        for option in action.option_strings
+        for name, options in subcommand_options().items()
+        for option in sorted(options)
         if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", body)
     ]
     assert not missing
+
+
+def test_every_option_the_cli_section_names_exists():
+    # Each --flag token of the CLI section is an option of some subcommand,
+    # so a removed flag cannot stay documented.
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section("CLI")))
+    assert named
+    assert not named - set().union(*subcommand_options().values())

@@ -15,8 +15,7 @@ temporary directory with the relative path ``inst.json``, so the
 The text report is rendered from the JSON payload alone, so rendering the
 parsed JSON report must give the text report byte for byte, on every golden
 case and on the paths the goldens miss: a failed iteration with its partial
-indices, an exhausted budget, a trace long enough to elide steps, and
-``generate``.
+indices, a trace long enough to elide steps, and ``generate``.
 
 A refactor that must not change reports keeps this test green.  A change that
 alters a report on purpose rewrites the affected golden file and says which
@@ -42,7 +41,6 @@ GENERATED = {
         seed=22, space_kind=EXPLICIT_MATRIX, a_size=10, alpha_target=0.6, decoy_count=2
     ),
     "long": GeneratorConfig(seed=2, space_kind=EUCLIDEAN, a_size=120, alpha_target=0.9),
-    "budget": GeneratorConfig(seed=5, space_kind=EUCLIDEAN, a_size=50, alpha_target=0.8),
 }
 
 def report_bytes(name, argv, fmt, request, tmp_path, monkeypatch, capsys) -> bytes:
@@ -121,7 +119,6 @@ def test_text_report_renders_the_json_report_partner_paths(name, argv, request, 
     "name, argv, shown",
     [
         ("halving", ["solve", "--method", "direct", "--start-index", "2"], "partial iterate indices: [2, 1]"),
-        ("budget", ["solve", "--max-iter", "1"], "FAILED - max-iterations"),
         ("long", ["solve", "--method", "induced"], "steps elided"),
         ("matrix", ["generate", "--kind", "explicit-matrix", "--seed", "3"], "wrote inst.json"),
     ],
