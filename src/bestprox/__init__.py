@@ -15,7 +15,6 @@ from .engine import (
     ContractionCertificate,
     HypothesisViolation,
     InducedMap,
-    IterationTrace,
     NonUniquePartner,
     ProximityMap,
     SolverError,
@@ -80,7 +79,6 @@ __all__ = [
     "Instance",
     "InstanceAssessment",
     "InstanceFormatError",
-    "IterationTrace",
     "Metric",
     "MetricValidation",
     "NonUniquePartner",

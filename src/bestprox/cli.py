@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .engine import (
     HypothesisViolation,
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--alpha", type=float, dest="alpha_target", metavar="ALPHA")
     p_gen.add_argument("--a-size", type=int, help="at most this many points of A (default 12): the ladder ends where its rungs would shrink below about 1e-6 of the first, and a table's at 12 rungs")
-    p_gen.add_argument("--b-size", type=int)
     p_gen.add_argument("--decoys", type=int, dest="decoy_count", metavar="DECOYS")
     p_gen.add_argument("--gap", type=float, dest="slab_gap", metavar="GAP")
     p_gen.add_argument("--kind", choices=(EUCLIDEAN, EXPLICIT_MATRIX), dest="space_kind")
@@ -125,15 +124,17 @@ def cmd_solve(args) -> int:
     start = int(geom.a0[0]) if args.start_index is None else args.start_index
     results = {}
     failures = {}
-    # Only the checklist's certificate may guarantee either walk.  Each walk
-    # checks the start itself, and banach_iterate then refuses a partial S,
-    # naming the first failing point of A0.
+    # Only a checklist that passes certifies either walk; a failing one runs
+    # both uncertified.  Each walk checks the start itself, and
+    # banach_iterate then refuses a partial S, naming the first failing
+    # point of A0.
+    certificate = assessment.certificate if assessment.passed else None
     for label in SOLVE_METHODS:
         if args.method not in (label, "both"):
             continue
         walk, *inputs = (banach_iterate, assessment.s_map) if label == "induced" else (direct_iterate, geom, inst.t_map)
         try:
-            res = walk(*inputs, start, certificate=assessment.certificate)
+            results[label] = walk(*inputs, start, certificate=certificate)
         except ValueError as err:  # the start, refused before any step
             raise _UsageError(str(err)) from None
         except (HypothesisViolation, NonUniquePartner) as err:
@@ -142,11 +143,8 @@ def cmd_solve(args) -> int:
                 "detail": str(err),
                 "partial_indices": list(err.partial_indices),
             }
-        else:
-            # A checklist that fails certifies nothing, so no result is guaranteed.
-            results[label] = res if assessment.passed else replace(res, guaranteed=False)
 
-    traces_equal = results["induced"].trace.indices == results["direct"].trace.indices if len(results) == 2 else None
+    traces_equal = results["induced"].indices == results["direct"].indices if len(results) == 2 else None
 
     verifications = {
         label: verify_result(res, geom, inst.t_map, tol=inst.tol, induced=assessment.induced)
@@ -168,7 +166,7 @@ def cmd_solve(args) -> int:
             "method": args.method,
             "start_index": start,
             "start_point": inst.pair.a[start].tolist(),
-            "results": {k: result_payload(r) for k, r in results.items()},
+            "results": {k: result_payload(inst, r) for k, r in results.items()},
             "failures": failures,
             "traces_equal": traces_equal,
             "verified": {k: v.passed for k, v in verifications.items()},
@@ -198,7 +196,7 @@ def cmd_oracle(args) -> int:
         "instance": args.instance,
         "min_value": sol.min_value,
         "argmin_indices": list(sol.argmin_indices),
-        "argmin_points": sol.argmin_points.tolist(),
+        "argmin_points": inst.pair.a[list(sol.argmin_indices)].tolist(),
         "pair_distance": sol.pair_distance,
         "is_best_proximity": sol.is_best_proximity,
         "exit_code": EXIT_OK,

@@ -17,9 +17,10 @@ Two iteration schemes are provided and must agree step for step:
   induced map nor the partner table of :class:`PairGeometry`, so agreement of
   the two schemes is a real cross-check.
 
-Both take ``certificate=`` (None: uncertified) and measure none themselves;
-its ``verdict`` alone decides whether a walk, which ends at the exact fixed
-point it reaches, is bounded a priori and guaranteed.
+Both take ``certificate=`` (None: uncertified) and measure none themselves.
+Each returns one :class:`BestProximityResult`, the orbit itself: it keeps the
+certificate's constant only when the verdict is a contraction, and only then
+carries a-priori bounds and, having converged, is guaranteed.
 
 The certificate walks A0 x A0 with the tile scan of :mod:`~bestprox.geometry`
 and skips each tile whose ratios its box bounds put below the running maximum,
@@ -157,24 +158,30 @@ class ContractionCertificate:
 
 
 @dataclass(frozen=True)
-class IterationTrace:
+class BestProximityResult:
+    """The orbit of one walk, from x_0 = A[indices[0]] to z = A[indices[-1]];
+    its rows are read off A, never stored.  A walk has a constant, and
+    a-priori bounds, only from a certificate whose verdict is a contraction,
+    and it is guaranteed when it also converged."""
+
     indices: tuple[int, ...]
-    points: np.ndarray  # rows of A (coordinates or table indices), one per index
     step_gaps: tuple[float, ...]
     residuals: tuple[float, ...]
     a_priori_bounds: tuple[float, ...]
     alpha_hat: float | None  # None: no constant was certified
     stop_reason: str
 
+    @property
+    def index(self) -> int:
+        return self.indices[-1]
 
-@dataclass(frozen=True)
-class BestProximityResult:
-    index: int
-    point: object  # the row A[index]
-    residual: float
-    iterations: int
-    trace: IterationTrace
-    guaranteed: bool
+    @property
+    def iterations(self) -> int:
+        return len(self.indices) - 1
+
+    @property
+    def guaranteed(self) -> bool:
+        return self.alpha_hat is not None and self.stop_reason == CONVERGED
 
 
 def classify_partners(geom: PairGeometry, t_map: ProximityMap) -> InducedMap:
@@ -313,8 +320,10 @@ def _iterate(geom, t_map, refuse, step, start, certificate):
     # budget.  There is no tolerance: under a contraction a finite set has no
     # cycle of length p >= 2, as d(x, Sx) = d(S^p x, S^p Sx) <= alpha^p
     # d(x, Sx) forces x = Sx, so a certified walk ends at the exact fixed
-    # point.  Only a certificate whose verdict is a contraction (None
-    # certifies none) bounds the error a priori and guarantees the result.
+    # point.  The a-priori bound alpha^k d(x_0, x_1) / (1 - alpha) needs a
+    # certified 0 <= alpha < 1, so the walk keeps only the constant of a
+    # certificate whose verdict is a contraction; with any other, or None,
+    # it has no bounds and is never guaranteed.
     indices = [start]
     visited = {start}
     while True:
@@ -328,32 +337,20 @@ def _iterate(geom, t_map, refuse, step, start, certificate):
         if nxt == cur or nxt in visited:
             break
         visited.add(nxt)
-    reason = CONVERGED if nxt == cur else CYCLE_DETECTED
     gaps = paired_distances(sp.metric, sp.a[indices[:-1]], sp.a[indices[1:]]).tolist()
-    alpha_hat = certificate.alpha_hat if certificate is not None else None
-    contracts = certificate is not None and certificate.verdict == CONTRACTION
+    alpha_hat = certificate.alpha_hat if certificate is not None and certificate.verdict == CONTRACTION else None
     images = sp.b[t_map.image[indices]]
     with np.errstate(over="ignore"):  # a gap beyond the float range is inf
         residuals = np.abs(paired_distances(sp.metric, sp.a[indices], images) - geom.pair_distance)
     # A walk takes at least one step, so gaps[0] exists.
-    bounds = tuple(gaps[0] / (1.0 - alpha_hat) * alpha_hat**k for k in range(len(indices))) if contracts else ()
-    trace = IterationTrace(
+    bounds = () if alpha_hat is None else tuple(gaps[0] / (1.0 - alpha_hat) * alpha_hat**k for k in range(len(indices)))
+    return BestProximityResult(
         indices=tuple(indices),
-        points=sp.a[indices],
         step_gaps=tuple(gaps),
         residuals=tuple(residuals.tolist()),
         a_priori_bounds=bounds,
         alpha_hat=alpha_hat,
-        stop_reason=reason,
-    )
-    last = indices[-1]
-    return BestProximityResult(
-        index=last,
-        point=sp.a[last],
-        residual=trace.residuals[-1],
-        iterations=len(indices) - 1,
-        trace=trace,
-        guaranteed=(contracts and reason == CONVERGED),
+        stop_reason=CONVERGED if nxt == cur else CYCLE_DETECTED,
     )
 
 
@@ -371,8 +368,8 @@ def banach_iterate(
     partial on A0 refused, as :func:`build_induced_map` does.  The walk stops
     at the exact fixed point a certified walk always reaches, with no
     tolerance.  A revisited point reveals a cycle, possible only without a
-    contraction ``certificate`` (None: none); the result is then stamped
-    unguaranteed.  Each step stops or visits a new point of A0, so the walk
+    contraction ``certificate`` (None: none); such a result is never
+    guaranteed.  Each step stops or visits a new point of A0, so the walk
     takes at most |A0| iterations.
     """
     return _iterate(induced.geometry, induced.t_map, lambda: _total(induced), lambda i: int(induced.table[i]), x0, certificate)
@@ -428,7 +425,7 @@ def verify_result(
     z = result.index
     # d(x_k, z) for every k, then each step gap, in one kernel call.  The
     # triangle's witness (i, j, m) reads d(i,j) > d(i,m) + d(m,j).
-    idx = list(result.trace.indices)
+    idx = list(result.indices)
     both = paired_distances(sp.metric, sp.a[idx + idx[:-1]], sp.a[[z] * len(idx) + idx[1:]])
     to_z, gaps = both[: len(idx)], both[len(idx) :]
     hit = triangle_violation(sp.metric, to_z[:-1], gaps, to_z[1:])

@@ -50,7 +50,6 @@ class BruteForceSolution:
 
     min_value: float
     argmin_indices: tuple[int, ...]
-    argmin_points: np.ndarray  # the rows of A at argmin_indices
     pair_distance: float
     is_best_proximity: bool
 
@@ -65,7 +64,6 @@ def brute_force_solve(sp: SetPair, t_map: ProximityMap, eps_prox: float | None =
     return BruteForceSolution(
         min_value=best,
         argmin_indices=tuple(argmin.tolist()),
-        argmin_points=sp.a[argmin],
         pair_distance=geom.pair_distance,
         is_best_proximity=best <= geom.pair_distance + geom.eps_prox,
     )
@@ -76,7 +74,6 @@ class GeneratorConfig:
     seed: int = 0
     space_kind: str = EUCLIDEAN
     a_size: int = 12
-    b_size: int = 0  # floor on |B|, met by adding decoys; 0 means derived
     alpha_target: float = 0.5
     slab_gap: float = 1.0
     decoy_count: int = 2
@@ -90,8 +87,8 @@ class GeneratorConfig:
             raise ValueError("a_size must be >= 1")
         if not (math.isfinite(self.slab_gap) and self.slab_gap > 0):
             raise ValueError("slab_gap must be finite and > 0")
-        if self.decoy_count < 0 or self.b_size < 0:
-            raise ValueError("counts must be nonnegative")
+        if self.decoy_count < 0:
+            raise ValueError("decoy_count must be >= 0")
 
 
 def generate_instance(cfg: GeneratorConfig) -> Instance:
@@ -135,9 +132,8 @@ def _generate_euclidean(cfg: GeneratorConfig, rng: random.Random) -> Instance:
     a_pts = [(0.0, w) for w in values]
     mirror = [(gap, w) for w in values]
     span = max(values) - min(values)
-    n_decoys = max(cfg.decoy_count, cfg.b_size - len(mirror))
     far = 3.0 * (gap + span) + 1.0
-    decoys = [(gap + far + j * (1.0 + span), 0.0) for j in range(n_decoys)]
+    decoys = [(gap + far + j * (1.0 + span), 0.0) for j in range(cfg.decoy_count)]
 
     size = len(values)
     t_image = list(range(1, size)) + [size - 1]
@@ -187,13 +183,12 @@ def _generate_matrix(cfg: GeneratorConfig, rng: random.Random) -> Instance:
     span_int = max(ints) - min(ints)
 
     n_ladder = len(ints)
-    n_decoys = max(cfg.decoy_count, cfg.b_size - n_ladder)
     far_base = 3 * (span_int + gap_int)
     # The largest entry, from A's height-0 point to the last decoy, stays
     # below 2**53 grid units, so every entry is an exact float64.
-    if gap_int + far_base + n_decoys - 1 >= 2**53:
+    if gap_int + far_base + cfg.decoy_count - 1 >= 2**53:
         raise ValueError(f"slab_gap {cfg.slab_gap!r} too large for alpha_target {cfg.alpha_target!r}: a table entry would not be an exact float")
-    decoy_ints = [far_base + j for j in range(n_decoys)]
+    decoy_ints = [far_base + j for j in range(cfg.decoy_count)]
 
     # Taxicab embedding: A at x = 0, B at x = gap_int, all on one integer
     # grid, so every table entry is exact and the triangle inequality holds

@@ -196,23 +196,23 @@ def assessment_payload(inst: Instance, assessment: InstanceAssessment) -> dict:
     }
 
 
-def result_payload(result: BestProximityResult) -> dict:
-    trace = result.trace
+def result_payload(inst: Instance, result: BestProximityResult) -> dict:
+    rows = inst.pair.a[list(result.indices)]
     return {
         "index": result.index,
-        "point": result.point.tolist(),
-        "residual": result.residual,
+        "point": rows[-1].tolist(),
+        "residual": result.residuals[-1],
         "iterations": result.iterations,
-        "stop_reason": trace.stop_reason,
+        "stop_reason": result.stop_reason,
         "guaranteed": result.guaranteed,
         "trace": {
-            "indices": list(trace.indices),
-            "points": trace.points.tolist(),
-            "step_gaps": list(trace.step_gaps),
-            "residuals": list(trace.residuals),
-            "a_priori_bounds": list(trace.a_priori_bounds),
-            "alpha_hat": trace.alpha_hat,
-            "stop_reason": trace.stop_reason,
+            "indices": list(result.indices),
+            "points": rows.tolist(),
+            "step_gaps": list(result.step_gaps),
+            "residuals": list(result.residuals),
+            "a_priori_bounds": list(result.a_priori_bounds),
+            "alpha_hat": result.alpha_hat,
+            "stop_reason": result.stop_reason,
         },
     }
 

@@ -219,6 +219,32 @@ def decimal_ladder_instance():
 
 
 @pytest.fixture
+def detour_instance():
+    """A 6-point table that fails only its triangle: d(a0, a2) = 10 > d(a0,
+    a1) + d(a1, a2) = 1 + 0.5.
+
+    T = [1, 2, 2] and d(a_i, b_i) = 1 = d(A,B), so S is 0 -> 1 -> 2 -> 2 with
+    alpha_hat = 1/2: a contraction verdict that a failing checklist must not
+    let certify a walk from a0, whose a-priori bounds would start at 2.
+    """
+    return make_instance(
+        matrix_metric(
+            [
+                [0, 1, 10, 1, 20, 20],
+                [1, 0, 0.5, 20, 1, 20],
+                [10, 0.5, 0, 20, 20, 1],
+                [1, 20, 20, 0, 1, 1],
+                [20, 1, 20, 1, 0, 1],
+                [20, 20, 1, 1, 1, 0],
+            ]
+        ),
+        [0, 1, 2],
+        [3, 4, 5],
+        [1, 2, 2],
+    )
+
+
+@pytest.fixture
 def broken_orbit_table():
     """A 210-point table whose triangle fails only along the orbit of S.
 

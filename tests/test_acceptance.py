@@ -88,7 +88,7 @@ def test_criterion_1_generator_oracle_equivalence(sweep):
     bad = [
         r.cfg.seed
         for r in records
-        if r.banach.index not in r.brute.argmin_indices or abs(r.banach.residual) > 1e-9
+        if r.banach.index not in r.brute.argmin_indices or abs(r.banach.residuals[-1]) > 1e-9
     ]
     ok = len(records) >= 500 and not bad and seconds < 30.0
     report_line(
@@ -101,7 +101,7 @@ def test_criterion_1_generator_oracle_equivalence(sweep):
 
 def test_criterion_2_iteration_equivalence(sweep):
     records, _ = sweep
-    bad = [r.cfg.seed for r in records if r.banach.trace.indices != r.direct.trace.indices]
+    bad = [r.cfg.seed for r in records if r.banach.indices != r.direct.indices]
     report_line(
         2,
         not bad,
@@ -164,11 +164,11 @@ def test_criterion_5_a_priori_bound(sweep):
     for r in records:
         if r.cert.verdict != CONTRACTION:
             continue
-        for trace in (r.banach.trace, r.direct.trace):
-            z = trace.points[-1]
-            for point, bound in zip(trace.points, trace.a_priori_bounds):
+        a = r.inst.pair.a
+        for res in (r.banach, r.direct):
+            for i, bound in zip(res.indices, res.a_priori_bounds):
                 steps += 1
-                if distance(r.inst.metric, point, z) > bound + 1e-9:
+                if distance(r.inst.metric, a[i], a[res.index]) > bound + 1e-9:
                     bad += 1
     report_line(5, bad == 0, f"{steps - bad}/{steps} trace steps within the Banach bound + 1e-9")
 

@@ -73,8 +73,8 @@ def test_generate_is_deterministic(tmp_path, capsys):
     [
         ((), GeneratorConfig()),
         (
-            ("--seed", "4", "--alpha", "0.3", "--a-size", "5", "--b-size", "9", "--decoys", "4", "--gap", "2", "--kind", "explicit-matrix"),
-            GeneratorConfig(seed=4, space_kind=EXPLICIT_MATRIX, a_size=5, b_size=9, alpha_target=0.3, slab_gap=2.0, decoy_count=4),
+            ("--seed", "4", "--alpha", "0.3", "--a-size", "5", "--decoys", "4", "--gap", "2", "--kind", "explicit-matrix"),
+            GeneratorConfig(seed=4, space_kind=EXPLICIT_MATRIX, a_size=5, alpha_target=0.3, slab_gap=2.0, decoy_count=4),
         ),
     ],
 )
@@ -512,6 +512,7 @@ def test_each_command_refuses_flags_it_does_not_read(tmp_path, capsys):
     for command, target, flag, value in (
         ("generate", fresh, "--tol", "1e-3"),
         ("generate", fresh, "--max-iter", "5"),
+        ("generate", fresh, "--b-size", "5"),
         ("solve", path, "--max-iter", "5"),
         ("generate", fresh, "--eps-prox", "0"),
         ("oracle", path, "--tol", "1e-3"),
@@ -737,15 +738,15 @@ def test_each_exit_code_reaches_the_shell(tmp_path):
         assert err in done.stderr if err else not done.stderr, (argv, done.stderr)
 
 
-def test_only_a_certified_constant_guarantees_a_solve(tmp_path, capsys, halving_instance, nonunique_instance, boundary_instance):
-    # Every solve result is guaranteed only when the checklist passes (the
-    # triangle instance fails only its metric-axioms row), and its trace
-    # carries the report's certified alpha_hat, or null where the checklist
-    # certified none (a missing or ambiguous partner).
+def test_only_a_certified_constant_guarantees_a_solve(tmp_path, capsys, halving_instance, nonunique_instance, boundary_instance, detour_instance):
+    # Every solve result is guaranteed, and bounded a priori, only when the
+    # checklist passes (the triangle and detour instances fail only their
+    # metric-axioms row); its trace carries the report's alpha_hat then, and
+    # null wherever the checklist fails, even beside a contraction verdict.
     rng = random.Random(12)
     triangle = tmp_path / "tri.json"
     triangle.write_text(TRIANGLE_TEXT)
-    instances = [halving_instance, nonunique_instance, boundary_instance, load_instance(triangle)]
+    instances = [halving_instance, nonunique_instance, boundary_instance, detour_instance, load_instance(triangle)]
     for kind in ("grid", "matrix") * 10:
         geom, t_map = tie_heavy_case(kind, rng)
         sp = geom.pair
@@ -757,6 +758,7 @@ def test_only_a_certified_constant_guarantees_a_solve(tmp_path, capsys, halving_
         doc = json.loads(run(capsys, "solve", path, "--format", "json")[1])
         for res in doc["results"].values():
             assert doc["hypotheses_ok"] or not res["guaranteed"], doc["checks"]
-            assert res["trace"]["alpha_hat"] == doc["alpha_hat"]
+            assert res["trace"]["alpha_hat"] == (doc["alpha_hat"] if doc["hypotheses_ok"] else None)
+            assert bool(res["trace"]["a_priori_bounds"]) == res["guaranteed"], doc["checks"]
             seen.add((doc["alpha_hat"] is None, res["guaranteed"]))
     assert seen == {(True, False), (False, False), (False, True)}

@@ -283,11 +283,11 @@ def test_certificate_memory_stays_within_the_block_budget():
 def test_banach_geometric_converges(geometric_instance):
     induced = build_induced_map(geom_of(geometric_instance), geometric_instance.t_map)
     res = banach_iterate(induced, 2, certificate=certify_contraction(induced))
-    assert res.point.tolist() == [0.0, 0.0]
+    assert geometric_instance.pair.a[res.index].tolist() == [0.0, 0.0]
     assert res.iterations <= 3
-    assert res.residual == 0.0
-    assert res.trace.indices == (2, 1, 0, 0)
-    assert res.trace.stop_reason == "converged"
+    assert res.residuals[-1] == 0.0
+    assert res.indices == (2, 1, 0, 0)
+    assert res.stop_reason == "converged"
     assert res.guaranteed
 
 
@@ -296,7 +296,7 @@ def test_banach_fixed_start_takes_one_evaluation(geometric_instance):
     res = banach_iterate(induced, 0)
     assert res.iterations == 1
     assert res.index == 0
-    assert res.trace.indices == (0, 0)
+    assert res.indices == (0, 0)
 
 
 def test_banach_detects_two_cycle(swap_instance):
@@ -305,9 +305,22 @@ def test_banach_detects_two_cycle(swap_instance):
     cert = certify_contraction(induced)
     assert cert.verdict == NOT_CONTRACTION
     res = banach_iterate(induced, 0)
-    assert res.trace.stop_reason == CYCLE_DETECTED
-    assert res.trace.indices == (0, 1, 0)
+    assert res.stop_reason == CYCLE_DETECTED
+    assert res.indices == (0, 1, 0)
     assert not res.guaranteed
+
+
+def test_a_refused_constant_certifies_no_walk(boundary_instance):
+    # The boundary's constant is exactly 1, so its certificate is refused:
+    # both walks converge, yet neither keeps the constant, bounds its error
+    # a priori or is guaranteed.
+    geom = geom_of(boundary_instance)
+    induced = build_induced_map(geom, boundary_instance.t_map)
+    cert = certify_contraction(induced)
+    assert (cert.verdict, cert.alpha_hat) == (NOT_CONTRACTION, 1.0)
+    for res in (banach_iterate(induced, 2, certificate=cert), direct_iterate(geom, boundary_instance.t_map, 2, certificate=cert)):
+        assert (res.indices, res.stop_reason) == ((2, 1, 0, 0), "converged")
+        assert (res.alpha_hat, res.a_priori_bounds, res.guaranteed) == (None, (), False)
 
 
 def test_certified_walks_end_at_the_exact_fixed_point(decimal_ladder_instance):
@@ -324,7 +337,7 @@ def test_certified_walks_end_at_the_exact_fixed_point(decimal_ladder_instance):
     }
     for name, walk in walks.items():
         res = walk()
-        assert (res.trace.indices, res.index, res.trace.stop_reason, res.guaranteed) == ((0, 1, 2, 3, 3), 3, "converged", True), name
+        assert (res.indices, res.index, res.stop_reason, res.guaranteed) == ((0, 1, 2, 3, 3), 3, "converged", True), name
         assert verify_result(res, geom, inst.t_map, tol=0.05, induced=induced).passed, name
         for keyword in ("tol", "max_iter"):
             with pytest.raises(TypeError, match=keyword):
@@ -386,10 +399,10 @@ def test_start_accepts_any_integer_but_bool(geometric_instance, swap_instance):
         induced = build_induced_map(geom, inst.t_map)
         cert = certify_contraction(induced)
         for start in (np.int64(1), np.int32(1), np.uint8(1)):
-            assert banach_iterate(induced, start).trace.indices == banach_iterate(induced, 1).trace.indices
+            assert banach_iterate(induced, start).indices == banach_iterate(induced, 1).indices
             assert (
-                direct_iterate(geom, inst.t_map, start, certificate=cert).trace.indices
-                == direct_iterate(geom, inst.t_map, 1, certificate=cert).trace.indices
+                direct_iterate(geom, inst.t_map, start, certificate=cert).indices
+                == direct_iterate(geom, inst.t_map, 1, certificate=cert).indices
             )
         with pytest.raises(ValueError, match="outside A"):
             banach_iterate(induced, np.int64(99))
@@ -433,7 +446,7 @@ def test_every_walk_ends_within_a0_iterations(request):
     for name, start, reason in (("ring", 0, CYCLE_DETECTED), ("ladder", n - 1, "converged")):
         inst = instances[name]
         res = direct_iterate(geom_of(inst), inst.t_map, start)
-        assert (res.iterations, res.trace.stop_reason) == (n, reason), name
+        assert (res.iterations, res.stop_reason) == (n, reason), name
 
 
 # --- direct iteration -----------------------------------------------------------
@@ -445,9 +458,9 @@ def test_direct_matches_banach_on_geometric(geometric_instance):
     cert = certify_contraction(induced)
     left = banach_iterate(induced, 2, certificate=cert)
     right = direct_iterate(geom, geometric_instance.t_map, 2, certificate=cert)
-    assert left.trace.indices == right.trace.indices
-    assert left.trace.step_gaps == right.trace.step_gaps
-    assert left.trace.a_priori_bounds == right.trace.a_priori_bounds
+    assert left.indices == right.indices
+    assert left.step_gaps == right.step_gaps
+    assert left.a_priori_bounds == right.a_priori_bounds
 
 
 def test_direct_fixed_start(geometric_instance):
@@ -485,9 +498,9 @@ def test_direct_ignores_tampered_partner_table(geometric_instance):
     tampered = dataclasses.replace(geom, partners=partners)
     banach = banach_iterate(build_induced_map(tampered, inst.t_map), 2)
     direct = direct_iterate(tampered, inst.t_map, 2, certificate=cert)
-    assert banach.trace.indices == (2, 2)
-    assert direct.trace.indices == (2, 1, 0, 0)
-    assert direct.trace.indices == direct_iterate(geom, inst.t_map, 2, certificate=cert).trace.indices
+    assert banach.indices == (2, 2)
+    assert direct.indices == (2, 1, 0, 0)
+    assert direct.indices == direct_iterate(geom, inst.t_map, 2, certificate=cert).indices
 
 
 # --- the map T ---------------------------------------------------------------------
@@ -645,7 +658,7 @@ def test_verify_checks_the_triangle_along_the_orbit(geometric_instance, broken_o
     geom = geom_of(inst)
     induced = build_induced_map(geom, inst.t_map)
     res = banach_iterate(induced, 0, certificate=certify_contraction(induced))
-    assert (res.trace.indices, res.trace.a_priori_bounds[:2], res.guaranteed) == ((0, 1, 2, 3, 4, 4), (2.0, 1.0), True)
+    assert (res.indices, res.a_priori_bounds[:2], res.guaranteed) == ((0, 1, 2, 3, 4, 4), (2.0, 1.0), True)
     report = verify_result(res, geom, inst.t_map, induced=induced)
     assert [c.name for c in report.failures] == ["orbit-triangle"]
     check = report.check("orbit-triangle")
@@ -657,7 +670,7 @@ def test_verify_rejects_perturbed_point(geometric_instance):
     geom = geom_of(geometric_instance)
     induced = build_induced_map(geom, geometric_instance.t_map)
     res = banach_iterate(induced, 2)
-    fake = dataclasses.replace(res, index=1, point=(0.0, 0.25))
+    fake = dataclasses.replace(res, indices=(*res.indices[:-1], 1))
     # independent residual: d((0,1/4), (1,0)) - 1 = sqrt(17)/4 - 1 > 0
     assert math.dist((0.0, 0.25), (1.0, 0.0)) - 1.0 == pytest.approx(math.sqrt(17) / 4 - 1)
     report = verify_result(fake, geom, geometric_instance.t_map, tol=1e-9, induced=induced)
@@ -670,7 +683,7 @@ def test_verify_boundary_tolerance_is_inclusive(geometric_instance):
     geom = geom_of(geometric_instance)
     induced = build_induced_map(geom, geometric_instance.t_map)
     res = banach_iterate(induced, 2)
-    fake = dataclasses.replace(res, index=1, point=(0.0, 0.25))
+    fake = dataclasses.replace(res, indices=(*res.indices[:-1], 1))
     residual = math.dist((0.0, 0.25), (1.0, 0.0)) - geom.pair_distance
     report = verify_result(fake, geom, geometric_instance.t_map, tol=residual)
     assert report.passed  # residual == tol counts as within
@@ -683,7 +696,7 @@ def test_verify_names_no_image_where_s_is_undefined(halving_instance, narrow_a0_
     for inst in (halving_instance, narrow_a0_instance):
         geom = geom_of(inst)
         result = direct_iterate(geom, inst.t_map, 0)
-        fake = dataclasses.replace(result, index=1, point=inst.pair.a[1])
+        fake = dataclasses.replace(result, indices=(*result.indices[:-1], 1))
         check = verify_result(fake, geom, inst.t_map, induced=classify_partners(geom, inst.t_map)).check("fixed-point")
         assert (check.passed, check.detail) == (False, "S(z) = A[None]")
     # Where S is defined the detail names its image.
@@ -719,11 +732,11 @@ def test_generated_instance_engine_invariants(seed, kind):
     res = banach_iterate(induced, geom.a0[0], certificate=cert)
 
     # residual lower bound is exact: no iterate dips under d(A,B)
-    for i in res.trace.indices:
+    for i in res.indices:
         assert distance(inst.metric, pts[i], inst.pair.b[inst.t_map.image[i]]) >= geom.pair_distance
 
     # step gaps never increase under a certified contraction
-    gaps = res.trace.step_gaps
+    gaps = res.step_gaps
     assert all(g2 <= g1 for g1, g2 in zip(gaps, gaps[1:]))
 
     # uniqueness: every start reaches the same fixed point

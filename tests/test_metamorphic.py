@@ -70,8 +70,8 @@ def _orbit(walk, start, relabel):
     """The stop reason and the index sequence of ``walk(start)``, or the
     failure and the indices walked before it, with each index relabelled."""
     try:
-        trace = walk(start).trace
-        return trace.stop_reason, relabel[list(trace.indices)].tolist()
+        res = walk(start)
+        return res.stop_reason, relabel[list(res.indices)].tolist()
     except (HypothesisViolation, NonUniquePartner) as err:
         return type(err), relabel[list(err.partial_indices)].tolist()
 

@@ -30,7 +30,6 @@ def test_brute_force_geometric(geometric_instance):
     sol = brute_force_solve(inst.pair, inst.t_map, eps_prox=inst.eps_prox)
     assert sol.min_value == 1.0
     assert sol.argmin_indices == (0,)
-    assert sol.argmin_points.tolist() == [[0.0, 0.0]]
     assert sol.pair_distance == 1.0
     assert sol.is_best_proximity
 
@@ -131,11 +130,6 @@ def test_generator_decoys_stay_out_of_b0():
     assert max(geom.b0) < n_mirror  # decoys occupy the tail of B
 
 
-def test_generator_b_size_floor():
-    inst = generate_instance(GeneratorConfig(seed=1, a_size=5, b_size=20, decoy_count=0))
-    assert len(inst.pair.b) == 20
-
-
 def test_generator_constant_map_converges_fast():
     inst = generate_instance(GeneratorConfig(seed=9, alpha_target=0.0, a_size=8))
     geom = proximal_subsets(inst.pair, inst.eps_prox)
@@ -155,7 +149,7 @@ def test_generator_respects_a_size_cap():
     assert (len(table.pair.a), len(table.pair.b)) == (1, 3)
     geom = proximal_subsets(table.pair, table.eps_prox)
     result = banach_iterate(build_induced_map(geom, table.t_map), 0)
-    assert (result.index, result.trace.stop_reason, result.residual) == (0, "converged", 0.0)
+    assert (result.index, result.stop_reason, result.residuals[-1]) == (0, "converged", 0.0)
     assert brute_force_solve(table.pair, table.t_map, eps_prox=table.eps_prox).is_best_proximity
 
 

@@ -5,8 +5,10 @@
 and ``oracle`` on two generated instances (one per space kind) and on the
 ``boundary_instance`` and ``nonunique_instance`` fixtures, plus ``certify``
 and ``solve`` on ``halving_instance`` (a missing partner, so only a partial
-alpha is measured) and ``certify --wide`` on the boundary and non-unique
-fixtures (``<instance>-certify-wide.<ext>``).  Every case is kept in both
+alpha is measured), ``certify --wide`` on the boundary and non-unique
+fixtures (``<instance>-certify-wide.<ext>``), and ``solve`` on
+``detour_instance`` (a contraction verdict beside a failing triangle, so
+neither walk is certified).  Every case is kept in both
 formats: ``.json`` for ``--format json`` and ``.txt`` for the text report,
 which prints the check details as a checklist.  Each command runs in a
 temporary directory with the relative path ``inst.json``, so the
@@ -63,6 +65,7 @@ PARTNER_PATHS = pytest.mark.parametrize(
         ("halving", ["solve"]),
         ("boundary", ["certify", "--wide"]),
         ("nonunique", ["certify", "--wide"]),
+        ("detour", ["solve"]),
     ],
 )
 
